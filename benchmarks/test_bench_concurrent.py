@@ -1,11 +1,10 @@
-"""Benchmark: executed concurrency vs. the resource-timeline planner.
+"""Benchmark: executed makespan of one OT-2 lane vs. two.
 
-The seed repo could only *plan* the Section 4 multi-OT-2 ablation offline
-(mean durations, no faults, no engine).  With the
-:class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` the same workload is
-now *executed*: sampled durations, real deck state, shared pf400/camera.
-This benchmark validates the engine against the planner and measures the
-makespan speedup of a concurrent campaign over the sequential engine.
+The :class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` executes the
+Section 4 multi-OT-2 ablation: sampled durations, real deck state, shared
+pf400/camera.  This benchmark runs one fixed mixing workload on one and on
+two OT-2 lanes, and a whole campaign on one lane and on two, and measures
+the makespan speedup the second lane buys.
 """
 
 import numpy as np
@@ -16,20 +15,15 @@ from repro.core.campaign import run_campaign
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import Plate
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.engine import WorkflowEngine
-from repro.wei.scheduler import plan_parallel_mixes
 from repro.wei.workflow import WorkflowSpec
 
 SEED = 99
 BATCH_SIZE = 16
 N_BATCHES = 6  # 6 x 16 = 96 wells: one full plate per single-OT-2 lane
-#: Sampled-vs-mean tolerance: log-normal jitter (cv 0.05) plus the slightly
-#: different stage interleaving of the executed chain vs. the planner's.
-TOLERANCE = 0.15
 
 
 def mix_chain_spec(ot2: str) -> WorkflowSpec:
-    """The executed equivalent of one planned batch: mix, image, return."""
+    """One mixing batch: mix, image, return the plate to its OT-2."""
     deck_location = f"{ot2}.deck"
     spec = WorkflowSpec(name=f"mix_{ot2}")
     spec.add_step(ot2, "run_protocol", protocol="$payload.protocol")
@@ -74,53 +68,33 @@ def execute_workload(make_workcell, n_ot2: int):
     return engine
 
 
-def run_benchmark_matrix(make_workcell):
-    plans = {n: plan_parallel_mixes([BATCH_SIZE] * N_BATCHES, n_ot2=n) for n in (1, 2)}
-    engines = {n: execute_workload(make_workcell, n) for n in (1, 2)}
-    return plans, engines
+def run_lane_matrix(make_workcell):
+    return {n: execute_workload(make_workcell, n) for n in (1, 2)}
 
 
 @pytest.mark.benchmark(group="concurrent-engine")
-def test_concurrent_engine_matches_planner(benchmark, report, make_workcell):
-    plans, engines = benchmark.pedantic(
-        run_benchmark_matrix, args=(make_workcell,), rounds=1, iterations=1
-    )
+def test_two_lanes_beat_one_on_the_mix_workload(benchmark, report, make_workcell):
+    engines = benchmark.pedantic(run_lane_matrix, args=(make_workcell,), rounds=1, iterations=1)
 
-    rows = []
-    for n in (1, 2):
-        plan, engine = plans[n], engines[n]
-        rows.append(
-            (
-                n,
-                f"{plan.makespan / 3600:.2f} h",
-                f"{engine.makespan / 3600:.2f} h",
-                f"{plan.utilisation().get('ot2', 0.0):.2f}",
-                f"{engine.utilisation().get('ot2', 0.0):.2f}",
-            )
+    rows = [
+        (
+            n,
+            f"{engine.makespan / 3600:.2f} h",
+            f"{engine.utilisation().get('ot2', 0.0):.2f}",
+            f"{engine.utilisation()['pf400']:.2f}",
         )
+        for n, engine in engines.items()
+    ]
     report(
-        "Executed concurrency vs. planner (makespan and ot2 utilisation)",
-        format_table(
-            ["OT-2s", "planned", "executed", "planned ot2 util", "executed ot2 util"], rows
-        ),
+        "Executed makespan and utilisation: 1 vs. 2 OT-2 lanes",
+        format_table(["OT-2s", "makespan", "ot2 util", "pf400 util"], rows),
     )
 
-    for n in (1, 2):
-        plan, engine = plans[n], engines[n]
-        # Makespan agreement within the sampled-vs-mean tolerance.
-        assert engine.makespan == pytest.approx(plan.makespan, rel=TOLERANCE)
-        # Device utilisation agreement for the dominating resource.
-        planned = plan.utilisation()
-        executed = engine.utilisation()
-        for device in ("ot2", "pf400"):
-            assert executed[device] == pytest.approx(planned[device], rel=TOLERANCE, abs=0.05)
-
-    # The executed speedup reproduces the planner's headline prediction.
-    executed_speedup = engines[1].makespan / engines[2].makespan
-    planned_speedup = plans[1].makespan / plans[2].makespan
-    assert engines[2].makespan < engines[1].makespan
-    assert executed_speedup == pytest.approx(planned_speedup, rel=TOLERANCE)
-    assert executed_speedup > 1.5
+    # The mix dominates, so the second lane nearly halves the makespan and
+    # the shared arm gets busier.
+    speedup = engines[1].makespan / engines[2].makespan
+    assert speedup > 1.5
+    assert engines[2].utilisation()["pf400"] > engines[1].utilisation()["pf400"]
 
 
 def run_campaigns():
@@ -133,23 +107,23 @@ def run_campaigns():
 
 
 @pytest.mark.benchmark(group="concurrent-engine")
-def test_concurrent_campaign_beats_sequential_engine(benchmark, report):
+def test_two_lane_campaign_beats_one_lane(benchmark, report):
     sequential, concurrent = benchmark.pedantic(run_campaigns, rounds=1, iterations=1)
 
     report(
-        "Campaign makespan: sequential engine vs. concurrent engine (2 OT-2s)",
+        "Campaign makespan: 1 OT-2 lane vs. 2",
         format_table(
-            ["engine", "runs", "samples", "best score", "makespan"],
+            ["lanes", "runs", "samples", "best score", "makespan"],
             [
                 (
-                    "sequential",
+                    "1",
                     sequential.n_runs,
                     sequential.total_samples,
                     f"{sequential.best_score:.2f}",
                     f"{sequential.makespan_s / 3600:.2f} h",
                 ),
                 (
-                    "concurrent x2",
+                    "2",
                     concurrent.n_runs,
                     concurrent.total_samples,
                     f"{concurrent.best_score:.2f}",
@@ -161,9 +135,9 @@ def test_concurrent_campaign_beats_sequential_engine(benchmark, report):
 
     assert concurrent.total_samples == sequential.total_samples
     # Same seeds, same batches -> identical proposals and scores; the solver
-    # cannot tell which engine executed it.  Only the clock differs.
+    # cannot tell how many lanes executed it.  Only the clock differs.
     for seq_run, conc_run in zip(sequential.runs, concurrent.runs):
         np.testing.assert_allclose(seq_run.scores(), conc_run.scores())
-    # The concurrent engine must finish the same workload strictly faster.
+    # Two lanes must finish the same workload strictly faster.
     assert concurrent.makespan_s < sequential.makespan_s
     assert concurrent.makespan_s < 0.75 * sequential.makespan_s

@@ -5,8 +5,9 @@ plates of colors could be mixed at once.  This would lead to an increase in
 CCWH, but potentially a lower TWH for the same experimental results."  This
 benchmark quantifies that trade-off two ways:
 
-* the resource-timeline planner schedules the same 128-sample workload
-  (batches of 16) onto 1, 2 and 4 OT-2s and reports makespan / utilisation;
+* the same 128-sample workload (8 runs of 16 samples, batches of 16) is
+  executed as a campaign on 1, 2 and 4 OT-2 lanes, reporting makespan and
+  robotic commands;
 * the full application runs against a two-OT-2 workcell, alternating batches
   between the OT-2s, and is compared with the single-OT-2 run.
 """
@@ -15,47 +16,59 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.app import ColorPickerApp
+from repro.core.campaign import run_campaign
 from repro.core.experiment import ExperimentConfig
-from repro.wei.scheduler import plan_parallel_mixes
 
 N_SAMPLES = 128
 BATCH_SIZE = 16
 SEED = 99
 
 
-def plan_all():
-    batches = [BATCH_SIZE] * (N_SAMPLES // BATCH_SIZE)
-    return {n: plan_parallel_mixes(batches, n_ot2=n) for n in (1, 2, 4)}
+def run_lane_ablation():
+    return {
+        n_ot2: run_campaign(
+            n_runs=N_SAMPLES // BATCH_SIZE,
+            samples_per_run=BATCH_SIZE,
+            batch_size=BATCH_SIZE,
+            measurement="direct",
+            seed=SEED,
+            n_ot2=n_ot2,
+            experiment_id=f"multi-ot2-x{n_ot2}",
+        )
+        for n_ot2 in (1, 2, 4)
+    }
+
+
+def robotic_commands(campaign) -> int:
+    return sum(run.metrics.commands_completed for run in campaign.runs)
 
 
 @pytest.mark.benchmark(group="multi-ot2")
-def test_multi_ot2_planner_ablation(benchmark, report):
-    plans = benchmark.pedantic(plan_all, rounds=1, iterations=1)
+def test_multi_ot2_lane_ablation(benchmark, report):
+    campaigns = benchmark.pedantic(run_lane_ablation, rounds=1, iterations=1)
 
-    rows = []
-    for n_ot2, plan in plans.items():
-        utilisation = plan.utilisation()
-        rows.append(
-            (
-                n_ot2,
-                f"{plan.makespan / 3600:.2f} h",
-                plan.robotic_commands,
-                f"{utilisation.get('ot2', 0.0):.2f}",
-                f"{utilisation['pf400']:.2f}",
-            )
+    rows = [
+        (
+            n_ot2,
+            f"{campaign.makespan_s / 3600:.2f} h",
+            robotic_commands(campaign),
+            f"{campaign.best_score:.2f}",
         )
+        for n_ot2, campaign in campaigns.items()
+    ]
     report(
-        "Multi-OT-2 ablation (planner): makespan vs. number of liquid handlers",
-        format_table(["OT-2s", "makespan (TWH)", "robotic commands", "ot2 util", "pf400 util"], rows),
+        "Multi-OT-2 ablation (executed): makespan vs. number of liquid handlers",
+        format_table(["OT-2s", "makespan (TWH)", "robotic commands", "best score"], rows),
     )
 
+    assert all(campaign.total_samples == N_SAMPLES for campaign in campaigns.values())
     # CCWH (robotic commands for the same workload) is unchanged...
-    assert plans[1].total_commands == plans[2].total_commands == plans[4].total_commands
+    assert robotic_commands(campaigns[1]) == robotic_commands(campaigns[2]) == robotic_commands(campaigns[4])
     # ...while TWH (makespan) drops with more OT-2s, which is the paper's point.
-    assert plans[2].makespan < plans[1].makespan
-    assert plans[4].makespan <= plans[2].makespan
+    assert campaigns[2].makespan_s < campaigns[1].makespan_s
+    assert campaigns[4].makespan_s <= campaigns[2].makespan_s
     # Two OT-2s should get close to halving the mix-dominated makespan.
-    assert plans[2].makespan < plans[1].makespan * 0.75
+    assert campaigns[2].makespan_s < campaigns[1].makespan_s * 0.75
 
 
 def run_dual_ot2_application(make_workcell):

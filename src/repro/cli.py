@@ -48,7 +48,9 @@ from repro.core.experiment import ExperimentConfig
 from repro.publish.portal import DataPortal
 from repro.sim.durations import ModuleSpeedProfile
 from repro.solvers.base import SOLVER_REGISTRY
+from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.coordinator import ASSIGNMENT_POLICIES
+from repro.wei.drivers import DriverRegistry
 from repro.wei.workcell import build_color_picker_workcell
 
 __all__ = ["build_parser", "main"]
@@ -522,26 +524,6 @@ def _parse_target(text: str):
     return text
 
 
-def _run_transport_experiment(config: ExperimentConfig, transport: str, speedup: float):
-    """Run one experiment on a transport-backed engine; returns (result, engine)."""
-    from repro.wei.concurrent import ConcurrentWorkflowEngine
-    from repro.wei.drivers import DriverRegistry
-
-    workcell = build_color_picker_workcell(seed=config.seed)
-    if transport == "wire":
-        registry = DriverRegistry.wire(workcell, speedup=speedup)
-    else:
-        registry = DriverRegistry.paced(workcell, speedup=speedup)
-    engine = ConcurrentWorkflowEngine(workcell, drivers=registry)
-    app = ColorPickerApp(config, workcell=workcell)
-    handle = engine.submit_program(app.program(), name="run")
-    try:
-        engine.run_until_complete()
-    finally:
-        registry.close()
-    return handle.result, engine
-
-
 def _command_run(args) -> int:
     config = ExperimentConfig(
         target=_parse_target(args.target),
@@ -551,11 +533,20 @@ def _command_run(args) -> int:
         measurement=args.measurement,
         seed=args.seed,
     )
-    engine = None
-    if args.transport in ("paced", "wire"):
-        result, engine = _run_transport_experiment(config, args.transport, args.speedup)
-    else:
-        result = ColorPickerApp(config).run()
+    workcell = build_color_picker_workcell(seed=config.seed)
+    registry = None
+    if args.transport == "wire":
+        registry = DriverRegistry.wire(workcell, speedup=args.speedup)
+    elif args.transport == "paced":
+        registry = DriverRegistry.paced(workcell, speedup=args.speedup)
+    engine = ConcurrentWorkflowEngine(workcell, drivers=registry)
+    handle = engine.submit_program(ColorPickerApp(config, workcell=workcell).program(), name="run")
+    try:
+        engine.run_until_complete()
+    finally:
+        if registry is not None:
+            registry.close()
+    result = handle.result
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -566,7 +557,7 @@ def _command_run(args) -> int:
         print(f"Best sample: well {best.well}, measured RGB ({rgb})")
     print()
     print(render_table1(result.metrics))
-    if engine is not None:
+    if registry is not None:
         stats = engine.transport_stats()
         latencies = engine.completion_latencies()
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
@@ -576,10 +567,10 @@ def _command_run(args) -> int:
             f"mean delivery latency {mean_latency * 1000:.1f} ms"
         )
         recovery = engine.transport_retry_stats()
-        if any(recovery.values()):
+        if any(recovery.to_dict().values()):
             print(
-                f"Wire recovery: {recovery['retries']} retries, "
-                f"{recovery['resyncs']} resyncs, {recovery['crc_errors']} CRC errors"
+                f"Wire recovery: {recovery.retries} retries, "
+                f"{recovery.resyncs} resyncs, {recovery.crc_errors} CRC errors"
             )
     return 0
 

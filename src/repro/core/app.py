@@ -16,17 +16,16 @@ of the final plate and computes the SDL metrics of Table 1.
 
 The control loop is written once, as the generator :meth:`ColorPickerApp.program`,
 which *yields* every timed interaction (workflow runs, direct module actions,
-computational overheads) instead of executing them inline.  :meth:`run` drives
-that generator against the sequential :class:`~repro.wei.engine.WorkflowEngine`
-exactly as before, while
-:class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` drives many programs
-interleaved over one shared workcell -- the paper's Section 4 multi-OT-2
-ablation, executed rather than merely planned.
+computational overheads) instead of executing them inline.  The
+:class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` drives it: :meth:`run`
+submits the one program to an engine of its own, and the same engine
+interleaves many programs over one shared workcell -- the paper's Section 4
+multi-OT-2 ablation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -43,14 +42,14 @@ from repro.core.workflows import (
 )
 from repro.hardware.camera import CameraImage
 from repro.hardware.labware import Plate
-from repro.sim.faults import CommandFailure
 from repro.publish.flows import PublicationFlow
 from repro.publish.portal import DataPortal
 from repro.publish.records import RunRecord, SampleRecord
 from repro.solvers.base import ColorSolver, make_solver
 from repro.utils.rng import RandomSource
 from repro.vision.extraction import WellColorExtractor
-from repro.wei.engine import StepResult, WorkflowEngine, WorkflowError, robotic_command_count
+from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.engine import StepResult, WorkflowError, robotic_command_count
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell, build_color_picker_workcell
 
@@ -128,7 +127,6 @@ class ColorPickerApp:
         self.portal = portal if portal is not None else DataPortal()
         self.flow = PublicationFlow(self.portal)
         self.run_logger = run_logger if run_logger is not None else RunLogger()
-        self.engine = WorkflowEngine(self.workcell, run_logger=self.run_logger)
         self.extractor = WellColorExtractor(
             config=self.workcell.module("camera").device.image_config
         )
@@ -156,7 +154,7 @@ class ColorPickerApp:
     # Program plumbing
     #
     # Every helper that takes simulated time is a generator yielding one of
-    # the requests understood by the engines (see repro.wei.concurrent):
+    # the requests understood by the engine (see repro.wei.concurrent):
     #   ("workflow", spec, payload) -> WorkflowRunResult
     #   ("action", module, action, kwargs) -> ActionInvocation
     #   ("sleep", seconds) -> None
@@ -203,25 +201,6 @@ class ColorPickerApp:
         )
         yield ("sleep", duration)
         return duration
-
-    def _execute_sequential(self, request):
-        kind = request[0]
-        if kind == "workflow":
-            return self.engine.run_workflow(request[1], payload=request[2])
-        if kind == "action":
-            # Match ConcurrentWorkflowEngine: a direct action's command
-            # failure surfaces as WorkflowError so the recovery path treats
-            # both engines identically.
-            try:
-                return self.workcell.module(request[1]).invoke(request[2], **request[3])
-            except CommandFailure as exc:
-                raise WorkflowError(
-                    f"action {request[1]}.{request[2]} failed: {exc}"
-                ) from exc
-        if kind == "sleep":
-            self.workcell.clock.advance(float(request[1]))
-            return None
-        raise ValueError(f"unknown program request kind {kind!r}")
 
     @property
     def active_plate(self) -> Optional[Plate]:
@@ -337,29 +316,20 @@ class ColorPickerApp:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> ExperimentResult:
-        """Execute the experiment sequentially and return its result."""
-        program = self.program()
-        value: Any = None
-        error: Optional[WorkflowError] = None
-        while True:
-            try:
-                request = program.throw(error) if error is not None else program.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value, error = None, None
-            try:
-                value = self._execute_sequential(request)
-            except WorkflowError as exc:
-                error = exc
+        """Execute the experiment on an engine of its own and return its result."""
+        engine = ConcurrentWorkflowEngine(self.workcell, run_logger=self.run_logger)
+        handle = engine.submit_program(self.program())
+        engine.run_until_complete()
+        return handle.result
 
     def program(self) -> Generator:
         """The experiment as an engine-agnostic program (see module docstring).
 
         Yields timed requests and finally returns the
-        :class:`~repro.core.experiment.ExperimentResult`.  Drive it with
-        :meth:`run` for sequential execution or submit it to a
+        :class:`~repro.core.experiment.ExperimentResult`.  :meth:`run` drives
+        it alone; submit it to a shared
         :class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` to interleave
-        it with other experiments on a shared workcell.
+        it with other experiments on one workcell.
         """
         config = self.config
         result = ExperimentResult(config=config)

@@ -20,12 +20,8 @@ from repro.core.campaign import predict_experiment_duration
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.publish.portal import DataPortal
 from repro.sim.durations import DurationTable
-from repro.wei.concurrent import (
-    ConcurrentWorkflowEngine,
-    run_jobs_work_stealing,
-    run_programs_on_lanes,
-)
-from repro.wei.coordinator import ASSIGNMENT_POLICIES
+from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.coordinator import ASSIGNMENT_POLICIES, MultiWorkcellCoordinator
 from repro.wei.workcell import build_color_picker_workcell
 
 __all__ = ["PAPER_BATCH_SIZES", "BatchSweepResult", "run_batch_sweep"]
@@ -104,9 +100,9 @@ def run_batch_sweep(
     scheduling from :func:`~repro.core.campaign.predict_experiment_duration`
     means, predicted against the duration table the engine actually runs),
     while ``assignment="static"`` pins experiment ``i`` to lane
-    ``i % n_ot2`` for comparison.  ``assignment="lookahead"`` is a
-    coordinated-fleet policy and is rejected here -- run the sweep through
-    :func:`~repro.core.campaign.run_campaign` for online re-ranking.
+    ``i % n_ot2`` for comparison, and ``assignment="lookahead"`` re-ranks the
+    queue online each time a lane frees.  The lanes are scheduled by a
+    one-workcell :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`.
     ``durations`` overrides the workcells' duration table (sequential and
     concurrent paths alike).  With
     ``measurement="direct"`` (the default) solver behaviour and scores are
@@ -121,11 +117,6 @@ def run_batch_sweep(
     if assignment not in ASSIGNMENT_POLICIES:
         raise ValueError(
             f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
-        )
-    if assignment == "lookahead":
-        raise ValueError(
-            "assignment='lookahead' needs the coordinated fleet path; "
-            "use run_campaign(assignment='lookahead') instead of run_batch_sweep"
         )
     sweep = BatchSweepResult(n_ot2=n_ot2)
     overrides = dict(config_overrides or {})
@@ -158,46 +149,23 @@ def run_batch_sweep(
 
     workcell = build_color_picker_workcell(seed=seed, n_ot2=n_ot2, durations=durations)
     engine = ConcurrentWorkflowEngine(workcell)
-    lanes = workcell.ot2_barty_pairs()[:n_ot2]
-    ordered = list(configs)
 
-    def make_program(batch_size: int, lane: tuple):
+    def make_program(config: ExperimentConfig, _shard: int, lane: tuple):
         ot2, barty = lane
         app = ColorPickerApp(
-            configs[batch_size], workcell=workcell, portal=portal, ot2=ot2, barty=barty, staging="ot2"
+            config, workcell=workcell, portal=portal, ot2=ot2, barty=barty, staging="ot2"
         )
         return app.program()
 
-    if assignment == "static":
-        results = run_programs_on_lanes(
-            engine,
-            [make_program(size, lanes[index % n_ot2]) for index, size in enumerate(ordered)],
-            n_ot2,
-            lane_names=[ot2 for ot2, _ in lanes],
-        )
-        queue_order = ordered
-    else:
-        queue_order = ordered
-        if assignment == "stealing-lpt":
-            # Longest predicted experiment first; ties keep caller order.
-            # Predict against the table the shared workcell actually runs
-            # (not the default paper calibration), so the ordering matches
-            # what will execute.
-            queue_order = sorted(
-                ordered,
-                key=lambda size: -predict_experiment_duration(
-                    configs[size], durations=workcell.durations
-                ),
-            )
-        results = run_jobs_work_stealing(
-            engine,
-            queue_order,
-            lanes,
-            make_program,
-            lane_names=[ot2 for ot2, _ in lanes],
-        )
-    # Keep the caller's batch-size order, exactly as the sequential path does.
-    results_by_size = dict(zip(queue_order, results))
-    sweep.experiments = {size: results_by_size[size] for size in ordered}
+    # The duration hint predicts against the table the shared workcell
+    # actually runs, so "stealing-lpt" orders the queue by what will execute.
+    results = MultiWorkcellCoordinator([engine]).run_jobs(
+        list(configs.values()),
+        make_program,
+        lanes=[workcell.ot2_barty_pairs()[:n_ot2]],
+        assignment=assignment,
+        duration_hint=predict_experiment_duration,
+    )
+    sweep.experiments = dict(zip(configs, results))
     sweep.makespan_s = engine.makespan
     return sweep

@@ -6,6 +6,13 @@ experiments".  :func:`run_campaign` reproduces that usage pattern: a sequence
 of short colour-picker runs, each published to the same experiment on the
 portal, optionally cycling through different target colours.
 
+By default (one workcell, one lane) each run executes on a fresh workcell
+through :meth:`ColorPickerApp.run <repro.core.app.ColorPickerApp.run>`, on an
+engine of its own.  Routing these runs through a one-workcell coordinator
+instead would change vision-mode science (one camera noise stream across
+runs) and would hold every camera frame in the shared engine's run log, so
+that move waits on a fix to the frame retention (``docs/architecture.md``).
+
 With ``n_ot2 > 1`` the campaign switches to the paper's Section 4 ablation,
 *executed* rather than planned: one shared workcell is built with ``n_ot2``
 OT-2/barty lanes and the runs are interleaved by the
@@ -363,9 +370,9 @@ def run_campaign(
         the whole campaign is reproducible.
     n_ot2:
         Number of OT-2/barty lanes per workcell.  1 (the default) runs the
-        campaign sequentially, each run on a fresh workcell, exactly as
-        before.  ``n_ot2 > 1`` builds one shared workcell and *executes* the
-        runs concurrently over its lanes.  With ``measurement="direct"``
+        campaign sequentially, each run on a fresh workcell.  ``n_ot2 > 1``
+        builds one shared workcell and *executes* the runs concurrently over
+        its lanes.  With ``measurement="direct"``
         (the default) solver proposals and measured scores are identical to
         the sequential campaign with the same seed (only the timing
         differs), which is what makes the TWH-vs-CCWH comparison
@@ -738,7 +745,7 @@ def _transport_report(
         rejected_late += stats.rejected_late
         timed_out += stats.timed_out
         latencies.extend(engine.completion_latencies())
-        for key, value in engine.transport_retry_stats().items():
+        for key, value in engine.transport_retry_stats().to_dict().items():
             recovery[key] += value
     if not any_transport:
         return TransportReport()

@@ -11,19 +11,17 @@ colour-picker application needs:
 * :mod:`repro.wei.workcell` -- workcell assembly, including a YAML loader and
   the default colour-picker workcell factory,
 * :mod:`repro.wei.workflow` -- declarative workflow specifications,
-* :mod:`repro.wei.engine` -- the sequential workflow executor with retries
-  and step timing records,
-* :mod:`repro.wei.concurrent` -- the event-driven engine that interleaves
-  many workflow runs / application programs over one shared workcell (the
-  Section 4 multi-OT-2 ablation, executed) via the two-phase
-  submit/complete action lifecycle,
+* :mod:`repro.wei.engine` -- workflow run and step records and the per-step
+  retry rule,
+* :mod:`repro.wei.concurrent` -- the workflow engine: event-driven, it runs
+  one workflow, one application program, or many of them interleaved over one
+  shared workcell (the Section 4 multi-OT-2 ablation, executed) via the
+  two-phase submit/complete action lifecycle,
 * :mod:`repro.wei.coordinator` -- the multi-workcell coordinator that shards
   campaigns across several independent engines with least-finish-time
   (work-stealing) assignment and a merged record stream,
 * :mod:`repro.wei.runlog` -- per-workflow-run timing files (the paper saves
-  one per run for post-hoc analysis),
-* :mod:`repro.wei.scheduler` -- resource-timeline planning used by the
-  multi-OT-2 ablation.
+  one per run for post-hoc analysis).
 """
 
 from repro.wei.concurrent import (
@@ -33,10 +31,9 @@ from repro.wei.concurrent import (
     ProgramHandle,
 )
 from repro.wei.coordinator import MultiWorkcellCoordinator, ShardAssignment
-from repro.wei.engine import StepResult, WorkflowEngine, WorkflowError, WorkflowRunResult
+from repro.wei.engine import StepResult, WorkflowError, WorkflowRunResult
 from repro.wei.module import ActionSubmission, Module, ModuleActionError
 from repro.wei.runlog import RunLogger
-from repro.wei.scheduler import ParallelMixPlan, plan_parallel_mixes
 from repro.wei.workcell import Workcell, WorkcellConfigError, build_color_picker_workcell
 from repro.wei.workflow import WorkflowSpec, WorkflowStep
 
@@ -48,7 +45,6 @@ __all__ = [
     "build_color_picker_workcell",
     "WorkflowSpec",
     "WorkflowStep",
-    "WorkflowEngine",
     "WorkflowError",
     "WorkflowRunResult",
     "StepResult",
@@ -60,6 +56,4 @@ __all__ = [
     "ShardAssignment",
     "ActionSubmission",
     "RunLogger",
-    "plan_parallel_mixes",
-    "ParallelMixPlan",
 ]

@@ -1,11 +1,11 @@
-"""Event-driven concurrent workflow execution.
+"""Event-driven workflow execution: the one engine.
 
-The sequential :class:`~repro.wei.engine.WorkflowEngine` advances the shared
-clock action-by-action, so only one workflow can be in flight at a time.  The
+:class:`ConcurrentWorkflowEngine` runs everything from a single workflow
+(:meth:`~ConcurrentWorkflowEngine.run_workflow`) or a single experiment
+(:meth:`ColorPickerApp.run <repro.core.app.ColorPickerApp.run>`) to the
 paper's Section 4 ablation ("integrating additional OT2s in our workflow, so
-that multiple plates of colors could be mixed at once") needs many workflow
-runs interleaved over shared devices.  :class:`ConcurrentWorkflowEngine`
-provides that:
+that multiple plates of colors could be mixed at once"), where many workflow
+runs interleave over shared devices:
 
 * every in-flight workflow (or application *program*) is a cooperative task;
 * each step is an exclusive reservation of its module, recorded on a
@@ -24,9 +24,8 @@ provides that:
   sits at the exchange, is parked until a later completion frees the slot
   (the physical workcell has single-plate nests, so two concurrent plates
   must take turns at the camera stage and the exchange);
-* per-step retries of recoverable command failures reuse the sequential
-  engine's :func:`~repro.wei.engine.attempt_invocation`, so fault injection
-  behaves identically.
+* per-step retries of recoverable command failures go through
+  :func:`~repro.wei.engine.attempt_submission`.
 
 Applications participate through *programs*: generators that yield requests
 
@@ -96,11 +95,7 @@ __all__ = [
     "ConcurrentWorkflowEngine",
     "TransportRetryStats",
     "RunSpanHooks",
-    "chain_programs",
     "claim_jobs",
-    "run_programs_on_lanes",
-    "run_jobs_work_stealing",
-    "run_programs_work_stealing",
 ]
 
 
@@ -108,11 +103,8 @@ __all__ = [
 class TransportRetryStats:
     """Wire-level recovery counters summed over one engine's drivers.
 
-    A typed snapshot (taken under each driver's own lock via its
-    ``stats()`` view) that still reads like the dict it replaced:
-    ``stats["retries"]``, ``"resyncs" in stats``, ``dict(stats)`` and
-    iteration all work, so fleet views and soak logs did not have to
-    change shape.
+    A typed snapshot, taken under each driver's own lock via its
+    ``stats()`` view; :meth:`to_dict` gives the JSON form.
     """
 
     retries: int = 0
@@ -124,74 +116,6 @@ class TransportRetryStats:
     def to_dict(self) -> Dict[str, int]:
         """JSON-serialisable form."""
         return asdict(self)
-
-    # -- dict-style views (compatibility with the untyped snapshot) -----
-    def __getitem__(self, key: str) -> int:
-        try:
-            return asdict(self)[key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return iter(asdict(self))
-
-    def __len__(self) -> int:
-        return len(asdict(self))
-
-    def __contains__(self, key: object) -> bool:
-        return key in asdict(self)
-
-    def keys(self):
-        return asdict(self).keys()
-
-    def items(self):
-        return asdict(self).items()
-
-    def values(self):
-        return asdict(self).values()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return asdict(self).get(key, default)
-
-
-def chain_programs(programs: Sequence[Generator]) -> Generator:
-    """Run several programs one after another as a single program.
-
-    The combined program forwards every request of each constituent program
-    in order and returns the list of their return values.  Campaign / sweep
-    lanes use this to pin a sequence of experiments to one OT-2 lane while
-    other lanes run concurrently.
-    """
-    results = []
-    for program in programs:
-        results.append((yield from program))
-    return results
-
-
-def run_programs_on_lanes(
-    engine: "ConcurrentWorkflowEngine",
-    programs: Sequence[Generator],
-    n_lanes: int,
-    lane_names: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """Round-robin ``programs`` over ``n_lanes`` concurrent lanes.
-
-    Program ``i`` is pinned to lane ``i % n_lanes``; each lane chains its
-    programs sequentially while lanes run concurrently.  Runs the engine to
-    completion and returns the per-program results in submission order.
-    """
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-    handles = []
-    for lane in range(min(n_lanes, len(programs))):
-        name = f"lane-{lane_names[lane]}" if lane_names else f"lane-{lane}"
-        handles.append(engine.submit_program(chain_programs(programs[lane::n_lanes]), name=name))
-    engine.run_until_complete()
-    results: List[Any] = [None] * len(programs)
-    for lane, handle in enumerate(handles):
-        for offset, value in enumerate(handle.result):
-            results[lane + offset * len(handles)] = value
-    return results
 
 
 def claim_jobs(
@@ -225,10 +149,9 @@ def claim_jobs(
     lanes empty the queue).  This is the hook behind the coordinator's
     ``assignment="lookahead"`` re-ranking policy.
 
-    Both the single-engine work-stealing helpers and the
-    :class:`~repro.wei.coordinator.MultiWorkcellCoordinator` build their
-    lanes from this one dispatcher, so the claim/record protocol lives in
-    exactly one place.  Returns the number of jobs this lane ran.
+    The :class:`~repro.wei.coordinator.MultiWorkcellCoordinator` builds
+    every lane from this one dispatcher.  Returns the number of jobs this
+    lane ran.
     """
     claimed = 0
     while queue:
@@ -295,76 +218,6 @@ class RunSpanHooks:
             job_index=index,
             program=self.program_name,
         )
-
-
-def run_jobs_work_stealing(
-    engine: "ConcurrentWorkflowEngine",
-    jobs: Sequence[Any],
-    lanes: Sequence[Any],
-    make_program: Callable[[Any, Any], Generator],
-    *,
-    lane_names: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """Run ``jobs`` over ``lanes`` with least-finish-time (work-stealing) pulls.
-
-    Instead of pinning job ``i`` to lane ``i % k`` up front, every lane is a
-    dispatcher program that pulls the next pending job from a shared queue the
-    moment it finishes its previous one.  Because the event scheduler resumes
-    the dispatcher exactly at its lane's finish time, the next job always goes
-    to the lane that frees *earliest in simulated time* -- on uneven job
-    durations this bounds the makespan by the classic greedy list-scheduling
-    guarantee instead of the arbitrarily-bad static split.
-
-    ``make_program(job, lane)`` builds the job's program once a lane has
-    claimed it, so lane-specific resources (which OT-2, which barty) bind at
-    claim time.  Runs the engine to completion and returns the per-job
-    results in submission order.  (Callers that need to know which lane ran
-    which job use :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`,
-    which records every claim.)
-    """
-    if not lanes:
-        raise ValueError("work stealing needs at least one lane")
-    queue: Deque[tuple] = deque(enumerate(jobs))
-    results: List[Any] = [None] * len(jobs)
-
-    for position, lane in enumerate(lanes):
-        name = str(lane_names[position]) if lane_names else str(position)
-        hooks = RunSpanHooks(engine, f"lane-{name}")
-        engine.submit_program(
-            claim_jobs(
-                queue,
-                results,
-                lambda job, lane=lane: make_program(job, lane),
-                hooks.claimed,
-                on_done=hooks.done,
-            ),
-            name=f"lane-{name}",
-        )
-    engine.run_until_complete()
-    return results
-
-
-def run_programs_work_stealing(
-    engine: "ConcurrentWorkflowEngine",
-    programs: Sequence[Generator],
-    n_lanes: int,
-    lane_names: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """Work-stealing counterpart of :func:`run_programs_on_lanes`.
-
-    ``n_lanes`` anonymous lanes pull pre-built programs from a shared queue;
-    use :func:`run_jobs_work_stealing` directly when programs must bind to
-    the claiming lane's resources.
-    """
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-    return run_jobs_work_stealing(
-        engine,
-        programs,
-        list(range(n_lanes)),
-        lambda program, _lane: program,
-        lane_names=lane_names,
-    )
 
 
 class ConcurrencyError(RuntimeError):
@@ -589,7 +442,7 @@ class ConcurrentWorkflowEngine:
         the wire) and ``completions_retransmitted`` (device-side re-sends).
         Returns a typed :class:`TransportRetryStats` snapshot (each driver's
         counters are read atomically under that driver's own lock by its
-        ``stats()``); dict-style access still works for legacy callers.
+        ``stats()``).
         """
         totals = {
             "retries": 0,
@@ -667,6 +520,12 @@ class ConcurrentWorkflowEngine:
         self._generators[id(handle)] = program
         self._resume_program(handle, value=None)
         return handle
+
+    def run_workflow(
+        self, spec: WorkflowSpec, payload: Optional[Mapping[str, Any]] = None
+    ) -> WorkflowRunResult:
+        """Run one workflow to completion; a failed step raises :class:`WorkflowError`."""
+        return self.run_all([spec], [payload])[0]
 
     def run_all(
         self,

@@ -552,8 +552,8 @@ class MultiWorkcellCoordinator:
                     utilisation=shard.engine.overall_utilisation(),
                     makespan=shard.engine.makespan,
                     transport=shard.engine.transport_name,
-                    retries=retry_stats["retries"],
-                    resyncs=retry_stats["resyncs"],
+                    retries=retry_stats.retries,
+                    resyncs=retry_stats.resyncs,
                     delivery_p50_s=delivery_p50,
                     delivery_p95_s=delivery_p95,
                     queue_wait_p50_s=queue_p50,

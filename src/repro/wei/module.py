@@ -233,8 +233,8 @@ class Module:
     def invoke(self, action: str, **kwargs: Any) -> ActionInvocation:
         """Invoke ``action`` with keyword arguments and return its outcome.
 
-        Submit-then-complete in one call: the synchronous path used by the
-        sequential engine and direct callers.
+        Submit-then-complete in one call: the synchronous path for direct
+        callers.
         """
         return self.submit(action, **kwargs).complete()
 

@@ -209,7 +209,7 @@ class TestStreamingElasticCampaign:
 
     def test_elastic_campaign_matches_sequential_scores(self):
         """Attach mid-flight, drain before the end: per-run scores stay
-        identical to the sequential engine and the portal stays complete."""
+        identical to the sequential campaign and the portal stays complete."""
         sequential = run_campaign(
             n_runs=self.N_RUNS,
             samples_per_run=self.SAMPLES,

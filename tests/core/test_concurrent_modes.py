@@ -1,5 +1,8 @@
 """Tests for the concurrent multi-plate modes of campaign / sweep / CLI."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -253,3 +256,86 @@ class TestCliNOt2:
         )
         out = capsys.readouterr().out
         assert "Concurrent sweep on 2 OT-2 lanes" in out
+
+
+def _experiment_science(result):
+    data = result.to_dict()
+    # Plate barcodes come from a process-wide counter, so they depend on what
+    # ran earlier in the process; they label plates and carry no science.
+    for sample in data["samples"]:
+        del sample["plate_barcode"]
+    return {"result": data, "elapsed_s": result.elapsed_s}
+
+
+def _parity_science(case):
+    kind, measurement, *args = case
+    if kind == "app":
+        seed, batch_size = args
+        config = ExperimentConfig(
+            n_samples=6,
+            batch_size=batch_size,
+            seed=seed,
+            measurement=measurement,
+            experiment_id="pin",
+            run_id="pin",
+        )
+        return _experiment_science(ColorPickerApp(config).run())
+    n_ot2, assignment = args
+    # Caller order differs from the longest-predicted-first order, so
+    # "stealing-lpt" claims differently from "work-stealing".
+    sweep = run_batch_sweep(
+        (2, 4, 1, 3),
+        n_samples=6,
+        seed=7,
+        measurement=measurement,
+        n_ot2=n_ot2,
+        assignment=assignment,
+    )
+    return {
+        "experiments": {
+            str(size): _experiment_science(result) for size, result in sweep.experiments.items()
+        },
+        "makespan_s": sweep.makespan_s,
+    }
+
+
+#: sha256 prefixes of the science of a single ``ColorPickerApp.run()``
+#: (``("app", measurement, seed, batch_size)``: samples, scores, metrics and
+#: ``elapsed_s``) and of a lane sweep (``("sweep", measurement, n_ot2,
+#: assignment)``: per-experiment science plus ``makespan_s``).  They were
+#: recorded before the sequential engine and the single-engine lane runners
+#: were replaced, and are the reference every execution path must reproduce.
+PARITY_PINS = [
+    (("app", "direct", 3, 1), "031328cdf2db6a1a"),
+    (("app", "direct", 3, 3), "b84d0ea5ba5474be"),
+    (("app", "direct", 42, 1), "3199cf4df42cf189"),
+    (("app", "direct", 42, 3), "cfc655bd2fd909e0"),
+    (("app", "direct", 816, 1), "0125a13f4d31d2e9"),
+    (("app", "direct", 816, 3), "eadd6f1e7e8e8bd7"),
+    (("app", "vision", 3, 1), "f36762997ed9ffa5"),
+    (("app", "vision", 3, 3), "eaa6c74478ab075d"),
+    (("app", "vision", 42, 1), "6395ffd3a8ac4c9c"),
+    (("app", "vision", 42, 3), "99f9ba74de9180ab"),
+    (("app", "vision", 816, 1), "e9bf1911254b2a64"),
+    (("app", "vision", 816, 3), "9cf6832ce0066cad"),
+    (("sweep", "direct", 2, "static"), "eef78c4a5cf68b42"),
+    (("sweep", "direct", 2, "work-stealing"), "eb676123c9a40798"),
+    (("sweep", "direct", 2, "stealing-lpt"), "1503c29b92f5335e"),
+    (("sweep", "direct", 3, "static"), "70ad51cb9fc23851"),
+    (("sweep", "direct", 3, "work-stealing"), "ee9e4e61dde4a92d"),
+    (("sweep", "direct", 3, "stealing-lpt"), "346f2f0c1b2954f7"),
+    (("sweep", "vision", 2, "static"), "4627434386e4a953"),
+    (("sweep", "vision", 2, "work-stealing"), "8a4345121e9dcd34"),
+    (("sweep", "vision", 2, "stealing-lpt"), "becf7082e5564fb3"),
+    (("sweep", "vision", 3, "static"), "47aaf70d4352e6ce"),
+    (("sweep", "vision", 3, "work-stealing"), "4dae0912299d63d2"),
+    (("sweep", "vision", 3, "stealing-lpt"), "9171f0d139d3a3ec"),
+]
+
+
+@pytest.mark.parametrize(
+    "case,expected", PARITY_PINS, ids=["-".join(map(str, case)) for case, _ in PARITY_PINS]
+)
+def test_science_matches_parity_pin(case, expected):
+    science = _parity_science(case)
+    assert hashlib.sha256(json.dumps(science, sort_keys=True).encode()).hexdigest()[:16] == expected

@@ -13,17 +13,16 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import TipRack
 from repro.publish.portal import DataPortal
+from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.workcell import build_color_picker_workcell
 
 
 def drive(app, generator):
-    """Run one of the app's program fragments against the sequential engine."""
-    value = None
-    try:
-        while True:
-            value = app._execute_sequential(generator.send(value))
-    except StopIteration as stop:
-        return stop.value
+    """Run one of the app's program fragments as the only program of an engine."""
+    engine = ConcurrentWorkflowEngine(app.workcell)
+    handle = engine.submit_program(generator)
+    engine.run_until_complete()
+    return handle.result
 
 
 class TestReplenishSingleFire:

@@ -1,18 +1,14 @@
-"""Property-style tests for resource timelines and the parallel-mix planner.
+"""Property-style tests for resource timelines.
 
 Randomised (but deterministically seeded) checks of the invariants the
-concurrent engine and the Section 4 ablation rely on:
-
-* :class:`ResourceTimeline` interval clipping in ``utilisation`` and the
-  gap/busy partition produced by ``idle_gaps``,
-* :func:`plan_parallel_mixes` producing physically possible schedules.
+concurrent engine relies on: :class:`ResourceTimeline` interval clipping in
+``utilisation`` and the gap/busy partition produced by ``idle_gaps``.
 """
 
 import numpy as np
 import pytest
 
 from repro.sim.resources import ResourceTimeline
-from repro.wei.scheduler import plan_parallel_mixes
 
 
 def random_timeline(rng, n=20):
@@ -73,46 +69,3 @@ class TestResourceTimelineProperties:
         timeline = ResourceTimeline("late")
         timeline.reserve(7.0, 1.0)
         assert timeline.idle_gaps() == [(0.0, 7.0)]
-
-
-class TestParallelMixPlanInvariants:
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("n_ot2", [1, 2, 3])
-    def test_no_overlapping_reservations_per_device(self, seed, n_ot2):
-        rng = np.random.default_rng(seed)
-        batch_sizes = [int(v) for v in rng.integers(1, 24, size=10)]
-        plan = plan_parallel_mixes(batch_sizes, n_ot2=n_ot2)
-        for name, timeline in plan.timelines.items():
-            intervals = sorted(timeline.intervals)
-            for (_, end), (start, _) in zip(intervals, intervals[1:]):
-                assert start >= end - 1e-9, f"device {name} double-booked"
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_deck_free_respected_per_ot2(self, seed):
-        rng = np.random.default_rng(50 + seed)
-        batch_sizes = [int(v) for v in rng.integers(1, 16, size=12)]
-        plan = plan_parallel_mixes(batch_sizes, n_ot2=2)
-        by_ot2 = {}
-        for batch in plan.batches:
-            by_ot2.setdefault(batch.ot2_name, []).append(batch)
-        for batches in by_ot2.values():
-            batches.sort(key=lambda batch: batch.transfer_in[0])
-            for previous, current in zip(batches, batches[1:]):
-                # A new plate cannot load onto the deck before the previous
-                # one has been carried away.
-                assert current.transfer_in[0] >= previous.transfer_out[1] - 1e-9
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_makespan_monotone_non_increasing_in_n_ot2(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        batch_sizes = [int(v) for v in rng.integers(1, 32, size=8)]
-        makespans = [plan_parallel_mixes(batch_sizes, n_ot2=n).makespan for n in (1, 2, 4, 8)]
-        for wider, narrower in zip(makespans[1:], makespans[:-1]):
-            assert wider <= narrower + 1e-9
-
-    def test_stage_chain_ordering_within_each_batch(self):
-        plan = plan_parallel_mixes([4] * 6, n_ot2=2)
-        for batch in plan.batches:
-            assert batch.transfer_in[1] <= batch.mix[0] + 1e-9
-            assert batch.mix[1] <= batch.transfer_out[0] + 1e-9
-            assert batch.transfer_out[1] <= batch.imaging[0] + 1e-9

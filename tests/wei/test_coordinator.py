@@ -2,10 +2,6 @@
 
 import pytest
 
-from repro.wei.concurrent import (
-    run_programs_on_lanes,
-    run_programs_work_stealing,
-)
 from repro.sim.durations import paper_calibrated_durations
 from repro.wei.coordinator import MultiWorkcellCoordinator
 from repro.wei.engine import WorkflowError
@@ -43,43 +39,47 @@ class FactoryFixtures:
 SKEWED = [100.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
 
-class TestWorkStealingLanes(FactoryFixtures):
+class TestLanesOnOneWorkcell(FactoryFixtures):
+    """Several lanes on one engine: a one-workcell coordinator."""
+
+    def run_lanes(self, jobs, n_lanes, assignment="work-stealing", make_program=sleeper):
+        engine = self.fresh_engine()
+        results = MultiWorkcellCoordinator([engine]).run_jobs(
+            list(jobs),
+            lambda job, shard, lane: make_program(job),
+            lanes=[list(range(n_lanes))],
+            assignment=assignment,
+        )
+        return engine, results
+
     def test_beats_static_pinning_on_skewed_durations(self):
-        static_engine = self.fresh_engine()
-        run_programs_on_lanes(static_engine, [sleeper(d) for d in SKEWED], n_lanes=2)
-        stealing_engine = self.fresh_engine()
-        run_programs_work_stealing(stealing_engine, [sleeper(d) for d in SKEWED], n_lanes=2)
+        static_engine, _ = self.run_lanes(SKEWED, 2, assignment="static")
+        stealing_engine, _ = self.run_lanes(SKEWED, 2)
         assert stealing_engine.makespan <= static_engine.makespan
         assert stealing_engine.makespan == pytest.approx(100.0)
         assert static_engine.makespan == pytest.approx(102.0)
 
     def test_every_job_lands_exactly_once_in_order(self):
-        engine = self.fresh_engine()
-        markers = [f"job-{i}" for i in range(len(SKEWED))]
-        results = run_programs_work_stealing(
-            engine,
-            [sleeper(d, marker) for d, marker in zip(SKEWED, markers)],
-            n_lanes=2,
-        )
-        assert results == markers  # in submission order, none dropped or doubled
+        jobs = [(duration, f"job-{i}") for i, duration in enumerate(SKEWED)]
+        _, results = self.run_lanes(jobs, 2, make_program=lambda job: sleeper(*job))
+        # In submission order, none dropped or doubled.
+        assert results == [marker for _, marker in jobs]
 
     def test_more_lanes_than_jobs(self):
-        engine = self.fresh_engine()
-        results = run_programs_work_stealing(engine, [sleeper(5.0)], n_lanes=3)
+        _, results = self.run_lanes([5.0], 3)
         assert results == [5.0]
 
     def test_rejects_zero_lanes(self):
         with pytest.raises(ValueError):
-            run_programs_work_stealing(self.fresh_engine(), [sleeper(1.0)], n_lanes=0)
+            self.run_lanes([1.0], 0)
 
     def test_program_error_propagates(self):
-        def doomed():
+        def doomed(_job):
             yield ("sleep", 1.0)
             raise WorkflowError("boom")
 
-        engine = self.fresh_engine()
         with pytest.raises(WorkflowError, match="boom"):
-            run_programs_work_stealing(engine, [doomed()], n_lanes=1)
+            self.run_lanes([None], 1, make_program=doomed)
 
 
 class TestCoordinator(FactoryFixtures):

@@ -1,16 +1,18 @@
-"""Tests for the workflow execution engine."""
+"""Tests for single-workflow execution (``ConcurrentWorkflowEngine.run_workflow``)."""
 
 import pytest
 
 from repro.sim.faults import FaultPolicy
-from repro.wei.engine import WorkflowEngine, WorkflowError
+from repro.wei import engine as engine_module
+from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.engine import WorkflowError
 from repro.wei.workcell import build_color_picker_workcell
 from repro.wei.workflow import WorkflowSpec
 
 
 @pytest.fixture
 def engine(workcell):
-    return WorkflowEngine(workcell)
+    return ConcurrentWorkflowEngine(workcell)
 
 
 def newplate_spec():
@@ -93,7 +95,7 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"sciclops": 0.45}, unrecoverable_fraction=0.0)
         )
-        engine = WorkflowEngine(workcell, max_retries=25)
+        engine = ConcurrentWorkflowEngine(workcell, max_retries=25)
         spec = WorkflowSpec(name="stubborn")
         for _ in range(5):
             spec.add_step("sciclops", "status")
@@ -105,7 +107,7 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"sciclops": 1.0}, unrecoverable_fraction=0.0)
         )
-        engine = WorkflowEngine(workcell, max_retries=2)
+        engine = ConcurrentWorkflowEngine(workcell, max_retries=2)
         with pytest.raises(WorkflowError):
             engine.run_workflow(WorkflowSpec(name="doomed").add_step("sciclops", "status"))
         assert engine.runs_failed == 1
@@ -117,7 +119,7 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"pf400": 1.0}, unrecoverable_fraction=0.0)
         )
-        engine = WorkflowEngine(workcell, max_retries=0)
+        engine = ConcurrentWorkflowEngine(workcell, max_retries=0)
         spec = WorkflowSpec(name="partial")
         spec.add_step("sciclops", "status")
         spec.add_step("pf400", "move_home")
@@ -130,7 +132,7 @@ class TestFailureHandling:
 
     def test_negative_retries_rejected(self, workcell):
         with pytest.raises(ValueError):
-            WorkflowEngine(workcell, max_retries=-1)
+            ConcurrentWorkflowEngine(workcell, max_retries=-1)
 
 
 class TestRunResultSerialisation:
@@ -141,3 +143,13 @@ class TestRunResultSerialisation:
         assert len(data["steps"]) == 2
         assert data["steps"][0]["action"] == "get_plate"
         assert data["duration"] == pytest.approx(result.duration)
+
+
+class TestEngineName:
+    def test_workflow_engine_name_is_the_one_engine(self):
+        assert engine_module.WorkflowEngine is ConcurrentWorkflowEngine
+        assert "run_workflow" in vars(engine_module.WorkflowEngine)
+
+    def test_unknown_module_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            engine_module.SequentialEngine

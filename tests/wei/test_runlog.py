@@ -3,13 +3,13 @@
 import json
 
 
-from repro.wei.engine import WorkflowEngine
+from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.runlog import RunLogger
 from repro.wei.workflow import WorkflowSpec
 
 
 def run_some_workflows(workcell, logger):
-    engine = WorkflowEngine(workcell, run_logger=logger)
+    engine = ConcurrentWorkflowEngine(workcell, run_logger=logger)
     engine.run_workflow(WorkflowSpec(name="wf_a").add_step("sciclops", "status"))
     engine.run_workflow(WorkflowSpec(name="wf_b").add_step("sciclops", "status").add_step("pf400", "move_home"))
     engine.run_workflow(WorkflowSpec(name="wf_a").add_step("sciclops", "status"))
