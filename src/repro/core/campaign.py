@@ -10,8 +10,9 @@ By default (one workcell, one lane) each run executes on a fresh workcell
 through :meth:`ColorPickerApp.run <repro.core.app.ColorPickerApp.run>`, on an
 engine of its own.  Routing these runs through a one-workcell coordinator
 instead would change vision-mode science (one camera noise stream across
-runs) and would hold every camera frame in the shared engine's run log, so
-that move waits on a fix to the frame retention (``docs/architecture.md``).
+runs) and, in vision mode, would hold every rendered frame in the shared
+engine's run log (frames render only when read, so direct-mode run logs
+hold no pixels); the decision is recorded in ``docs/architecture.md``.
 
 With ``n_ot2 > 1`` the campaign switches to the paper's Section 4 ablation,
 *executed* rather than planned: one shared workcell is built with ``n_ot2``

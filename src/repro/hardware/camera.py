@@ -4,11 +4,15 @@ The camera module is a ring-lit webcam with a fixed plate mount (paper
 Section 2.2).  The simulated camera renders a synthetic frame of whatever
 plate is on its stage using :mod:`repro.vision.render`; the application then
 runs the same image-processing pipeline it would run on a real photo.
+
+Frames are lazy: a capture records what was on the stage and a frame key,
+and the pixels are rendered only when something reads them (see
+:class:`CameraImage`).  ``measurement="direct"`` never reads them, so a
+direct-mode campaign renders no frames at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -16,24 +20,111 @@ import numpy as np
 from repro.color.mixing import MixingModel, SubtractiveMixingModel
 from repro.hardware.base import ActionHandle, DeviceError, SimulatedDevice
 from repro.hardware.deck import Workdeck
+from repro.hardware.labware import Plate
 from repro.vision.render import PlateImageConfig, render_plate_image
 
 __all__ = ["CameraImage", "CameraDevice"]
 
 
-@dataclass
 class CameraImage:
-    """One captured frame plus its provenance."""
+    """One captured frame plus its provenance; the pixels render on first read.
 
-    pixels: np.ndarray
-    plate_barcode: str
-    timestamp: float
-    truth: Optional[Dict] = None
+    At capture the camera draws one 64-bit frame ``key`` from its device rng
+    and snapshots the contents of the plate's filled wells.  The first read
+    of :attr:`pixels` or :attr:`truth` rebuilds the capture-time plate from
+    that snapshot and renders it with pose and pixel noise drawn from
+    ``np.random.default_rng(key)``; the result is cached.  So the device rng
+    (which also samples action durations) advances the same way whether or
+    not a frame is ever read, a frame reads the same whenever it is read,
+    and a frame nobody reads costs no render.
+
+    Frames are read on the engine thread -- the program that measures and
+    publishes them runs there -- so materialisation takes no lock.  Equality
+    is identity and ``repr`` shows provenance only, so neither renders.
+    """
+
+    __slots__ = (
+        "plate_barcode",
+        "timestamp",
+        "key",
+        "_plate_shape",
+        "_filled",
+        "_chemistry",
+        "_config",
+        "_keep_truth",
+        "_pixels",
+        "_truth",
+    )
+
+    def __init__(
+        self,
+        plate: Plate,
+        *,
+        timestamp: float,
+        key: int,
+        chemistry: MixingModel,
+        config: PlateImageConfig,
+        keep_truth: bool = True,
+    ):
+        self.plate_barcode = plate.barcode
+        self.timestamp = timestamp
+        self.key = key
+        self._plate_shape = (plate.rows, plate.cols, plate.well_capacity_ul)
+        self._filled: Optional[Dict[str, Dict[str, float]]] = {
+            name: dict(well.contents) for name, well in plate.wells.items() if well.contents
+        }
+        self._chemistry = chemistry
+        self._config = config
+        self._keep_truth = keep_truth
+        self._pixels: Optional[np.ndarray] = None
+        self._truth: Optional[Dict] = None
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        """Pixel-array shape ``(H, W, 3)``."""
-        return self.pixels.shape
+    def shape(self) -> Tuple[int, int, int]:
+        """Pixel-array shape ``(H, W, 3)``, from the camera config (no render)."""
+        return (self._config.image_height, self._config.image_width, 3)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """``(H, W, 3)`` float64 sRGB frame, rendered on first read."""
+        if self._pixels is None:
+            self._render()
+        return self._pixels
+
+    @property
+    def truth(self) -> Optional[Dict]:
+        """Sampled pose and ground-truth well centres/colours (None unless kept)."""
+        if not self._keep_truth:
+            return None
+        if self._pixels is None:
+            self._render()
+        return self._truth
+
+    def _render(self) -> None:
+        rows, cols, capacity = self._plate_shape
+        plate = Plate(self.plate_barcode, rows=rows, cols=cols, well_capacity_ul=capacity)
+        for name, contents in self._filled.items():
+            plate.wells[name].contents = contents
+        rendered = render_plate_image(
+            plate,
+            self._chemistry,
+            config=self._config,
+            rng=np.random.default_rng(self.key),
+            return_truth=self._keep_truth,
+        )
+        if self._keep_truth:
+            self._pixels, self._truth = rendered
+        else:
+            self._pixels = rendered
+        # The snapshot has served its purpose; keep only the frame.
+        self._filled = None
+        self._chemistry = None
+
+    def __repr__(self) -> str:
+        return (
+            f"CameraImage(plate_barcode={self.plate_barcode!r}, timestamp={self.timestamp!r}, "
+            f"shape={self.shape}, key={self.key})"
+        )
 
 
 class CameraDevice(SimulatedDevice):
@@ -42,7 +133,7 @@ class CameraDevice(SimulatedDevice):
     Actions
     -------
     ``take_picture``
-        Render a frame of the plate currently on the camera stage.
+        Capture a (lazily rendered) frame of the plate on the camera stage.
     """
 
     module_type = "camera"
@@ -71,7 +162,7 @@ class CameraDevice(SimulatedDevice):
             deck.add_location(stage_location)
 
     def submit_take_picture(self) -> ActionHandle:
-        """Submit a capture; the frame is rendered (exposed) at completion.
+        """Submit a capture; the frame is exposed (keyed and snapshotted) at completion.
 
         Raises :class:`DeviceError` when no plate is present -- photographing
         an empty mount is an application logic error worth failing loudly on.
@@ -82,23 +173,17 @@ class CameraDevice(SimulatedDevice):
         record = self._execute("take_picture", plate=plate.barcode)
 
         def finish() -> CameraImage:
-            rendered = render_plate_image(
-                plate,
-                self.chemistry,
-                config=self.image_config,
-                rng=self.rng,
-                return_truth=self.keep_truth,
-            )
-            if self.keep_truth:
-                pixels, truth = rendered
-            else:
-                pixels, truth = rendered, None
+            # One draw per frame, read or not: the frame's pose and noise
+            # come from a stream of their own keyed by it.
+            key = int(self.rng.integers(2**63))
             self.frames_captured += 1
             return CameraImage(
-                pixels=pixels,
-                plate_barcode=plate.barcode,
+                plate,
                 timestamp=record.end_time,
-                truth=truth,
+                key=key,
+                chemistry=self.chemistry,
+                config=self.image_config,
+                keep_truth=self.keep_truth,
             )
 
         return self._submitted(record, finish)

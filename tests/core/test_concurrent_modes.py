@@ -305,31 +305,35 @@ def _parity_science(case):
 #: assignment)``: per-experiment science plus ``makespan_s``).  They were
 #: recorded before the sequential engine and the single-engine lane runners
 #: were replaced, and are the reference every execution path must reproduce.
+#: They were re-baselined once, when camera frames became lazy: each frame's
+#: pose and pixel noise moved onto a stream keyed by one device-rng draw, so
+#: direct-mode digests moved only through the camera's duration jitter
+#: (timing fields) and vision-mode digests also through the pixel noise.
 PARITY_PINS = [
-    (("app", "direct", 3, 1), "031328cdf2db6a1a"),
-    (("app", "direct", 3, 3), "b84d0ea5ba5474be"),
-    (("app", "direct", 42, 1), "3199cf4df42cf189"),
-    (("app", "direct", 42, 3), "cfc655bd2fd909e0"),
-    (("app", "direct", 816, 1), "0125a13f4d31d2e9"),
-    (("app", "direct", 816, 3), "eadd6f1e7e8e8bd7"),
-    (("app", "vision", 3, 1), "f36762997ed9ffa5"),
-    (("app", "vision", 3, 3), "eaa6c74478ab075d"),
-    (("app", "vision", 42, 1), "6395ffd3a8ac4c9c"),
-    (("app", "vision", 42, 3), "99f9ba74de9180ab"),
-    (("app", "vision", 816, 1), "e9bf1911254b2a64"),
-    (("app", "vision", 816, 3), "9cf6832ce0066cad"),
-    (("sweep", "direct", 2, "static"), "eef78c4a5cf68b42"),
-    (("sweep", "direct", 2, "work-stealing"), "eb676123c9a40798"),
-    (("sweep", "direct", 2, "stealing-lpt"), "1503c29b92f5335e"),
-    (("sweep", "direct", 3, "static"), "70ad51cb9fc23851"),
-    (("sweep", "direct", 3, "work-stealing"), "ee9e4e61dde4a92d"),
-    (("sweep", "direct", 3, "stealing-lpt"), "346f2f0c1b2954f7"),
-    (("sweep", "vision", 2, "static"), "4627434386e4a953"),
-    (("sweep", "vision", 2, "work-stealing"), "8a4345121e9dcd34"),
-    (("sweep", "vision", 2, "stealing-lpt"), "becf7082e5564fb3"),
-    (("sweep", "vision", 3, "static"), "47aaf70d4352e6ce"),
-    (("sweep", "vision", 3, "work-stealing"), "4dae0912299d63d2"),
-    (("sweep", "vision", 3, "stealing-lpt"), "9171f0d139d3a3ec"),
+    (("app", "direct", 3, 1), "a7cc2905d42e4d76"),
+    (("app", "direct", 3, 3), "cb2c6a47f8c1f2e9"),
+    (("app", "direct", 42, 1), "5a78e21bdea13699"),
+    (("app", "direct", 42, 3), "cc3264ed39378d51"),
+    (("app", "direct", 816, 1), "d115afd341292fa1"),
+    (("app", "direct", 816, 3), "23fafdec9314371a"),
+    (("app", "vision", 3, 1), "360fda9301254d21"),
+    (("app", "vision", 3, 3), "5ccc6ef77e445ded"),
+    (("app", "vision", 42, 1), "7b149421134e7861"),
+    (("app", "vision", 42, 3), "8240d127f7446dc5"),
+    (("app", "vision", 816, 1), "e6acc4d08aef9fef"),
+    (("app", "vision", 816, 3), "189d8a06cbe8e823"),
+    (("sweep", "direct", 2, "static"), "98e51192c96439ab"),
+    (("sweep", "direct", 2, "work-stealing"), "974a7415090fb681"),
+    (("sweep", "direct", 2, "stealing-lpt"), "0f2dda7b8262b793"),
+    (("sweep", "direct", 3, "static"), "a69e7ee6ad8a61b8"),
+    (("sweep", "direct", 3, "work-stealing"), "0293739c7c3c395b"),
+    (("sweep", "direct", 3, "stealing-lpt"), "be6986ebdd8bec96"),
+    (("sweep", "vision", 2, "static"), "e7ccf9181a8c00c4"),
+    (("sweep", "vision", 2, "work-stealing"), "999fa2067d5c20f5"),
+    (("sweep", "vision", 2, "stealing-lpt"), "aad6e29596530fe6"),
+    (("sweep", "vision", 3, "static"), "5d37473109e119fb"),
+    (("sweep", "vision", 3, "work-stealing"), "d54ba0e052eeea3f"),
+    (("sweep", "vision", 3, "stealing-lpt"), "08f50a9fd7aa27d0"),
 ]
 
 
