@@ -22,6 +22,12 @@ reordered deliveries, dead links) exists and must be survived:
   deduplicates them before posting to the
   :class:`~repro.wei.drivers.bridge.CompletionBridge` (which dedupes again by
   ticket as the last line of defence).
+* **Retransmission timers** come from measured round trips
+  (:class:`RttEstimator`, after RFC 6298): each end smooths the round trips
+  of its own frames -- SUBMIT->ACK at the transport, COMPLETE->ACK at the
+  device -- into a retransmission timeout between :data:`MIN_RTO_S` and the
+  configured timeout.  Karn's rule applies: a frame that was retransmitted
+  gives no sample, because its ACK may answer any of the copies.
 * **Reconnect-with-resync**: when the link drops (a chaos-injected
   disconnect, or :meth:`BytePipe.disconnect`), the transport's reader thread
   reconnects the pipe and sends ``SYNC``; the device answers ``SYNC_ACK`` and
@@ -71,6 +77,8 @@ __all__ = [
     "FrameError",
     "encode_frame",
     "FrameDecoder",
+    "MIN_RTO_S",
+    "RttEstimator",
     "PipeClosedError",
     "BytePipe",
     "ProtocolDevice",
@@ -465,6 +473,58 @@ def _send_frame(
 
 
 # ---------------------------------------------------------------------------
+# Retransmission timeouts from measured round trips
+# ---------------------------------------------------------------------------
+
+#: Smallest retransmission timeout either end arms.  The in-process pipe's
+#: round trips are a few milliseconds; the floor keeps a run of very fast
+#: samples from arming a timer shorter than one thread wake-up.
+MIN_RTO_S = 0.002
+
+#: Factor by which the device backs off one completion's timer each time it
+#: expires (RFC 6298, section 5.5), up to its ``retransmit_s``.
+DEVICE_BACKOFF = 2.0
+
+
+class RttEstimator:
+    """Smoothed round-trip time and retransmission timeout (RFC 6298).
+
+    The first sample ``R`` sets ``SRTT = R`` and ``RTTVAR = R/2``; each later
+    one updates ``RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R|`` and then
+    ``SRTT = 7/8 SRTT + 1/8 R``.  :attr:`rto_s` is ``SRTT + 4 RTTVAR``
+    clamped to ``[MIN_RTO_S, max_rto_s]``, and ``max_rto_s`` itself until
+    the first sample.  Callers apply Karn's rule: only a frame transmitted
+    exactly once may be sampled.  Not thread-safe; each owner samples and
+    reads it under its own lock.
+    """
+
+    def __init__(self, max_rto_s: float) -> None:
+        if max_rto_s <= 0:
+            raise ValueError(f"max_rto_s must be > 0, got {max_rto_s}")
+        self.max_rto_s = max_rto_s
+        self.srtt_s: Optional[float] = None
+        self.rttvar_s = 0.0
+        self.samples = 0
+
+    def sample(self, rtt_s: float) -> None:
+        """Fold one measured round trip into the estimate."""
+        if self.srtt_s is None:
+            self.srtt_s = rtt_s
+            self.rttvar_s = rtt_s / 2
+        else:
+            self.rttvar_s = 0.75 * self.rttvar_s + 0.25 * abs(self.srtt_s - rtt_s)
+            self.srtt_s = 0.875 * self.srtt_s + 0.125 * rtt_s
+        self.samples += 1
+
+    @property
+    def rto_s(self) -> float:
+        """The timeout to arm for a frame's first transmission."""
+        if self.srtt_s is None:
+            return self.max_rto_s
+        return min(max(self.srtt_s + 4 * self.rttvar_s, MIN_RTO_S), self.max_rto_s)
+
+
+# ---------------------------------------------------------------------------
 # The device end: a protocol-speaking service emulator
 # ---------------------------------------------------------------------------
 
@@ -482,20 +542,38 @@ class _DueCompletion:
     frame: Frame = field(compare=False)
 
 
+@dataclass
+class _UnackedCompletion:
+    """A sent COMPLETE frame the transport has not ACKed, with its own timer."""
+
+    frame: Frame
+    sent_at: float
+    timeout_s: float
+    deadline: float
+    transmissions: int = 1
+
+
 class ProtocolDevice:
     """The far end of the wire: accepts framed commands, paces, completes.
 
     One reader thread decodes command frames from the pipe; one worker thread
     owns the due-time heap (pacing each action's already-sampled duration
-    against a :class:`WallClock`) and the retransmit queue for unACKed
+    against a :class:`WallClock`) and the retransmit timers of unACKed
     completions.  All protocol obligations live here:
 
     * every syntactically valid ``SUBMIT`` is ACKed, *including repeats* --
       the sequence number identifies the command, so a retransmitted submit
       is re-ACKed without re-running the action (idempotent retry);
-    * ``COMPLETE`` frames are retained until the transport ACKs them and are
-      retransmitted after ``retransmit_s`` real seconds, or immediately when
-      a ``SYNC`` announces the transport reconnected.
+    * ``COMPLETE`` frames are retained until the transport ACKs them.  Each
+      has its own retransmit deadline, armed from its send time and the
+      current RTO of :attr:`rtt` (measured COMPLETE->ACK round trips, Karn's
+      rule: a retransmitted completion gives no sample), and backs off by
+      :data:`DEVICE_BACKOFF` each time it expires.  A ``SYNC`` announcing
+      that the transport reconnected resends every unACKed completion at
+      once.
+
+    ``retransmit_s`` is the RTO used before the first sample and the ceiling
+    of every completion timer, backed off or not.
     """
 
     def __init__(
@@ -519,10 +597,10 @@ class ProtocolDevice:
         self._running = True
         self._seen_submits: Dict[int, Frame] = {}  # submit seq -> ACK frame
         self._due: List[_DueCompletion] = []
-        self._unacked: Dict[int, Frame] = {}  # completion seq -> COMPLETE frame
+        self._unacked: Dict[int, _UnackedCompletion] = {}  # by completion seq
         self._attempts: Dict[Tuple[str, int], int] = {}
         self._next_tx_seq = 0
-        self._next_retransmit = 0.0
+        self.rtt = RttEstimator(retransmit_s)
         self.completions_retransmitted = 0
         self.acks_resent = 0
         self.nacks_sent = 0
@@ -551,6 +629,13 @@ class ProtocolDevice:
             attempt=attempt,
             pipe=self.pipe,
         )
+
+    def _retransmit(self, pending: _UnackedCompletion, now: float) -> None:
+        # Callers hold self._cond.
+        self.completions_retransmitted += 1
+        pending.transmissions += 1
+        pending.deadline = now + pending.timeout_s
+        self._send(pending.frame)
 
     # -- reader thread --------------------------------------------------
     def _read_loop(self) -> None:
@@ -586,16 +671,17 @@ class ProtocolDevice:
                 self._send(ack)
         elif frame.kind == "ACK":
             with self._cond:
-                self._unacked.pop(frame.seq, None)
+                pending = self._unacked.pop(frame.seq, None)
+                if pending is not None and pending.transmissions == 1:
+                    self.rtt.sample(time.monotonic() - pending.sent_at)
         elif frame.kind == "SYNC":
             with self._cond:
                 self._send(Frame(kind="SYNC_ACK", seq=frame.seq))
                 # The transport lost everything in flight; re-send every
                 # completion it has not ACKed, right now.
+                now = time.monotonic()
                 for seq in sorted(self._unacked):
-                    self.completions_retransmitted += 1
-                    self._send(self._unacked[seq])
-                self._next_retransmit = time.monotonic() + self.retransmit_s
+                    self._retransmit(self._unacked[seq], now)
                 self._cond.notify_all()
         else:
             # COMPLETE/NACK/SYNC_ACK are transport-bound kinds; a conforming
@@ -637,9 +723,11 @@ class ProtocolDevice:
                 # Ship every completion whose paced due time has passed.
                 while self._due and self._due[0].due <= self.clock.now():
                     item = heapq.heappop(self._due)
-                    self._unacked[item.seq] = item.frame
+                    timeout_s = self.rtt.rto_s
+                    self._unacked[item.seq] = _UnackedCompletion(
+                        frame=item.frame, sent_at=now, timeout_s=timeout_s, deadline=now + timeout_s
+                    )
                     self._send(item.frame)
-                    self._next_retransmit = max(self._next_retransmit, now + self.retransmit_s)
                 if self._due:
                     if self.clock.sleeps:
                         wait_s = min(
@@ -649,14 +737,14 @@ class ProtocolDevice:
                         # No-sleep test clock: jump straight to the due time.
                         self.clock.advance_to(self._due[0].due)
                         continue
-                # Retransmit completions the transport never ACKed.
-                if self._unacked and now >= self._next_retransmit:
-                    for seq in sorted(self._unacked):
-                        self.completions_retransmitted += 1
-                        self._send(self._unacked[seq])
-                    self._next_retransmit = now + self.retransmit_s
-                if self._unacked:
-                    wait_s = min(wait_s, max(self._next_retransmit - now, 0.001))
+                # Retransmit each completion whose own timer expired.
+                for pending in self._unacked.values():
+                    if pending.deadline <= now:
+                        pending.timeout_s = min(
+                            pending.timeout_s * DEVICE_BACKOFF, self.retransmit_s
+                        )
+                        self._retransmit(pending, now)
+                    wait_s = min(wait_s, pending.deadline - now)
                 self._cond.wait(max(wait_s, 0.001))
 
     # -- lifecycle ------------------------------------------------------
@@ -714,8 +802,11 @@ class WireProtocolTransport:
     ``submit()`` runs on the engine thread: it frames the action, transmits,
     and blocks until the device's ACK arrives -- retrying with exponential
     backoff under the same sequence number when the wire eats the frame.
-    Completions are decoded by the transport's own reader thread and posted
-    to the registered callbacks strictly out-of-band.
+    The first wait is the current RTO of :attr:`rtt`, estimated from measured
+    SUBMIT->ACK round trips; by Karn's rule only a submit ACKed on its first
+    transmission gives a sample.  Completions are decoded by the transport's
+    own reader thread and posted to the registered callbacks strictly
+    out-of-band.
 
     Parameters
     ----------
@@ -725,10 +816,16 @@ class WireProtocolTransport:
     chaos:
         Optional :class:`~repro.wei.chaos.ChaosSchedule` applied to **every
         frame in both directions**.
-    ack_timeout_s / max_retries / backoff:
-        Real seconds to wait for a submit ACK before retransmitting, how many
-        retransmissions to attempt, and the multiplicative backoff between
-        them.  The defaults survive the default chaos rates with margin.
+    ack_timeout_s:
+        Real seconds to wait for a submit ACK before the first round trip is
+        measured, and the ceiling of the measured RTO.
+    max_retries / backoff / max_backoff_s:
+        How many retransmissions of one submit to attempt, the multiplicative
+        backoff of its wait between them, and the cap of that backed-off
+        wait.  The defaults survive the default chaos rates with margin.
+    device_retransmit_s:
+        The device's initial RTO and ceiling for unACKed completions (see
+        :class:`ProtocolDevice`).
     """
 
     def __init__(
@@ -776,6 +873,7 @@ class WireProtocolTransport:
         self._completed_ticket_ids: Set[str] = set()
         self._seen_completion_seqs: Set[int] = set()
         self._attempts: Dict[Tuple[str, int], int] = {}
+        self.rtt = RttEstimator(ack_timeout_s)
         # Counters live on the metrics registry (docs/observability.md);
         # WireStats stays their thin view.  Mutation happens under
         # self._cond, exactly like the plain ints they replaced.
@@ -818,15 +916,17 @@ class WireProtocolTransport:
         Retries idempotently: every retransmission reuses the sequence
         number, and the device ACKs repeats without re-running the action.
         Raises :class:`~repro.wei.drivers.base.DriverError` when the wire
-        stays dead through every retry.
+        stays dead through every retry, and ``RuntimeError`` when the
+        transport is closed before or while it waits.
         """
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
         with self._cond:
             if not self._running:
-                raise RuntimeError(f"transport {self.name!r} is closed")
+                raise self._closed_error()
             seq = self._next_seq
             self._next_seq += 1
+            timeout = self.rtt.rto_s
         ticket = TransportTicket(
             ticket_id=f"{self.name}:{seq}",
             module=module,
@@ -847,14 +947,20 @@ class WireProtocolTransport:
                 "duration_s": float(duration_s),
             },
         )
-        timeout = self.ack_timeout_s
         with obs_tracer.span(
             "wire.submit", module=module, action=action, seq=seq, ticket_id=ticket.ticket_id
         ) as submit_span:
             for _ in range(self.max_retries + 1):
                 self._ensure_connected()
+                sent_at = time.monotonic()
                 attempt = self._send(frame)
                 if self._wait_for_ack(seq, timeout):
+                    if attempt == 0:
+                        # Karn's rule: the ACK of a retransmitted submit may
+                        # answer any copy, so only a first transmission is
+                        # a round-trip sample.
+                        with self._cond:
+                            self.rtt.sample(time.monotonic() - sent_at)
                     submit_span.set(attempts=attempt + 1)
                     return ticket
                 timeout = min(timeout * self.backoff, self.max_backoff_s)
@@ -869,11 +975,18 @@ class WireProtocolTransport:
             while seq not in self._acked:
                 if seq in self._nacked:
                     raise DriverError(f"device NACKed seq {seq}: {self._nacked[seq]}")
+                if not self._running:
+                    # Closed mid-submit: retransmitting into a closed pipe
+                    # would only burn the remaining retries.
+                    raise self._closed_error()
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._running:
+                if remaining <= 0:
                     return False
                 self._cond.wait(remaining)
             return True
+
+    def _closed_error(self) -> RuntimeError:
+        return RuntimeError(f"transport {self.name!r} is closed")
 
     def on_completion(self, callback: Callable[[TransportCompletion], None]) -> None:
         """Register ``callback`` for every future completion (deduplicated)."""
@@ -971,9 +1084,9 @@ class WireProtocolTransport:
         sending ``SYNC`` makes the device retransmit every unACKed
         completion immediately; the handshake is deliberately non-blocking --
         the ``SYNC_ACK`` comes back through the normal read loop, and even a
-        chaos-eaten ``SYNC`` is covered by the device's periodic retransmit
-        timer.  A resync therefore never loses work; it only costs wall
-        time, which the ``resyncs`` counter accounts for.
+        chaos-eaten ``SYNC`` is covered by the device's per-completion
+        retransmit timers.  A resync therefore never loses work; it only
+        costs wall time, which the ``resyncs`` counter accounts for.
         """
         with self._cond:
             if not self._running or self.pipe.closed or self.pipe.connected:

@@ -2,9 +2,10 @@
 
 Covers the frame codec (round trips, CRC rejection, resynchronisation after
 corruption), the byte pipe's link semantics, the protocol reliability rules
-(idempotent submit retry, completion retransmission, reconnect-with-resync)
-and the transport running a real engine workload with science identical to
-pure simulation.
+(idempotent submit retry, completion retransmission, reconnect-with-resync,
+giving up on a dead wire), the round-trip-driven retransmission timers and
+the transport running a real engine workload with science identical to pure
+simulation.
 """
 
 import threading
@@ -13,12 +14,16 @@ import time
 import pytest
 
 from repro.sim.clock import WallClock
+from repro.wei.chaos import ChaosDecision
 from repro.wei.drivers import DriverRegistry
+from repro.wei.drivers.base import DriverError
 from repro.wei.drivers.protocol import (
+    MIN_RTO_S,
     BytePipe,
     Frame,
     FrameDecoder,
     FrameError,
+    RttEstimator,
     WireProtocolTransport,
     encode_frame,
 )
@@ -47,6 +52,43 @@ def collect_completions(transport):
 
     transport.on_completion(on_completion)
     return received, lock
+
+
+class EatFirstAttempt:
+    """Chaos stub: drop the first transmission of every transport frame."""
+
+    def decide(self, direction, seq, attempt, kind=""):
+        return ChaosDecision(drop=(attempt == 0 and direction.endswith(":tx")))
+
+    def record(self, *args):
+        pass
+
+
+class DeadWire:
+    """Chaos stub: while ``dead``, drop every frame the transport sends."""
+
+    def __init__(self, dead=True):
+        self.dead = dead
+
+    def decide(self, direction, seq, attempt, kind=""):
+        return ChaosDecision(drop=self.dead and direction.endswith(":tx"))
+
+    def record(self, *args):
+        pass
+
+
+class SlowAcks:
+    """Chaos stub: delay every device->transport ACK by ``delay_s``."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+
+    def decide(self, direction, seq, attempt, kind=""):
+        slow = kind == "ACK" and direction.endswith(":rx")
+        return ChaosDecision(delay_s=self.delay_s if slow else 0.0)
+
+    def record(self, *args):
+        pass
 
 
 def wait_until(predicate, timeout_s=10.0):
@@ -181,16 +223,6 @@ class TestWireTransport:
         """Drop the first transmission of every command frame: the transport
         must retransmit under the same sequence number and the device must
         run the action exactly once."""
-
-        class EatFirstAttempt:
-            def decide(self, direction, seq, attempt, kind=""):
-                from repro.wei.chaos import ChaosDecision
-
-                return ChaosDecision(drop=(attempt == 0 and direction.endswith(":tx")))
-
-            def record(self, *args):
-                pass
-
         transport = fast_transport(chaos=EatFirstAttempt())
         received, lock = collect_completions(transport)
         transport.submit("transfer", module="pf400", duration_s=10.0)
@@ -209,8 +241,6 @@ class TestWireTransport:
 
         class EatFirstCompletion:
             def decide(self, direction, seq, attempt, kind=""):
-                from repro.wei.chaos import ChaosDecision
-
                 return ChaosDecision(drop=(attempt == 0 and direction.endswith(":rx")))
 
             def record(self, *args):
@@ -241,6 +271,51 @@ class TestWireTransport:
         assert len(ids) == len(set(ids))
         transport.close()
 
+    def test_close_during_retries_stops_retransmitting(self):
+        """Closing the transport mid-submit ends the submit at once with the
+        closed-transport error instead of burning every remaining retry."""
+        transport = fast_transport(chaos=DeadWire(), ack_timeout_s=0.1, backoff=1.0)
+        errors = []
+
+        def submit():
+            try:
+                transport.submit("get_plate", module="sciclops", duration_s=1.0)
+            except Exception as exc:  # noqa: BLE001 - the test inspects it
+                errors.append(exc)
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        assert wait_until(lambda: transport.stats().retries >= 2)
+        retries_at_close = transport.stats().retries
+        transport.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        assert type(errors[0]) is RuntimeError and "closed" in str(errors[0])
+        assert transport.stats().retries == retries_at_close
+
+    def test_dead_wire_gives_up_after_every_retry(self):
+        """A device that never ACKs is declared dead after max_retries + 1
+        transmissions, and never sooner than the backoff schedule allows."""
+        wire = DeadWire(dead=False)
+        transport = fast_transport(chaos=wire, max_retries=3)
+        for i in range(5):
+            transport.submit(f"warmup{i}", module="m", duration_s=1.0)
+        rto_s = transport.rtt.rto_s
+        assert MIN_RTO_S <= rto_s < transport.ack_timeout_s
+        retries_before = transport.stats().retries
+        wire.dead = True
+        started = time.monotonic()
+        with pytest.raises(DriverError, match="after 4 transmissions"):
+            transport.submit("get_plate", module="sciclops", duration_s=1.0)
+        elapsed = time.monotonic() - started
+        schedule_s = sum(
+            min(rto_s * transport.backoff**k, transport.max_backoff_s) for k in range(4)
+        )
+        assert elapsed >= schedule_s
+        assert transport.stats().retries - retries_before == 3
+        transport.close()
+
     def test_stats_snapshot_shape(self):
         transport = fast_transport()
         stats = transport.stats().to_dict()
@@ -254,6 +329,83 @@ class TestWireTransport:
             "completions_retransmitted",
             "disconnects",
         }
+        transport.close()
+
+
+class TestRttEstimator:
+    def test_timeout_before_any_sample_is_the_configured_one(self):
+        estimator = RttEstimator(0.05)
+        assert estimator.srtt_s is None and estimator.samples == 0
+        assert estimator.rto_s == 0.05
+        transport = fast_transport(ack_timeout_s=0.07, device_retransmit_s=0.03)
+        assert transport.rtt.rto_s == 0.07
+        assert transport.device.rtt.rto_s == 0.03
+        transport.close()
+
+    def test_first_sample_rule(self):
+        estimator = RttEstimator(1.0)
+        estimator.sample(0.010)
+        assert estimator.srtt_s == pytest.approx(0.010)
+        assert estimator.rttvar_s == pytest.approx(0.005)
+        assert estimator.rto_s == pytest.approx(0.010 + 4 * 0.005)
+
+    def test_update_rule(self):
+        estimator = RttEstimator(1.0)
+        estimator.sample(0.010)
+        estimator.sample(0.018)
+        # RTTVAR updates from the old SRTT, then SRTT moves.
+        rttvar = 0.75 * 0.005 + 0.25 * abs(0.010 - 0.018)
+        srtt = 0.875 * 0.010 + 0.125 * 0.018
+        assert estimator.rttvar_s == pytest.approx(rttvar)
+        assert estimator.srtt_s == pytest.approx(srtt)
+        assert estimator.rto_s == pytest.approx(srtt + 4 * rttvar)
+        assert estimator.samples == 2
+
+    def test_timeout_is_clamped_to_floor_and_ceiling(self):
+        fast = RttEstimator(1.0)
+        for _ in range(50):
+            fast.sample(1e-5)
+        assert fast.rto_s == MIN_RTO_S
+        slow = RttEstimator(0.05)
+        slow.sample(0.04)  # 0.04 + 4 * 0.02 exceeds the ceiling
+        assert slow.rto_s == 0.05
+
+    def test_clean_submits_shrink_the_timeout(self):
+        transport = fast_transport()
+        received, _ = collect_completions(transport)
+        for i in range(5):
+            transport.submit(f"act{i}", module="m", duration_s=1.0)
+        assert transport.rtt.samples == 5
+        assert transport.rtt.rto_s < transport.ack_timeout_s
+        assert wait_until(lambda: len(received) == 5)
+        assert wait_until(lambda: transport.device.rtt.samples >= 1)
+        transport.close()
+
+    def test_retransmitted_submit_gives_no_sample(self):
+        """Karn's rule: an ACK after a retransmission may answer either copy."""
+        transport = fast_transport(chaos=EatFirstAttempt())
+        transport.submit("transfer", module="pf400", duration_s=10.0)
+        assert transport.stats().retries >= 1
+        assert transport.rtt.samples == 0 and transport.rtt.srtt_s is None
+        assert transport.rtt.rto_s == transport.ack_timeout_s
+        transport.close()
+
+    def test_acks_slower_than_the_ceiling_retransmit_safely(self):
+        """ACKs later than the RTO ceiling force spurious retransmissions;
+        each action still runs once and each completion arrives once."""
+        transport = fast_transport(ack_timeout_s=0.05, chaos=SlowAcks(2 * 0.05))
+        received, lock = collect_completions(transport)
+        tickets = [transport.submit(f"act{i}", module="m", duration_s=1.0) for i in range(3)]
+        assert wait_until(lambda: len(received) == 3)
+        time.sleep(0.1)  # a duplicate would land in this window
+        stats = transport.stats()
+        assert stats.retries >= 1
+        assert transport.device.acks_resent >= 1
+        assert wait_until(lambda: transport.device.pending() == 0)
+        with lock:
+            delivered = [completion.ticket_id for completion in received]
+        assert sorted(delivered) == sorted(t.ticket_id for t in tickets)
+        assert transport.rtt.samples == 0
         transport.close()
 
 
