@@ -572,9 +572,17 @@ def _bench_portal(repeats: int, scale: float) -> AreaResult:
 # ---------------------------------------------------------------------------
 
 
+#: The Bayesian solver's surrogate late in a run: observations it is fitted
+#: on, and the candidates each ``predict`` scores (512 random ratios plus 64
+#: perturbed incumbents, the solver's defaults).
+_GP_OBSERVATIONS = 36
+_GP_CANDIDATES = 576
+
+
 def _bench_vision(repeats: int, scale: float) -> AreaResult:
     from repro.color.mixing import SubtractiveMixingModel
     from repro.hardware.labware import Plate, well_names
+    from repro.solvers.gp import GaussianProcess
     from repro.vision.extraction import WellColorExtractor
     from repro.vision.render import render_plate_image, well_pixel_centers
 
@@ -616,6 +624,56 @@ def _bench_vision(repeats: int, scale: float) -> AreaResult:
             "well-color-scoring",
             lambda: [reference.reference_sample_colors(extractor, image, centers) for _ in range(n_passes)],
             lambda: [score_all() for _ in range(n_passes)],
+            repeats,
+        )
+    )
+
+    # The paper's loop per frame: fiducial, Hough circles, grid, scoring.
+    extracted = extractor.extract(image)
+    old_extracted = reference.reference_extract(extractor, image)
+    same_colors = list(extracted.well_colors) == list(old_extracted.well_colors) and all(
+        np.array_equal(extracted.well_colors[well], old_extracted.well_colors[well])
+        for well in extracted.well_colors
+    )
+    same_geometry = (
+        extracted.well_centers,
+        extracted.fiducial,
+        extracted.circles,
+        extracted.grid,
+        extracted.used_grid_completion,
+    ) == (
+        old_extracted.well_centers,
+        old_extracted.fiducial,
+        old_extracted.circles,
+        old_extracted.grid,
+        old_extracted.used_grid_completion,
+    )
+    if not (same_colors and same_geometry):  # pragma: no cover - equivalence guard
+        raise AssertionError("frame extraction is not bit-identical to the reference")
+    result.hot_paths.append(
+        _hot_path(
+            "frame-extraction",
+            lambda: [reference.reference_extract(extractor, image) for _ in range(n_passes)],
+            lambda: [extractor.extract(image) for _ in range(n_passes)],
+            repeats,
+        )
+    )
+
+    # The Bayesian solver's surrogate scoring its candidate pool.
+    gp_rng = ensure_rng(config["seed"] + 2)
+    observed = gp_rng.uniform(size=(_GP_OBSERVATIONS, 4))
+    gp = GaussianProcess().fit(observed, np.linalg.norm(observed - 0.5, axis=1))
+    candidates = gp_rng.uniform(size=(_GP_CANDIDATES, 4))
+    mean, std = gp.predict(candidates)
+    old_mean, old_std = reference.reference_gp_predict(gp, candidates)
+    same_prediction = np.array_equal(mean, old_mean) and np.array_equal(std, old_std)
+    if not same_prediction:  # pragma: no cover - equivalence guard
+        raise AssertionError("GP predict is not bit-identical to the reference")
+    result.hot_paths.append(
+        _hot_path(
+            "gp-predict",
+            lambda: [reference.reference_gp_predict(gp, candidates) for _ in range(n_passes)],
+            lambda: [gp.predict(candidates) for _ in range(n_passes)],
             repeats,
         )
     )

@@ -21,11 +21,17 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import linalg, ndimage
 
+from repro.hardware.labware import well_names
 from repro.sim.clock import Clock, SimClock
+from repro.vision.extraction import ExtractionResult
+from repro.vision.fiducial import detect_fiducial
+from repro.vision.grid import complete_grid, fit_well_grid
+from repro.vision.hough import CircleDetection
 from repro.wei.drivers.protocol import (
     _BODY_PREFIX,
     _CODE_KINDS,
@@ -42,6 +48,9 @@ __all__ = [
     "reference_encode_frame",
     "ReferenceFrameDecoder",
     "reference_sample_colors",
+    "reference_hough_circles",
+    "reference_extract",
+    "reference_gp_predict",
     "reference_campaign_fingerprint",
     "reference_diff_fingerprints",
 ]
@@ -228,6 +237,202 @@ def reference_sample_colors(
         else:
             colors[name] = patch[mask].mean(axis=0)
     return colors
+
+
+# ---------------------------------------------------------------------------
+# Frame extraction (pre: a full-frame grayscale per stage, unit gradients over
+# the whole ROI, ``np.add.at`` voting, one ``_circle_support`` call per local
+# maximum and a generator-based cross-radius suppression)
+# ---------------------------------------------------------------------------
+
+
+def _reference_edge_map(gray: np.ndarray, threshold: float):
+    """The old ``_edge_map``: edges plus unit gradients over every pixel."""
+    gx = ndimage.sobel(gray, axis=1, mode="nearest")
+    gy = ndimage.sobel(gray, axis=0, mode="nearest")
+    magnitude = np.hypot(gx, gy)
+    if magnitude.max() <= 0:
+        zeros = np.zeros_like(gray)
+        return np.zeros_like(gray, dtype=bool), zeros, zeros
+    edges = magnitude >= threshold * magnitude.max()
+    safe = np.where(magnitude > 0, magnitude, 1.0)
+    return edges, gx / safe, gy / safe
+
+
+def _reference_circle_support(
+    edge_lookup: np.ndarray,
+    cx: float,
+    cy: float,
+    radius: float,
+    cos_a: np.ndarray,
+    sin_a: np.ndarray,
+) -> float:
+    """The old per-maximum perimeter-support check."""
+    height, width = edge_lookup.shape
+    xs = np.rint(cx + radius * cos_a).astype(int)
+    ys = np.rint(cy + radius * sin_a).astype(int)
+    valid = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    if not valid.any():
+        return 0.0
+    hits = edge_lookup[ys[valid], xs[valid]].sum()
+    return float(hits) / float(len(cos_a))
+
+
+def reference_hough_circles(
+    image: np.ndarray,
+    radii: Sequence[float],
+    *,
+    edge_threshold: float = 0.25,
+    vote_threshold: float = 0.45,
+    min_distance: float = 18.0,
+    min_support: float = 0.6,
+    max_circles: Optional[int] = None,
+    roi: Optional[Tuple[int, int, int, int]] = None,
+) -> List[CircleDetection]:
+    """The old ``hough_circles``.  It raises on an ROI that clips to an
+    empty region, so callers compare it only on frames where it does not."""
+    gray = image.mean(axis=-1) if image.ndim == 3 else np.asarray(image, dtype=np.float64)
+    height, width = gray.shape
+
+    if roi is not None:
+        x0, y0, x1, y1 = roi
+        x0, y0 = max(int(x0), 0), max(int(y0), 0)
+        x1, y1 = min(int(x1), width), min(int(y1), height)
+        sub = gray[y0:y1, x0:x1]
+    else:
+        x0 = y0 = 0
+        sub = gray
+
+    edges, unit_gx, unit_gy = _reference_edge_map(sub, edge_threshold)
+    edge_ys, edge_xs = np.nonzero(edges)
+    if edge_ys.size == 0:
+        return []
+
+    n_angles = 48
+    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+
+    sub_height, sub_width = sub.shape
+    detections: List[CircleDetection] = []
+    edge_lookup = ndimage.binary_dilation(edges, iterations=1)
+    pixel_gx = unit_gx[edge_ys, edge_xs]
+    pixel_gy = unit_gy[edge_ys, edge_xs]
+
+    for radius in radii:
+        accumulator = np.zeros((sub_height, sub_width), dtype=np.float64)
+        for sign in (1.0, -1.0):
+            center_xs = np.rint(edge_xs + sign * radius * pixel_gx).astype(int)
+            center_ys = np.rint(edge_ys + sign * radius * pixel_gy).astype(int)
+            valid = (
+                (center_xs >= 0)
+                & (center_xs < sub_width)
+                & (center_ys >= 0)
+                & (center_ys < sub_height)
+            )
+            np.add.at(accumulator, (center_ys[valid], center_xs[valid]), 1.0)
+        accumulator = ndimage.gaussian_filter(accumulator, sigma=1.5)
+
+        perimeter = 2.0 * np.pi * radius
+        threshold = vote_threshold * perimeter / (2.0 * np.pi * 1.5**2)
+        maxima = (accumulator == ndimage.maximum_filter(accumulator, size=int(max(min_distance, 3)))) & (
+            accumulator >= threshold
+        )
+        ys, xs = np.nonzero(maxima)
+        for cy, cx in zip(ys, xs):
+            support = _reference_circle_support(edge_lookup, float(cx), float(cy), radius, cos_a, sin_a)
+            if support < min_support:
+                continue
+            detections.append(
+                CircleDetection(
+                    x=float(cx + x0),
+                    y=float(cy + y0),
+                    radius=float(radius),
+                    votes=float(accumulator[cy, cx]) * support,
+                )
+            )
+
+    detections.sort(key=lambda d: d.votes, reverse=True)
+    kept: List[CircleDetection] = []
+    for detection in detections:
+        if all(
+            (detection.x - other.x) ** 2 + (detection.y - other.y) ** 2 >= min_distance**2
+            for other in kept
+        ):
+            kept.append(detection)
+        if max_circles is not None and len(kept) >= max_circles:
+            break
+    return kept
+
+
+def reference_extract(extractor, image: np.ndarray) -> ExtractionResult:
+    """The old ``WellColorExtractor.extract``: ``detect_fiducial`` and
+    ``hough_circles`` each convert the full frame to grayscale themselves."""
+    cfg = extractor.config
+    fiducial = detect_fiducial(
+        image.mean(axis=-1),
+        min_size=int(cfg.fiducial_size * 0.6),
+        max_size=int(cfg.fiducial_size * 2.0),
+    )
+    roi = extractor.plate_roi_from_fiducial(fiducial) if fiducial.found else None
+
+    radius = cfg.well_radius
+    circles = reference_hough_circles(
+        image,
+        radii=[radius - 1.0, radius, radius + 1.0],
+        min_distance=cfg.well_pitch * 0.6,
+        roi=roi,
+        max_circles=extractor.rows * extractor.cols + 8,
+    )
+
+    names = well_names(extractor.rows, extractor.cols)
+    grid = fit_well_grid(circles, rows=extractor.rows, cols=extractor.cols, pitch_guess=cfg.well_pitch)
+    used_completion = False
+    if grid is not None and extractor.use_grid_completion:
+        centers = complete_grid(grid, names)
+        used_completion = True
+    elif circles and not extractor.use_grid_completion:
+        centers = extractor.nominal_centers()
+        for circle in circles:
+            nearest = min(
+                centers,
+                key=lambda name: (centers[name][0] - circle.x) ** 2
+                + (centers[name][1] - circle.y) ** 2,
+            )
+            centers[nearest] = (circle.x, circle.y)
+    else:
+        centers = extractor.nominal_centers()
+
+    colors = extractor.sample_colors(image, centers)
+    return ExtractionResult(
+        well_colors=colors,
+        well_centers=centers,
+        fiducial=fiducial,
+        circles=list(circles),
+        grid=grid,
+        used_grid_completion=used_completion,
+    )
+
+
+# ---------------------------------------------------------------------------
+# GP predict (pre: the prior variance read off the diagonal of the full
+# m x m query kernel)
+# ---------------------------------------------------------------------------
+
+
+def reference_gp_predict(gp, x_query, return_std: bool = True):
+    """The old ``GaussianProcess.predict``."""
+    if not gp.is_fitted:
+        raise RuntimeError("GaussianProcess.predict called before fit")
+    x = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
+    cross = gp.kernel(x, gp._x_train)
+    mean = cross @ gp._alpha * gp._y_std + gp._y_mean
+    if not return_std:
+        return mean, None
+    solve = linalg.solve_triangular(gp._cholesky, cross.T, lower=True)
+    prior_var = np.diag(gp.kernel(x, x))
+    variance = np.maximum(prior_var - (solve**2).sum(axis=0), 1e-12)
+    std = np.sqrt(variance) * gp._y_std
+    return mean, std
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,14 @@ class RBFKernel:
         sq_dist = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
         return self.variance * np.exp(-0.5 * sq_dist / self.lengthscale**2)
 
+    def diag(self, x: np.ndarray) -> np.ndarray:
+        """``np.diag(self(x, x))`` without building the ``(n, n)`` matrix.
+
+        Every diagonal entry is ``variance * exp(-0.0)``, which is exactly
+        ``variance``.
+        """
+        return np.full(np.atleast_2d(x).shape[0], self.variance, dtype=np.float64)
+
     def with_params(self, lengthscale: float, variance: float) -> "RBFKernel":
         """Return a new kernel with the given hyperparameters."""
         return RBFKernel(lengthscale=lengthscale, variance=variance)
@@ -138,7 +146,7 @@ class GaussianProcess:
         if not return_std:
             return mean, None
         solve = linalg.solve_triangular(self._cholesky, cross.T, lower=True)
-        prior_var = np.diag(self.kernel(x, x))
+        prior_var = self.kernel.diag(x)
         variance = np.maximum(prior_var - (solve**2).sum(axis=0), 1e-12)
         std = np.sqrt(variance) * self._y_std
         return mean, std

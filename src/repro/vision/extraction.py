@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.hardware.labware import well_names
-from repro.vision.fiducial import FiducialDetection, detect_fiducial
+from repro.vision.fiducial import FiducialDetection, detect_fiducial, grayscale
 from repro.vision.grid import GridFit, complete_grid, fit_well_grid
 from repro.vision.hough import CircleDetection, hough_circles
 from repro.vision.render import PlateImageConfig
@@ -182,8 +182,10 @@ class WellColorExtractor:
     def extract(self, image: np.ndarray) -> ExtractionResult:
         """Run the full pipeline on one frame."""
         cfg = self.config
+        # One grayscale conversion serves both the fiducial and Hough stages.
+        gray = grayscale(image)
         fiducial = detect_fiducial(
-            image,
+            gray,
             min_size=int(cfg.fiducial_size * 0.6),
             max_size=int(cfg.fiducial_size * 2.0),
         )
@@ -191,7 +193,7 @@ class WellColorExtractor:
 
         radius = cfg.well_radius
         circles = hough_circles(
-            image,
+            gray,
             radii=[radius - 1.0, radius, radius + 1.0],
             min_distance=cfg.well_pitch * 0.6,
             roi=roi,

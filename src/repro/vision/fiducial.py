@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
-__all__ = ["generate_fiducial", "draw_fiducial", "detect_fiducial", "FiducialDetection"]
+__all__ = ["generate_fiducial", "draw_fiducial", "detect_fiducial", "FiducialDetection", "grayscale"]
 
 #: Interior pattern of the default marker (1 = white cell, 0 = black cell).
 _DEFAULT_PATTERN = np.array(
@@ -28,6 +28,20 @@ _DEFAULT_PATTERN = np.array(
     ],
     dtype=np.uint8,
 )
+
+
+def grayscale(image: np.ndarray) -> np.ndarray:
+    """Channel mean of an ``(H, W, 3)`` frame; 2-D input is returned as float64.
+
+    For float64 frames the three channels are summed in the order
+    ``image.mean(axis=-1)`` sums them, ``(r + g) + b``, then divided by 3, so
+    the result is bit-identical at a fraction of the reduction's cost.
+    """
+    if image.ndim != 3:
+        return np.asarray(image, dtype=np.float64)
+    if image.dtype == np.float64 and image.shape[-1] == 3:
+        return (image[..., 0] + image[..., 1] + image[..., 2]) / 3
+    return image.mean(axis=-1)
 
 
 def generate_fiducial(size: int = 48, pattern: Optional[np.ndarray] = None) -> np.ndarray:
@@ -97,8 +111,7 @@ def detect_fiducial(
     Returns a :class:`FiducialDetection` with ``size == 0`` when nothing
     plausible is found.
     """
-    gray = image.mean(axis=-1) if image.ndim == 3 else np.asarray(image, dtype=np.float64)
-    dark = gray < dark_threshold
+    dark = grayscale(image) < dark_threshold
     labels, count = ndimage.label(dark)
     if count == 0:
         return FiducialDetection(center=(0.0, 0.0), size=0.0, bbox=(0, 0, 0, 0))

@@ -12,6 +12,17 @@ class TestKernel:
         x = np.random.default_rng(0).uniform(size=(5, 3))
         matrix = kernel(x, x)
         np.testing.assert_allclose(np.diag(matrix), 2.0)
+        rng = np.random.default_rng(1)
+        fitted = GaussianProcess().fit(rng.uniform(size=(12, 3)), rng.normal(size=12)).kernel
+        kernels = [kernel, fitted] + [
+            RBFKernel(lengthscale=float(length), variance=float(variance))
+            for length, variance in rng.uniform(0.01, 5.0, size=(5, 2))
+        ]
+        for candidate in kernels:
+            for points in (x, rng.uniform(-3.0, 3.0, size=(40, 4)), np.zeros((1, 2))):
+                diag = candidate.diag(points)
+                assert diag.dtype == np.float64
+                assert diag.tobytes() == np.diag(candidate(points, points)).tobytes()
 
     def test_decay_with_distance(self):
         kernel = RBFKernel(lengthscale=0.3, variance=1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.vision.extraction import WellColorExtractor
+from repro.vision.fiducial import draw_fiducial
 from repro.vision.render import PlateImageConfig, render_plate_image
 
 
@@ -80,6 +81,21 @@ class TestFallbacks:
         rng = np.random.default_rng(1)
         image = render_plate_image(plate, chemistry, rng=rng)
         result = WellColorExtractor().extract(image)
+        assert len(result.well_colors) == 96
+
+    def test_marker_in_corner_falls_back_to_nominal_geometry(self):
+        # A spurious marker at the lower-right corner is detected, and the
+        # plate region it implies lies entirely off the frame.
+        config = PlateImageConfig()
+        extractor = WellColorExtractor(config=config)
+        frame = np.full((config.image_height, config.image_width, 3), 128.0)
+        draw_fiducial(frame, (630, 470), size=config.fiducial_size)
+        result = extractor.extract(frame)
+        assert result.fiducial.found
+        x0, y0, _, _ = extractor.plate_roi_from_fiducial(result.fiducial)
+        assert x0 >= config.image_width and y0 < config.image_height
+        assert result.circles == [] and result.grid is None
+        assert result.well_centers == extractor.nominal_centers()
         assert len(result.well_colors) == 96
 
     def test_sample_color_at_border_does_not_crash(self, rendered):

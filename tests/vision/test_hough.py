@@ -76,3 +76,23 @@ class TestVotes:
         assert len(detections) >= 2
         votes = [d.votes for d in detections]
         assert votes == sorted(votes, reverse=True)
+
+
+class TestRoiOffFrame:
+    """An ROI that clips to an empty region finds nothing instead of raising
+    (``extract`` then falls back to the nominal grid)."""
+
+    @pytest.mark.parametrize(
+        "roi",
+        [
+            (706, 456, 1148, 762),  # from a marker found at the lower-right corner
+            (10, 10, 10, 50),  # zero width
+            (-300, -200, -10, -5),  # entirely above-left of the frame
+        ],
+    )
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_empty_roi_returns_no_circles(self, roi, channels):
+        shape = (480, 640) if channels is None else (480, 640, channels)
+        image = np.full(shape, 225.0)
+        draw_disk(image, 60, 60, 13, 90.0)
+        assert hough_circles(image, radii=[12, 13, 14], roi=roi) == []
