@@ -41,7 +41,7 @@ def test_paced_transport_matches_sim_and_reports_latency(benchmark, report):
     sim, sim_wall, paced = benchmark.pedantic(run_both_transports, rounds=1, iterations=1)
     stats = paced.transport_stats
 
-    effective = paced.makespan_s / stats["wall_elapsed_s"]
+    effective = paced.makespan_s / stats.wall_elapsed_s
     report(
         f"Sim-clock vs paced transport at --speedup {SPEEDUP:g} "
         f"({paced.n_runs} runs, {paced.total_samples} samples)",
@@ -52,7 +52,7 @@ def test_paced_transport_matches_sim_and_reports_latency(benchmark, report):
                 (
                     "paced",
                     f"{paced.makespan_s / 3600:.2f} h",
-                    f"{stats['wall_elapsed_s']:.2f} s",
+                    f"{stats.wall_elapsed_s:.2f} s",
                     f"{effective:.0f}x",
                 ),
             ],
@@ -61,12 +61,12 @@ def test_paced_transport_matches_sim_and_reports_latency(benchmark, report):
         + format_table(
             ["completion delivery", "value"],
             [
-                ("completions delivered", stats["delivered"]),
-                ("duplicates rejected", stats["rejected_duplicate"]),
-                ("late rejected", stats["rejected_late"]),
-                ("timed out", stats["timed_out"]),
-                ("mean latency", f"{stats['mean_delivery_latency_s'] * 1000:.2f} ms"),
-                ("max latency", f"{stats['max_delivery_latency_s'] * 1000:.2f} ms"),
+                ("completions delivered", stats.delivered),
+                ("duplicates rejected", stats.rejected_duplicate),
+                ("late rejected", stats.rejected_late),
+                ("timed out", stats.timed_out),
+                ("mean latency", f"{stats.mean_delivery_latency_s * 1000:.2f} ms"),
+                ("max latency", f"{stats.max_delivery_latency_s * 1000:.2f} ms"),
             ],
         ),
     )
@@ -76,10 +76,10 @@ def test_paced_transport_matches_sim_and_reports_latency(benchmark, report):
     for sim_run, paced_run in zip(sim.runs, paced.runs):
         np.testing.assert_allclose(sim_run.scores(), paced_run.scores())
     # Every completion was delivered out-of-band, none lost or duplicated.
-    assert stats["delivered"] > 0
-    assert stats["timed_out"] == 0
-    assert stats["rejected_duplicate"] == 0 and stats["rejected_late"] == 0
+    assert stats.delivered > 0
+    assert stats.timed_out == 0
+    assert stats.rejected_duplicate == 0 and stats.rejected_late == 0
     # Pacing is real: the campaign took at least its simulated time / speedup
     # (serialised on one lane), and delivery latency stayed sane.
-    assert stats["wall_elapsed_s"] >= 0.8 * paced.makespan_s / SPEEDUP
-    assert stats["mean_delivery_latency_s"] < 1.0
+    assert stats.wall_elapsed_s >= 0.8 * paced.makespan_s / SPEEDUP
+    assert stats.mean_delivery_latency_s < 1.0

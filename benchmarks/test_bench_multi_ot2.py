@@ -22,6 +22,9 @@ from repro.core.experiment import ExperimentConfig
 N_SAMPLES = 128
 BATCH_SIZE = 16
 SEED = 99
+#: Robotic commands the 1-lane campaign issues beyond the 2- and 4-lane ones:
+#: the barty refill of run 6's cp_wf_replenish and the OT-2's tip-rack swap.
+SINGLE_LANE_EXTRA_ACTIONS = ("barty.refill_colors", "ot2.replace_tips")
 
 
 def run_lane_ablation():
@@ -63,7 +66,20 @@ def test_multi_ot2_lane_ablation(benchmark, report):
 
     assert all(campaign.total_samples == N_SAMPLES for campaign in campaigns.values())
     # CCWH (robotic commands for the same workload) is unchanged...
-    assert robotic_commands(campaigns[1]) == robotic_commands(campaigns[2]) == robotic_commands(campaigns[4])
+    assert robotic_commands(campaigns[2]) == robotic_commands(campaigns[4])
+    # ...except for the consumables of the single lane's one OT-2, which runs
+    # all 8 runs (2 and 4 lanes split them 4/2 per OT-2).  Its tip rack runs
+    # short in run 6, so that run issues cp_wf_replenish and replace_tips.
+    replenishes = [run.workflow_counts.get("cp_wf_replenish", 0) for run in campaigns[1].runs]
+    assert replenishes == [0] * 6 + [1, 0]
+    extra = [
+        one.metrics.commands_completed - two.metrics.commands_completed
+        for one, two in zip(campaigns[1].runs, campaigns[2].runs)
+    ]
+    assert extra == [0] * 6 + [len(SINGLE_LANE_EXTRA_ACTIONS), 0]
+    assert robotic_commands(campaigns[1]) == robotic_commands(campaigns[4]) + len(
+        SINGLE_LANE_EXTRA_ACTIONS
+    )
     # ...while TWH (makespan) drops with more OT-2s, which is the paper's point.
     assert campaigns[2].makespan_s < campaigns[1].makespan_s
     assert campaigns[4].makespan_s <= campaigns[2].makespan_s

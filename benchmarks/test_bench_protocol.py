@@ -93,13 +93,13 @@ def test_chaotic_wire_campaign_matches_sim_and_reports_recovery(benchmark, repor
         format_table(
             ["recovery counter", "value"],
             [
-                ("completions delivered", stats["delivered"]),
-                ("command retries", stats["retries"]),
-                ("reconnect resyncs", stats["resyncs"]),
-                ("CRC-rejected frames", stats["crc_errors"]),
-                ("wire duplicates dropped", stats["duplicates_dropped"]),
-                ("completions retransmitted", stats["completions_retransmitted"]),
-                ("real elapsed", f"{stats['wall_elapsed_s']:.2f} s"),
+                ("completions delivered", stats.delivered),
+                ("command retries", stats.retries),
+                ("reconnect resyncs", stats.resyncs),
+                ("CRC-rejected frames", stats.crc_errors),
+                ("wire duplicates dropped", stats.duplicates_dropped),
+                ("completions retransmitted", stats.completions_retransmitted),
+                ("real elapsed", f"{stats.wall_elapsed_s:.2f} s"),
             ],
         ),
     )
@@ -110,6 +110,6 @@ def test_chaotic_wire_campaign_matches_sim_and_reports_recovery(benchmark, repor
         np.testing.assert_allclose(sim_run.scores(), wire_run.scores())
     # Chaos really attacked the wire, and the protocol really recovered:
     # nothing timed out, nothing leaked through the bridge.
-    assert stats["retries"] + stats["crc_errors"] + stats["resyncs"] > 0
-    assert stats["timed_out"] == 0
-    assert stats["rejected_late"] == 0
+    assert stats.retries + stats.crc_errors + stats.resyncs > 0
+    assert stats.timed_out == 0
+    assert stats.rejected_late == 0

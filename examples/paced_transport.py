@@ -65,12 +65,12 @@ def main() -> int:
     stats = paced.transport_stats
     print(
         f"   simulated {paced.makespan_s / 3600:.2f} h "
-        f"in {stats['wall_elapsed_s']:.2f} s real time "
-        f"(effective {paced.makespan_s / stats['wall_elapsed_s']:.0f}x)"
+        f"in {stats.wall_elapsed_s:.2f} s real time "
+        f"(effective {paced.makespan_s / stats.wall_elapsed_s:.0f}x)"
     )
     print(
-        f"   {stats['delivered']} completions delivered out-of-band, "
-        f"mean delivery latency {stats['mean_delivery_latency_s'] * 1000:.2f} ms"
+        f"   {stats.delivered} completions delivered out-of-band, "
+        f"mean delivery latency {stats.mean_delivery_latency_s * 1000:.2f} ms"
     )
 
     sim_scores = [run.best_score for run in sim.runs]

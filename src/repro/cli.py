@@ -623,19 +623,19 @@ def _command_campaign(args) -> int:
         chaos=chaos,
     )
     print(render_figure3(campaign))
-    if campaign.transport_stats:
-        stats = campaign.transport_stats
+    stats = campaign.transport_stats
+    if stats.present:
         print(
             f"\n{args.transport.capitalize()} transport (speedup {args.speedup:g}x): "
-            f"{stats['delivered']} completions delivered out-of-band in "
-            f"{stats['wall_elapsed_s']:.2f}s real time, mean delivery latency "
-            f"{stats['mean_delivery_latency_s'] * 1000:.1f} ms"
+            f"{stats.delivered} completions delivered out-of-band in "
+            f"{stats.wall_elapsed_s:.2f}s real time, mean delivery latency "
+            f"{stats.mean_delivery_latency_s * 1000:.1f} ms"
         )
         if args.transport == "wire":
             print(
-                f"Wire recovery: {stats['retries']} retries, {stats['resyncs']} resyncs, "
-                f"{stats['crc_errors']} CRC errors, "
-                f"{stats['completions_retransmitted']} completions retransmitted"
+                f"Wire recovery: {stats.retries} retries, {stats.resyncs} resyncs, "
+                f"{stats.crc_errors} CRC errors, "
+                f"{stats.completions_retransmitted} completions retransmitted"
                 + (f" (chaos seed {args.chaos_seed})" if chaos is not None else "")
             )
     if args.n_workcells > 1:

@@ -243,18 +243,19 @@ class ColorPickerApp:
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def _measure_wells(self, image: Optional[CameraImage], wells: List[str], volumes: np.ndarray):
+    def _measure_wells(self, pixels: Optional[np.ndarray], wells: List[str], volumes: np.ndarray):
         """Return the measured RGB of each well in ``wells``.
 
-        In ``vision`` mode the synthetic photograph is processed by the full
-        fiducial/Hough/grid pipeline; in ``direct`` mode the chemistry model
-        plus sensor noise stands in for it (fast path for large sweeps).
+        In ``vision`` mode the synthetic photograph's ``pixels`` are processed
+        by the full fiducial/Hough/grid pipeline; in ``direct`` mode the
+        chemistry model plus sensor noise stands in for it (fast path for
+        large sweeps).
         """
         yield from self._charge_overhead("compute", "image_processing")
         if self.config.measurement == "vision":
-            if image is None:
+            if pixels is None:
                 raise RuntimeError("vision measurement requested but no camera image is available")
-            extraction = self.extractor.extract(image.pixels)
+            extraction = self.extractor.extract(pixels)
             return extraction.colors_for(wells)
         true_colors = self.workcell.chemistry.mix(volumes)
         noise = self._measurement_rng.normal(
@@ -283,7 +284,7 @@ class ColorPickerApp:
             self._run_index = max(taken) + 1 if taken else 0
         return self._run_index
 
-    def _publish(self, samples: List[SampleResult], image: Optional[CameraImage]):
+    def _publish(self, samples: List[SampleResult], pixels: Optional[np.ndarray]):
         yield from self._charge_overhead("publish", "upload")
         config = self.config
         record = RunRecord(
@@ -308,7 +309,6 @@ class ColorPickerApp:
             ],
             timings={"elapsed_s": self.workcell.clock.now()},
         )
-        pixels = image.pixels if image is not None and config.measurement == "vision" else None
         receipt = self.flow.publish(record, image=pixels)
         return receipt.to_dict()
 
@@ -377,13 +377,16 @@ class ColorPickerApp:
                     raise
                 yield from self._human_intervention(result, error)
                 continue
+            # Frames render on every read, so the batch reads its frame once
+            # and hands the array to both measurement and publication.
             image = mix_result.step_values().get("camera.take_picture")
-            if not isinstance(image, CameraImage):  # pragma: no cover - defensive
-                image = None
+            pixels = None
+            if config.measurement == "vision" and isinstance(image, CameraImage):
+                pixels = image.pixels
 
             # Image processing + scoring.
             volumes = ratios_to_volumes(ratios, config.max_component_volume_ul)
-            measured = yield from self._measure_wells(image, wells, volumes)
+            measured = yield from self._measure_wells(pixels, wells, volumes)
             scores = np.atleast_1d(score_colors(measured, target_rgb, config.distance_metric))
 
             elapsed = clock.now() - start_time
@@ -409,7 +412,7 @@ class ColorPickerApp:
             # Publish the cumulative run data (one upload per iteration, as in
             # the paper's 128 upload steps for the B = 1 run).
             if config.publish:
-                receipt = yield from self._publish(samples, image)
+                receipt = yield from self._publish(samples, pixels)
                 result.publication_receipts.append(receipt)
 
             # Feed results back to the solver.

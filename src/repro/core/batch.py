@@ -3,9 +3,11 @@
 "We varied the batch size B across different experiments by powers of two from
 1 to 64" with the total number of samples fixed at N = 128 and the target
 colour fixed at RGB (120, 120, 120).  :func:`run_batch_sweep` runs one
-independent experiment per batch size -- each on its own freshly built
-workcell and solver, seeded deterministically from the sweep seed -- and
-collects their trajectories.
+experiment per batch size -- each with its own solver, seeded
+deterministically from the sweep seed -- on one workcell driven by a
+one-shard :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`, and
+collects their trajectories.  With one OT-2 lane (the default) the
+experiments run one after another on the same devices.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.app import ColorPickerApp
-from repro.core.campaign import predict_experiment_duration
+from repro.core.campaign import predict_experiment_duration, workcell_stock
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.publish.portal import DataPortal
 from repro.sim.durations import DurationTable
@@ -37,7 +39,8 @@ class BatchSweepResult:
     experiments: Dict[int, ExperimentResult] = field(default_factory=dict)
     #: Number of OT-2 lanes the sweep executed on (1 = sequential).
     n_ot2: int = 1
-    #: Shared-clock makespan when the sweep ran concurrently (0 otherwise).
+    #: The coordinator's makespan: the workcell's clock when the last
+    #: experiment finished.
     makespan_s: float = 0.0
 
     @property
@@ -88,11 +91,12 @@ def run_batch_sweep(
 ) -> BatchSweepResult:
     """Run one colour-picker experiment per batch size and collect the results.
 
-    With the default ``n_ot2=1`` every experiment gets an independent
-    workcell (fresh plates, reservoirs and clock) and an independently seeded
-    solver, exactly as the paper's seven experiments were separate robot
-    runs.  With ``n_ot2 > 1`` the experiments are executed *concurrently* on
-    one shared workcell with that many OT-2/barty lanes: by default a lane
+    Every experiment gets an independently seeded solver and a fresh plate;
+    all of them run on one workcell, stocked for the whole sweep (see
+    :func:`~repro.core.campaign.workcell_stock`), as the paper's seven
+    experiments ran on one robot.  With the default ``n_ot2=1`` they run one
+    after another.  With ``n_ot2 > 1`` they are executed *concurrently* on
+    that many OT-2/barty lanes: by default a lane
     claims the next pending experiment the moment it frees
     (``assignment="work-stealing"``, which suits the sweep's heavily skewed
     per-experiment durations), ``assignment="stealing-lpt"`` additionally
@@ -103,12 +107,11 @@ def run_batch_sweep(
     ``i % n_ot2`` for comparison, and ``assignment="lookahead"`` re-ranks the
     queue online each time a lane frees.  The lanes are scheduled by a
     one-workcell :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`.
-    ``durations`` overrides the workcells' duration table (sequential and
-    concurrent paths alike).  With
+    ``durations`` overrides the workcell's duration table.  With
     ``measurement="direct"`` (the default) solver behaviour and scores are
-    unchanged and only the simulated wall time shrinks; in ``"vision"`` mode
-    the shared camera's noise stream is consumed in interleaving order, so
-    scores differ slightly from the sequential sweep.
+    the same for every lane count and only the simulated wall time shrinks;
+    in ``"vision"`` mode the shared camera's frame keys are drawn in claim
+    order, so scores differ slightly between lane counts.
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must not be empty")
@@ -140,14 +143,9 @@ def run_batch_sweep(
             **overrides,
         )
 
-    if n_ot2 == 1:
-        for batch_size, config in configs.items():
-            workcell = build_color_picker_workcell(seed=config.seed, durations=durations)
-            app = ColorPickerApp(config, workcell=workcell, portal=portal)
-            sweep.experiments[batch_size] = app.run()
-        return sweep
-
-    workcell = build_color_picker_workcell(seed=seed, n_ot2=n_ot2, durations=durations)
+    workcell = build_color_picker_workcell(
+        seed=seed, n_ot2=n_ot2, durations=durations, **workcell_stock(list(configs.values()))
+    )
     engine = ConcurrentWorkflowEngine(workcell)
 
     def make_program(config: ExperimentConfig, _shard: int, lane: tuple):

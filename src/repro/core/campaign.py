@@ -6,25 +6,22 @@ experiments".  :func:`run_campaign` reproduces that usage pattern: a sequence
 of short colour-picker runs, each published to the same experiment on the
 portal, optionally cycling through different target colours.
 
-By default (one workcell, one lane) each run executes on a fresh workcell
-through :meth:`ColorPickerApp.run <repro.core.app.ColorPickerApp.run>`, on an
-engine of its own.  Routing these runs through a one-workcell coordinator
-instead would change vision-mode science (one camera noise stream across
-runs) and, in vision mode, would hold every rendered frame in the shared
-engine's run log (frames render only when read, so direct-mode run logs
-hold no pixels); the decision is recorded in ``docs/architecture.md``.
+Every campaign runs on a
+:class:`~repro.wei.coordinator.MultiWorkcellCoordinator`.  By default it is
+a one-shard fleet: one workcell with one OT-2/barty lane, which executes
+the runs one after another on the same devices, as the paper's 12 runs
+shared one physical workcell.
 
-With ``n_ot2 > 1`` the campaign switches to the paper's Section 4 ablation,
-*executed* rather than planned: one shared workcell is built with ``n_ot2``
-OT-2/barty lanes and the runs are interleaved by the
+With ``n_ot2 > 1`` the campaign becomes the paper's Section 4 ablation,
+*executed* rather than planned: the shared workcell is built with ``n_ot2``
+OT-2/barty lanes and the runs are interleaved by its
 :class:`~repro.wei.concurrent.ConcurrentWorkflowEngine` -- each lane works
 through its share of the runs while the pf400, sciclops and camera are shared
 (more commands in flight, lower total wall time; the CCWH/TWH trade-off).
 Lanes *steal* the next pending run as they free (least-finish-time
 assignment) unless ``assignment="static"`` pins run ``i`` to lane ``i % k``.
 
-With ``n_workcells > 1`` the campaign is sharded across several independent
-workcells by a :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`:
+With ``n_workcells > 1`` the fleet has several independent workcells:
 every lane of every workcell pulls from one shared run queue, the runs'
 records merge into a single portal experiment with their original
 ``run_index``es, and the campaign makespan is the slowest shard's.
@@ -42,8 +39,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.app import ColorPickerApp
 from repro.core.experiment import ExperimentConfig, ExperimentResult
@@ -89,11 +87,8 @@ class TransportReport:
     wire transports' own conditions), so the report can never mix counters
     from two different instants of one component.
 
-    Historical dict access keeps working -- ``stats["delivered"]``,
-    ``"retries" in stats``, ``dict(stats)``, ``if campaign.transport_stats:``
-    -- through :func:`dataclasses.asdict`-backed mapping views.  ``present``
-    is ``False`` for sim campaigns, which makes the report falsy and iterate
-    as empty, exactly like the historical empty dict.
+    Read the counters as attributes, or :meth:`to_dict` for the historical
+    dict shape.  ``present`` is ``False`` for sim campaigns.
     """
 
     delivered: int = 0
@@ -119,38 +114,6 @@ class TransportReport:
         del data["present"]
         return data
 
-    # -- dict-style views ------------------------------------------------
-    def __bool__(self) -> bool:
-        return self.present
-
-    def __getitem__(self, key: str) -> Any:
-        return self.to_dict()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.to_dict())
-
-    def __len__(self) -> int:
-        return len(self.to_dict())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.to_dict()
-
-    def keys(self):
-        """Counter names, dict-style."""
-        return self.to_dict().keys()
-
-    def items(self):
-        """``(name, value)`` pairs, dict-style."""
-        return self.to_dict().items()
-
-    def values(self):
-        """Counter values, dict-style."""
-        return self.to_dict().values()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Dict-style lookup with a default."""
-        return self.to_dict().get(key, default)
-
 
 @dataclass
 class CampaignResult:
@@ -165,22 +128,19 @@ class CampaignResult:
     n_ot2: int = 1
     #: Number of independent workcells the campaign was sharded across.
     n_workcells: int = 1
-    #: Total simulated time of the whole campaign: the sum of run durations
-    #: when sequential, the shared-clock makespan when concurrent, the
-    #: slowest shard's makespan when sharded across workcells.
+    #: Total simulated time of the whole campaign: the coordinator's
+    #: makespan, i.e. the slowest shard's clock when the last run finished.
     makespan_s: float = 0.0
     #: Per-shard makespans when ``n_workcells > 1`` (empty otherwise).
     workcell_makespans: List[float] = field(default_factory=list)
-    #: Which shard/lane executed each run, in run order, for the concurrent
-    #: and sharded modes (empty for the sequential campaign).
+    #: Which shard/lane executed each run, in run order.
     assignments: List[Optional[ShardAssignment]] = field(default_factory=list)
     #: Execution mode the campaign ran under (``"sim"`` or ``"paced"``).
     transport: str = "sim"
     #: Transport-layer report for transport campaigns: completion counts,
     #: the real wall seconds the campaign took, delivery-latency summary
-    #: statistics and wire recovery counters.  A typed
-    #: :class:`TransportReport` that still answers dict-style access; falsy
-    #: and empty for sim campaigns.
+    #: statistics and wire recovery counters (``present`` is ``False`` for
+    #: sim campaigns).
     transport_stats: TransportReport = field(default_factory=TransportReport)
 
     @property
@@ -212,10 +172,12 @@ class CampaignResult:
 
 
 #: Wells per plate (standard 96-well SBS plate, matching
-#: :class:`~repro.hardware.labware.Plate`) and dyes the barty fills/drains per
-#: plate (the CMYK set every colour-picker workcell mounts).
+#: :class:`~repro.hardware.labware.Plate`), dyes the barty fills/drains per
+#: plate (the CMYK set every colour-picker workcell mounts) and µl per OT-2
+#: dye reservoir (:func:`~repro.wei.workcell.build_color_picker_workcell`).
 _PLATE_CAPACITY = 96
 _N_DYES = 4
+_RESERVOIR_CAPACITY_UL = 20_000.0
 
 
 def predict_experiment_duration(
@@ -277,6 +239,31 @@ def predict_experiment_duration(
         if config.publish:
             total += table.mean("publish", "upload")
     return total
+
+
+def workcell_stock(configs: Sequence[ExperimentConfig]) -> Dict[str, float]:
+    """Consumable sizing for a workcell that may execute every one of ``configs``.
+
+    Returns ``plates_per_tower`` / ``bulk_capacity_ul`` keyword arguments for
+    :func:`~repro.wei.workcell.build_color_picker_workcell`.  Any lane of any
+    shard may claim every job, so one tower holds a plate for each plate-load
+    of every job, and each barty's bulk vessels hold, per dye, one reservoir
+    fill per plate (plus the reservoir left full at the end) and the most
+    every sample can draw.  Short job lists keep the bench defaults (20
+    plates per tower, 500 ml of each dye).
+    """
+    plates = 0
+    dye_ul = _RESERVOIR_CAPACITY_UL
+    for config in configs:
+        batch = max(1, min(config.batch_size, config.n_samples))
+        per_plate = max(1, _PLATE_CAPACITY // batch) * batch
+        job_plates = math.ceil(config.n_samples / per_plate)
+        plates += job_plates
+        dye_ul += (
+            job_plates * _RESERVOIR_CAPACITY_UL
+            + config.n_samples * config.max_component_volume_ul
+        )
+    return {"plates_per_tower": max(20, plates), "bulk_capacity_ul": max(500_000.0, dye_ul)}
 
 
 def _campaign_config(
@@ -371,14 +358,13 @@ def run_campaign(
         the whole campaign is reproducible.
     n_ot2:
         Number of OT-2/barty lanes per workcell.  1 (the default) runs the
-        campaign sequentially, each run on a fresh workcell.  ``n_ot2 > 1``
-        builds one shared workcell and *executes* the runs concurrently over
-        its lanes.  With ``measurement="direct"``
-        (the default) solver proposals and measured scores are identical to
-        the sequential campaign with the same seed (only the timing
-        differs), which is what makes the TWH-vs-CCWH comparison
-        meaningful; ``"vision"`` mode draws camera noise from the shared
-        device in interleaving order, so scores differ slightly.
+        campaign sequentially on one lane; ``n_ot2 > 1`` *executes* the runs
+        concurrently over the workcell's lanes.  With ``measurement="direct"``
+        (the default) solver proposals and measured scores are identical for
+        every lane count with the same seed (only the timing differs), which
+        is what makes the TWH-vs-CCWH comparison meaningful; ``"vision"``
+        mode draws camera frame keys from the shared device in claim order,
+        so scores differ slightly.
     n_workcells:
         Number of independent workcells to shard the campaign across.  With
         ``n_workcells > 1`` a :class:`MultiWorkcellCoordinator` drives one
@@ -417,8 +403,7 @@ def run_campaign(
     on_run_complete:
         Callback fired with a :class:`~repro.wei.coordinator.RunCompletion`
         as each run finishes -- *after* its record has been ingested into
-        the portal, so the callback sees the streamed state.  Sequential
-        campaigns fire it too, with ``assignment=None``.
+        the portal, so the callback sees the streamed state.
     transport:
         ``"sim"`` (the default) completes every action inline on the
         simulated clock; ``"paced"`` backs every module with a
@@ -430,10 +415,9 @@ def run_campaign(
         ACK/retry and reconnect-with-resync.  Scores and portal records are
         identical in every mode (same seeds, same sampled durations);
         ``campaign.transport_stats`` reports the delivery counters, latency
-        and -- for the wire -- retry/resync/CRC accounting.  A transport
-        campaign always uses the coordinated execution path, even for a
-        single lane.  Ignored when an explicit ``coordinator`` is passed
-        (its engines keep whatever transports they were built with).
+        and -- for the wire -- retry/resync/CRC accounting.  Ignored when
+        an explicit ``coordinator`` is passed (its engines keep whatever
+        transports they were built with).
     speedup:
         Wall-clock compression for the transport modes: 1000 paces 1000
         simulated seconds per real second; ``1`` is hardware speed.
@@ -449,10 +433,15 @@ def run_campaign(
         invariant ``python -m repro soak`` asserts across a whole seed
         matrix.  Rejected for other transports.
 
-    In every mode each run's record streams into the portal the moment the
-    run completes (never post-hoc), tagged with the executing workcell and
-    lane when the campaign is coordinated; the portal therefore holds every
-    record before this function returns.
+    The workcells this function builds are stocked for the whole campaign
+    (plates and bulk dye, see :func:`workcell_stock`), since any lane may
+    claim every run.  Each run's record streams into the portal the moment
+    the run completes (never post-hoc), tagged with the executing workcell
+    and lane, so the portal holds every record before this function
+    returns.  ``transport="paced"`` and ``"wire"`` give each workcell's
+    engine its own :class:`~repro.wei.drivers.registry.DriverRegistry`
+    (the wire ones sharing the optional ``chaos`` schedule); their worker
+    threads are stopped before this function returns.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -518,147 +507,25 @@ def run_campaign(
         for run_index in range(n_runs)
     ]
 
-    # The "campaign" span roots every trace: run spans recorded by the
-    # engines (claim→done windows on any shard) attach to it through the
-    # "campaign" binding rather than the thread stack.
-    with obs_tracer.span(
-        "campaign",
-        experiment_id=experiment_id,
-        n_runs=n_runs,
-        samples_per_run=samples_per_run,
-        transport=transport,
-        n_workcells=n_workcells,
-        n_ot2=n_ot2,
-    ) as campaign_span:
-        if campaign_span.span is not None:
-            obs_tracer.bind("campaign", campaign_span.span.span_id)
-        try:
-            if n_workcells > 1 or n_ot2 > 1 or coordinator is not None or transport != "sim":
-                return _run_coordinated_campaign(
-                    campaign,
-                    configs,
-                    solver=solver,
-                    seed=seed,
-                    assignment=assignment,
-                    speed_profiles=speed_profiles,
-                    coordinator=coordinator,
-                    on_run_complete=on_run_complete,
-                    speedup=speedup,
-                    completion_timeout_s=completion_timeout_s,
-                    chaos=chaos,
-                )
-
-            sequential_durations: Optional[DurationTable] = None
-            if speed_profiles is not None:
-                sequential_durations = speed_profiles[0].apply(paper_calibrated_durations())
-            elapsed = 0.0
-            for run_index, config in enumerate(configs):
-                workcell = build_color_picker_workcell(
-                    seed=config.seed, durations=sequential_durations
-                )
-                app = ColorPickerApp(config, workcell=workcell, portal=portal)
-                result = app.run()
-                campaign.runs.append(result)
-                record = _campaign_record(config, result, solver, run_index)
-                with obs_tracer.span(
-                    "portal.ingest", run_id=record.run_id, run_index=run_index
-                ):
-                    portal.ingest(record)
-                # Sequential runs share one notional clock: each starts where
-                # the previous ended, so completion times are monotonic like
-                # a shard's.
-                elapsed += result.elapsed_s
-                if on_run_complete is not None:
-                    on_run_complete(
-                        RunCompletion(
-                            job_index=run_index,
-                            job=config,
-                            result=result,
-                            assignment=None,
-                            time=elapsed,
-                        )
-                    )
-            campaign.makespan_s = sum(run.elapsed_s for run in campaign.runs)
-            return campaign
-        finally:
-            campaign_span.set_sim(start=0.0, end=campaign.makespan_s)
-            obs_tracer.unbind("campaign")
-
-
-def _run_coordinated_campaign(
-    campaign: CampaignResult,
-    configs: List[ExperimentConfig],
-    *,
-    solver: str,
-    seed: Optional[int],
-    assignment: str,
-    speed_profiles: Optional[tuple] = None,
-    coordinator: Optional[MultiWorkcellCoordinator] = None,
-    on_run_complete: Optional[Callable[[RunCompletion], None]] = None,
-    speedup: float = 1000.0,
-    completion_timeout_s: float = 60.0,
-    chaos: Optional[Any] = None,
-) -> CampaignResult:
-    """Execute a campaign over concurrent lanes and/or several workcells.
-
-    One path serves both concurrent modes: a single-workcell campaign with
-    ``n_ot2`` lanes is just a one-shard fleet, so lane assignment, run
-    placement records and portal tagging are identical whichever axis is
-    scaled.  Each run's record is *streamed* into the portal by a coordinator
-    run listener the moment its shard completes it -- shard/lane tags and the
-    original ``run_index`` preserved -- so the portal is complete before
-    ``run_jobs`` returns, and mid-campaign ``attach_workcell`` /
-    ``drain_workcell`` calls from ``on_run_complete`` see live state.
-
-    ``transport="paced"`` builds each shard's engine with its own
-    :class:`~repro.wei.drivers.registry.DriverRegistry` (one paced mock
-    transport covering every module type); ``transport="wire"`` does the
-    same with a framed :class:`~repro.wei.drivers.protocol.WireProtocolTransport`
-    per workcell, all sharing one optional ``chaos`` schedule.  Either way
-    the transports are torn down -- stopping their worker threads -- before
-    returning.
-    """
-    portal = campaign.portal
-    registries: List[DriverRegistry] = []
+    # Transport registries own driver worker threads: the stack stops them
+    # once the runs are done, or if building the fleet fails part-way.
+    transports = ExitStack()
 
     def build_engine(workcell) -> ConcurrentWorkflowEngine:
-        if campaign.transport == "paced":
+        if transport == "paced":
             registry = DriverRegistry.paced(
                 workcell, speedup=speedup, name=f"paced-mock[{workcell.name}]"
             )
-        elif campaign.transport == "wire":
+        elif transport == "wire":
             registry = DriverRegistry.wire(
                 workcell, speedup=speedup, name=f"wire[{workcell.name}]", chaos=chaos
             )
         else:
             return ConcurrentWorkflowEngine(workcell)
-        registries.append(registry)
+        transports.callback(registry.close)
         return ConcurrentWorkflowEngine(
             workcell, drivers=registry, completion_timeout_s=completion_timeout_s
         )
-
-    if coordinator is None:
-        if campaign.n_workcells == 1:
-            # A one-shard campaign keeps the default workcell name and seed,
-            # matching the historical single-workcell concurrent mode.
-            durations = None
-            if speed_profiles is not None:
-                durations = speed_profiles[0].apply(paper_calibrated_durations())
-            workcell = build_color_picker_workcell(
-                seed=seed, n_ot2=campaign.n_ot2, durations=durations
-            )
-            coordinator = MultiWorkcellCoordinator([build_engine(workcell)])
-        else:
-            coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
-                campaign.n_workcells,
-                seed=seed,
-                n_ot2=campaign.n_ot2,
-                engine_factory=build_engine,
-                module_speeds=speed_profiles,
-            )
-    lanes = [
-        engine.workcell.ot2_barty_pairs()[: campaign.n_ot2] for engine in coordinator.engines
-    ]
 
     def make_program(config: ExperimentConfig, shard: int, lane: tuple):
         ot2, barty = lane
@@ -685,32 +552,72 @@ def _run_coordinated_campaign(
         ):
             portal.ingest(record)
 
-    listeners = [coordinator.add_run_listener(stream_record)]
-    if on_run_complete is not None:
-        listeners.append(coordinator.add_run_listener(on_run_complete))
-    wall_start = time.monotonic()
-    try:
-        results = coordinator.run_jobs(
-            configs,
-            make_program,
-            lanes=lanes,
-            assignment=assignment,
-            duration_hint=predict_experiment_duration,
-        )
-    finally:
-        wall_elapsed = time.monotonic() - wall_start
-        for listener in listeners:
-            coordinator.remove_run_listener(listener)
-        for registry in registries:
-            registry.close()
-    campaign.assignments = list(coordinator.assignments)
-    campaign.runs.extend(results)
-    campaign.n_workcells = coordinator.n_workcells
-    if campaign.n_workcells > 1:
-        campaign.workcell_makespans = coordinator.shard_makespans()
-    campaign.makespan_s = coordinator.makespan
-    campaign.transport_stats = _transport_report(coordinator, wall_elapsed)
-    return campaign
+    # The "campaign" span roots every trace: run spans recorded by the
+    # engines (claim→done windows on any shard) attach to it through the
+    # "campaign" binding rather than the thread stack.
+    with obs_tracer.span(
+        "campaign",
+        experiment_id=experiment_id,
+        n_runs=n_runs,
+        samples_per_run=samples_per_run,
+        transport=transport,
+        n_workcells=n_workcells,
+        n_ot2=n_ot2,
+    ) as campaign_span:
+        if campaign_span.span is not None:
+            obs_tracer.bind("campaign", campaign_span.span.span_id)
+        try:
+            with transports:
+                if coordinator is None:
+                    stock = workcell_stock(configs)
+                    if n_workcells == 1:
+                        # A one-shard campaign keeps the default workcell name and seed.
+                        durations = None
+                        if speed_profiles is not None:
+                            durations = speed_profiles[0].apply(paper_calibrated_durations())
+                        workcell = build_color_picker_workcell(
+                            seed=seed, n_ot2=n_ot2, durations=durations, **stock
+                        )
+                        coordinator = MultiWorkcellCoordinator([build_engine(workcell)])
+                    else:
+                        coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
+                            n_workcells,
+                            seed=seed,
+                            n_ot2=n_ot2,
+                            engine_factory=build_engine,
+                            module_speeds=speed_profiles,
+                            **stock,
+                        )
+                lanes = [
+                    engine.workcell.ot2_barty_pairs()[:n_ot2] for engine in coordinator.engines
+                ]
+                listeners = [coordinator.add_run_listener(stream_record)]
+                if on_run_complete is not None:
+                    listeners.append(coordinator.add_run_listener(on_run_complete))
+                wall_start = time.monotonic()
+                try:
+                    results = coordinator.run_jobs(
+                        configs,
+                        make_program,
+                        lanes=lanes,
+                        assignment=assignment,
+                        duration_hint=predict_experiment_duration,
+                    )
+                finally:
+                    wall_elapsed = time.monotonic() - wall_start
+                    for listener in listeners:
+                        coordinator.remove_run_listener(listener)
+            campaign.assignments = list(coordinator.assignments)
+            campaign.runs.extend(results)
+            campaign.n_workcells = coordinator.n_workcells
+            if campaign.n_workcells > 1:
+                campaign.workcell_makespans = coordinator.shard_makespans()
+            campaign.makespan_s = coordinator.makespan
+            campaign.transport_stats = _transport_report(coordinator, wall_elapsed)
+            return campaign
+        finally:
+            campaign_span.set_sim(start=0.0, end=campaign.makespan_s)
+            obs_tracer.unbind("campaign")
 
 
 def _transport_report(

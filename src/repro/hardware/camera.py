@@ -6,9 +6,9 @@ plate is on its stage using :mod:`repro.vision.render`; the application then
 runs the same image-processing pipeline it would run on a real photo.
 
 Frames are lazy: a capture records what was on the stage and a frame key,
-and the pixels are rendered only when something reads them (see
+and the pixels are rendered each time something reads them (see
 :class:`CameraImage`).  ``measurement="direct"`` never reads them, so a
-direct-mode campaign renders no frames at all.
+direct-mode campaign renders no frames at all, and no run log holds pixels.
 """
 
 from __future__ import annotations
@@ -27,20 +27,21 @@ __all__ = ["CameraImage", "CameraDevice"]
 
 
 class CameraImage:
-    """One captured frame plus its provenance; the pixels render on first read.
+    """One captured frame plus its provenance; the pixels render on each read.
 
     At capture the camera draws one 64-bit frame ``key`` from its device rng
-    and snapshots the contents of the plate's filled wells.  The first read
-    of :attr:`pixels` or :attr:`truth` rebuilds the capture-time plate from
+    and snapshots the contents of the plate's filled wells.  Every read of
+    :attr:`pixels` or :attr:`truth` rebuilds the capture-time plate from
     that snapshot and renders it with pose and pixel noise drawn from
-    ``np.random.default_rng(key)``; the result is cached.  So the device rng
+    ``np.random.default_rng(key)``; nothing is cached.  So the device rng
     (which also samples action durations) advances the same way whether or
-    not a frame is ever read, a frame reads the same whenever it is read,
-    and a frame nobody reads costs no render.
+    not a frame is ever read, a frame reads the same bytes whenever it is
+    read, a frame nobody reads costs no render, and a frame kept in a run
+    log costs only its snapshot.  Readers that need the pixels twice keep
+    the array rather than reading twice.
 
-    Frames are read on the engine thread -- the program that measures and
-    publishes them runs there -- so materialisation takes no lock.  Equality
-    is identity and ``repr`` shows provenance only, so neither renders.
+    Equality is identity and ``repr`` shows provenance only, so neither
+    renders.
     """
 
     __slots__ = (
@@ -52,8 +53,6 @@ class CameraImage:
         "_chemistry",
         "_config",
         "_keep_truth",
-        "_pixels",
-        "_truth",
     )
 
     def __init__(
@@ -70,14 +69,12 @@ class CameraImage:
         self.timestamp = timestamp
         self.key = key
         self._plate_shape = (plate.rows, plate.cols, plate.well_capacity_ul)
-        self._filled: Optional[Dict[str, Dict[str, float]]] = {
+        self._filled: Dict[str, Dict[str, float]] = {
             name: dict(well.contents) for name, well in plate.wells.items() if well.contents
         }
         self._chemistry = chemistry
         self._config = config
         self._keep_truth = keep_truth
-        self._pixels: Optional[np.ndarray] = None
-        self._truth: Optional[Dict] = None
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -86,39 +83,28 @@ class CameraImage:
 
     @property
     def pixels(self) -> np.ndarray:
-        """``(H, W, 3)`` float64 sRGB frame, rendered on first read."""
-        if self._pixels is None:
-            self._render()
-        return self._pixels
+        """``(H, W, 3)`` float64 sRGB frame, rendered by this read."""
+        return self._render(return_truth=False)
 
     @property
     def truth(self) -> Optional[Dict]:
         """Sampled pose and ground-truth well centres/colours (None unless kept)."""
         if not self._keep_truth:
             return None
-        if self._pixels is None:
-            self._render()
-        return self._truth
+        return self._render(return_truth=True)[1]
 
-    def _render(self) -> None:
+    def _render(self, *, return_truth: bool):
         rows, cols, capacity = self._plate_shape
         plate = Plate(self.plate_barcode, rows=rows, cols=cols, well_capacity_ul=capacity)
         for name, contents in self._filled.items():
-            plate.wells[name].contents = contents
-        rendered = render_plate_image(
+            plate.wells[name].contents = dict(contents)
+        return render_plate_image(
             plate,
             self._chemistry,
             config=self._config,
             rng=np.random.default_rng(self.key),
-            return_truth=self._keep_truth,
+            return_truth=return_truth,
         )
-        if self._keep_truth:
-            self._pixels, self._truth = rendered
-        else:
-            self._pixels = rendered
-        # The snapshot has served its purpose; keep only the frame.
-        self._filled = None
-        self._chemistry = None
 
     def __repr__(self) -> str:
         return (

@@ -414,7 +414,7 @@ def _run_case(
         mismatches=mismatches,
         wall_s=time.monotonic() - wall_start,
         makespan_s=campaign.makespan_s,
-        transport_stats=dict(campaign.transport_stats),
+        transport_stats=campaign.transport_stats.to_dict(),
         chaos=chaos.describe(),
         chaos_events=chaos.events[-keep_events:],
         fingerprint=None if ok else fingerprint,

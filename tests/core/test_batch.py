@@ -119,3 +119,12 @@ class TestLptUsesActualDurations:
         np.testing.assert_allclose(
             quick.experiments[4].scores(), normal.experiments[4].scores()
         )
+
+
+class TestSweepStock:
+    def test_workcell_is_stocked_for_every_experiment(self):
+        # 21 experiments of 97 samples take 2 plates each: 42 plates, more
+        # than the default two towers of 20 hold.
+        sweep = run_batch_sweep(batch_sizes=range(1, 22), n_samples=97, seed=3, n_ot2=2)
+        assert sorted(sweep.experiments) == list(range(1, 22))
+        assert all(result.n_samples == 97 for result in sweep.experiments.values())

@@ -2,18 +2,19 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.app import ColorPickerApp
-from repro.core.campaign import predict_experiment_duration, run_campaign
+from repro.core.campaign import predict_experiment_duration, run_campaign, workcell_stock
 from repro.core.experiment import ExperimentConfig
 from repro.publish.portal import DataPortal
 from repro.sim.durations import paper_calibrated_durations
 from repro.wei.chaos.soak import campaign_fingerprint
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.coordinator import MultiWorkcellCoordinator
+from repro.wei.coordinator import MultiWorkcellCoordinator, ShardAssignment
 from repro.wei.workcell import build_color_picker_workcell
 
 
@@ -80,6 +81,41 @@ class TestCampaignOptions:
             run_campaign(n_runs=0)
         with pytest.raises(ValueError):
             run_campaign(samples_per_run=0)
+
+
+class TestCampaignStock:
+    """Workcells built by ``run_campaign`` are stocked for the whole campaign.
+
+    Any lane may claim every run, so the default 40 plates and 500 ml of
+    each dye (25 reservoir fills per barty) would run dry mid-campaign.
+    """
+
+    def test_one_lane_outlasts_one_bartys_default_dye(self):
+        campaign = run_campaign(n_runs=30, samples_per_run=2, seed=3, experiment_id="dye")
+        assert campaign.n_runs == 30
+
+    def test_wire_campaign_outlasts_one_bartys_default_dye(self):
+        campaign = run_campaign(
+            n_runs=30, samples_per_run=2, transport="wire", speedup=1e6, experiment_id="wire-dye"
+        )
+        assert campaign.n_runs == 30
+        assert campaign.transport_stats.timed_out == 0
+
+    def test_two_lanes_outlast_the_default_plate_towers(self):
+        campaign = run_campaign(n_runs=60, samples_per_run=2, n_ot2=2, experiment_id="plates")
+        assert campaign.n_runs == 60
+        assert campaign.portal.n_runs == 60
+
+    def test_short_job_lists_keep_the_bench_defaults(self):
+        configs = [ExperimentConfig(n_samples=15, batch_size=1, seed=i) for i in range(12)]
+        assert workcell_stock(configs) == {"plates_per_tower": 20, "bulk_capacity_ul": 500_000.0}
+
+    def test_stock_counts_plate_loads_per_job(self):
+        # B=7 packs 13 batches (91 wells) per plate: 100 samples need 2 plates.
+        configs = [ExperimentConfig(n_samples=100, batch_size=7, seed=i) for i in range(15)]
+        stock = workcell_stock(configs)
+        assert stock["plates_per_tower"] == 30
+        assert stock["bulk_capacity_ul"] == (30 + 1) * 20_000.0 + 15 * 100 * 80.0
 
 
 class TestPredictorParity:
@@ -270,4 +306,7 @@ class TestStreamingElasticCampaign:
                 (completion.job_index, completion.assignment)
             ),
         )
-        assert seen == [(0, None), (1, None)]
+        # A one-lane campaign runs on a one-shard coordinator, so each run
+        # carries the lane that executed it.
+        lane = ShardAssignment(job_index=0, shard=0, workcell="rpl_colorpicker", lane=("ot2", "barty"))
+        assert seen == [(0, lane), (1, replace(lane, job_index=1))]

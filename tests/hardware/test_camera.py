@@ -1,10 +1,11 @@
 """Contract of the lazy camera frame.
 
 A capture draws one frame key from the camera's device rng and snapshots the
-plate; the pixels are rendered only when read.  These tests pin what that
-promises: unread frames never render, a frame reads the same whenever and in
-whatever order it is read, and reading pixels never moves the device rng (so
-action timing does not depend on whether anyone looked at a frame).
+plate; the pixels are rendered on every read and never cached.  These tests
+pin what that promises: unread frames never render, a frame reads the same
+bytes whenever and in whatever order it is read, the application reads each
+frame once, and reading pixels never moves the device rng (so action timing
+does not depend on whether anyone looked at a frame).
 """
 
 import copy
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import repro.hardware.camera as camera_module
+from repro.core.app import ColorPickerApp
 from repro.core.campaign import run_campaign
+from repro.core.experiment import ExperimentConfig
 from repro.hardware.camera import CameraDevice, CameraImage
 from repro.hardware.deck import Workdeck
 from repro.hardware.pf400 import Pf400Device
@@ -92,6 +95,25 @@ class TestCampaignRenders:
         assert len(render_spy) == frames
 
 
+def test_vision_app_renders_each_captured_frame_once(render_spy):
+    # Measurement and publication share the batch's one read of the frame.
+    config = ExperimentConfig(
+        n_samples=5,
+        batch_size=2,
+        seed=9,
+        measurement="vision",
+        publish=True,
+        experiment_id="render-count",
+        run_id="render-count",
+    )
+    app = ColorPickerApp(config)
+    result = app.run()
+    assert len(result.publication_receipts) == 3
+    frames = app.workcell.module("camera").device.frames_captured
+    assert frames == 3
+    assert len(render_spy) == frames
+
+
 class TestLazyFrame:
     def test_metadata_reads_do_not_render(self, render_spy):
         camera, plate = staged_rig()
@@ -106,13 +128,26 @@ class TestLazyFrame:
         assert image.pixels.shape == image.shape
         assert len(render_spy) == 1
 
-    def test_pixels_render_once_and_are_cached(self, render_spy):
-        camera, _ = staged_rig()
+    def test_repeated_and_out_of_order_reads_are_byte_equal(self, render_spy):
+        camera, plate = staged_rig()
+        fill(plate, ["A1", "B2"])
         image = camera.take_picture()
-        first = image.pixels
-        assert image.truth is not None
-        assert image.pixels is first
-        assert len(render_spy) == 1
+        fill(plate, ["C3"], dye="magenta")
+        truth_first = image.truth
+        pixels = [image.pixels, image.pixels]
+        truth_again = image.truth
+        pixels.append(image.pixels)
+        # Nothing is cached: every read renders afresh.
+        assert len(render_spy) == 5
+        assert pixels[0] is not pixels[1]
+        for other in pixels[1:]:
+            assert np.array_equal(pixels[0], other)
+        assert truth_first["offset"] == truth_again["offset"]
+        assert truth_first["rotation_deg"] == truth_again["rotation_deg"]
+        assert truth_first["centers"] == truth_again["centers"]
+        assert truth_first["colors"].keys() == truth_again["colors"].keys()
+        for name, color in truth_first["colors"].items():
+            assert np.array_equal(color, truth_again["colors"][name])
 
     def test_truth_disabled_does_not_render(self, render_spy):
         camera, _ = staged_rig(keep_truth=False)

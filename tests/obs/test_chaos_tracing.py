@@ -80,13 +80,13 @@ class TestTracedChaosCampaign:
         # retransmitted completions on the wire.
         assert len(deliver_tickets) == len(set(deliver_tickets))
         assert sorted(deliver_tickets) == sorted(submit_tickets)
-        assert len(deliver_tickets) == campaign.transport_stats["delivered"]
+        assert len(deliver_tickets) == campaign.transport_stats.delivered
         assert len(by_name["action"]) == len(deliver_tickets)
 
     def test_retries_and_resyncs_appear_as_child_spans(self, traced, chaos_seed):
         _, campaign, by_name = traced
         stats = campaign.transport_stats
-        assert stats["retries"] + stats["resyncs"] > 0, (
+        assert stats.retries + stats.resyncs > 0, (
             f"chaos seed {chaos_seed} injected no recovery work; "
             "the matrix no longer exercises the wire"
         )
@@ -96,11 +96,11 @@ class TestTracedChaosCampaign:
             for s in by_name.get("wire.frame", [])
             if s.attrs["kind"] == "SUBMIT" and s.attrs["attempt"] > 0
         ]
-        assert len(retry_frames) == stats["retries"]
+        assert len(retry_frames) == stats.retries
         for frame in retry_frames:
             parent = span_ids.get(frame.parent_id)
             assert parent is not None and parent.name == "wire.submit"
-        assert len(by_name.get("wire.resync", [])) == stats["resyncs"]
+        assert len(by_name.get("wire.resync", [])) == stats.resyncs
 
     def test_chaos_injections_are_trace_events(self, traced, chaos_seed):
         _, _, by_name = traced

@@ -126,7 +126,7 @@ class TestTransportRegressionMatrix:
             experiment_id="matrix", transport="paced", speedup=FAST, **CAMPAIGN
         )
         self.assert_identical_science(sim, fingerprint, paced)
-        assert paced.transport_stats["timed_out"] == 0
+        assert paced.transport_stats.timed_out == 0
 
     @pytest.mark.parametrize("chaos_seed", DEFAULT_SEED_MATRIX)
     def test_wire_campaign_matches_sim_under_every_default_chaos_seed(
@@ -143,9 +143,9 @@ class TestTransportRegressionMatrix:
         )
         self.assert_identical_science(sim, fingerprint, wire)
         stats = wire.transport_stats
-        assert stats["timed_out"] == 0
+        assert stats.timed_out == 0
         # Chaos really happened; it just wasn't observable in the science.
-        assert stats["retries"] + stats["crc_errors"] + stats["resyncs"] > 0
+        assert stats.retries + stats.crc_errors + stats.resyncs > 0
 
 
 @pytest.mark.soak

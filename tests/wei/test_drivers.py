@@ -485,11 +485,11 @@ class TestPacedCampaignRegression:
                 s.score for s in paced_run.samples
             ]
         stats = paced.transport_stats
-        assert stats["delivered"] > 0
-        assert stats["timed_out"] == 0
-        assert stats["rejected_duplicate"] == 0 and stats["rejected_late"] == 0
-        assert stats["wall_elapsed_s"] > 0
-        assert stats["mean_delivery_latency_s"] >= 0.0
+        assert stats.delivered > 0
+        assert stats.timed_out == 0
+        assert stats.rejected_duplicate == 0 and stats.rejected_late == 0
+        assert stats.wall_elapsed_s > 0
+        assert stats.mean_delivery_latency_s >= 0.0
 
     def test_paced_campaign_completions_off_engine_thread(self):
         portal_runs = []
@@ -504,7 +504,7 @@ class TestPacedCampaignRegression:
             on_run_complete=portal_runs.append,
         )
         assert len(portal_runs) == 2
-        assert campaign.transport_stats["delivered"] > 0
+        assert campaign.transport_stats.delivered > 0
         # run_campaign drives the merged loop on this thread; nothing may
         # have been posted from it.
         # (The registries are internal, so assert through the stats instead:
