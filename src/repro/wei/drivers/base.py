@@ -91,6 +91,10 @@ class TransportCompletion:
     completion-delivery latency the benchmarks report.  ``thread_id`` /
     ``thread_name`` identify the posting thread so tests can assert no
     completion was ever produced on the engine thread.
+
+    ``failure`` is set when the command never reached the device (a
+    transport that gave up on it, or closed first): the engine raises it
+    when it waits for the ticket instead of applying the action.
     """
 
     ticket_id: str
@@ -102,9 +106,14 @@ class TransportCompletion:
     thread_id: int = 0
     thread_name: str = ""
     details: Dict[str, Any] = field(default_factory=dict)
+    failure: Optional[BaseException] = None
 
     @staticmethod
-    def for_ticket(ticket: TransportTicket, error: Optional[str] = None) -> "TransportCompletion":
+    def for_ticket(
+        ticket: TransportTicket,
+        error: Optional[str] = None,
+        failure: Optional[BaseException] = None,
+    ) -> "TransportCompletion":
         """Build a completion for ``ticket``, stamped with the calling thread."""
         current = threading.current_thread()
         return TransportCompletion(
@@ -112,6 +121,7 @@ class TransportCompletion:
             module=ticket.module,
             action=ticket.action,
             error=error,
+            failure=failure,
             posted_monotonic=time.monotonic(),
             thread_id=current.ident or 0,
             thread_name=current.name,
@@ -141,7 +151,13 @@ class DeviceDriver(Protocol):
     name: str
 
     def submit(self, action: str, *, module: str, duration_s: float, **kwargs: Any) -> TransportTicket:
-        """Accept ``action`` for ``module`` and return its ticket."""
+        """Accept ``action`` for ``module`` and return its ticket.
+
+        Returns without waiting on the device: a transport that confirms
+        delivery (the wire protocol's ACK) does so on its own threads, and
+        a command that never reaches the device fails its ticket -- a
+        completion whose ``failure`` is set -- instead of this call.
+        """
         ...
 
     def on_completion(self, callback: Callable[[TransportCompletion], None]) -> None:

@@ -23,6 +23,8 @@ Fault semantics (deterministic by construction):
   timed out) is **rejected as late**,
 * a ticket whose completion never arrives raises
   :class:`~repro.wei.drivers.base.CompletionTimeout` on the engine side,
+* a completion carrying a ``failure`` (the transport could not deliver the
+  command) resolves its ticket and raises that failure on the engine side,
 * a completion posted from the same thread that consumes it raises
   :class:`~repro.wei.drivers.base.InBandCompletionError` -- drivers must be
   out-of-band, and the bridge enforces it.
@@ -133,7 +135,8 @@ class CompletionBridge:
         ``timeout_s`` is a *real-time* deadline: hardware that stops talking
         must fail the run instead of hanging it.  On timeout the ticket is
         marked resolved, so a completion limping in afterwards is rejected
-        as late rather than resurrecting a dead action.
+        as late rather than resurrecting a dead action.  A completion whose
+        ``failure`` is set resolves the ticket and raises that failure.
         """
         owner_check(self, "engine-side")
         deadline = time.monotonic() + timeout_s
@@ -176,6 +179,10 @@ class CompletionBridge:
                             f"the consuming thread ({completion.thread_name!r}); drivers must "
                             "deliver completions out-of-band"
                         )
+                    if completion.failure is not None:
+                        # The command never reached the device: the run
+                        # fails here, at the action's end event.
+                        raise completion.failure
                     completion.delivered_monotonic = time.monotonic()
                     self.delivered.append(completion)
                     self._m_delivered.inc()

@@ -14,12 +14,14 @@ reordered deliveries, dead links) exists and must be survived:
   skipped by scanning for the next magic, and never desynchronises the stream
   permanently.
 * **Reliability** is end-to-end per direction.  ``SUBMIT`` frames are ACKed
-  by the device; an unACKed submit is retransmitted with exponential backoff
-  under the *same* sequence number, and the device deduplicates by sequence
-  number so retries are idempotent (the action runs once however many copies
-  of the command arrive).  ``COMPLETE`` frames are ACKed by the transport;
-  the device retains and retransmits unACKed completions, and the transport
-  deduplicates them before posting to the
+  by the device (a ``COMPLETE`` for the same command counts as the ACK too);
+  each end keeps a table of its unACKed frames, each with its own timer,
+  and retransmits a frame whose timer expired with exponential backoff
+  under the *same* sequence number.  The device deduplicates submits by
+  sequence number so retries are idempotent (the action runs once however
+  many copies of the command arrive).  ``COMPLETE`` frames are ACKed by the
+  transport; the device retains and retransmits unACKed completions, and
+  the transport deduplicates them before posting to the
   :class:`~repro.wei.drivers.bridge.CompletionBridge` (which dedupes again by
   ticket as the last line of defence).
 * **Retransmission timers** come from measured round trips
@@ -37,11 +39,15 @@ reordered deliveries, dead links) exists and must be survived:
 
 :class:`WireProtocolTransport` implements the
 :class:`~repro.wei.drivers.base.DeviceDriver` protocol on top of all this:
-``submit()`` frames the action and blocks (briefly) for the device ACK;
-completions are decoded on the transport's reader thread -- strictly
-out-of-band -- and posted through the registered callbacks exactly like the
-paced mock.  The far end is :class:`ProtocolDevice`, a device-service
-emulator that paces each action's already-sampled duration against a
+``submit()`` frames the action, sends it once and returns the ticket
+without waiting for the ACK, so submits from several modules are in flight
+at once (as in TCP's sliding window, RFC 9293); the transport's retransmit
+thread resends unACKed submits, and a submit that is never ACKed fails its
+ticket where the engine waits for it.  Completions are decoded on the
+transport's reader thread -- strictly out-of-band -- and posted through the
+registered callbacks exactly like the paced mock.  The far end is
+:class:`ProtocolDevice`, a device-service emulator that paces each
+action's already-sampled duration against a
 :class:`~repro.sim.clock.WallClock`, exactly like the mock transport but
 reachable only through the byte stream.
 
@@ -63,7 +69,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type, TypeVar
 
 from repro.analysis.runtime import make_condition
 from repro.obs import metrics as obs_metrics
@@ -542,15 +548,52 @@ class _DueCompletion:
     frame: Frame = field(compare=False)
 
 
+_U = TypeVar("_U", bound="_Unacked")
+
+
 @dataclass
-class _UnackedCompletion:
-    """A sent COMPLETE frame the transport has not ACKed, with its own timer."""
+class _Unacked:
+    """A sent frame the peer has not ACKed yet, with its own retransmit timer.
+
+    Both ends keep a table of these -- unACKed SUBMITs at the transport,
+    unACKed COMPLETEs at the device -- keyed by sequence number, and sweep
+    it the same way: an entry whose deadline passed backs off its timeout
+    (:meth:`expire`) and is sent again.
+    """
 
     frame: Frame
     sent_at: float
     timeout_s: float
     deadline: float
     transmissions: int = 1
+
+    @classmethod
+    def sent(cls: Type[_U], frame: Frame, now: float, timeout_s: float, **extra: Any) -> _U:
+        """A frame first transmitted at ``now``, its timer armed for ``timeout_s``."""
+        return cls(frame=frame, sent_at=now, timeout_s=timeout_s, deadline=now + timeout_s, **extra)
+
+    def rearm(self, now: float) -> None:
+        """Count one more transmission and restart the timer from ``now``."""
+        self.transmissions += 1
+        self.deadline = now + self.timeout_s
+
+    def expire(self, now: float, factor: float, ceiling_s: float) -> None:
+        """The timer ran out: back off (RFC 6298, section 5.5), then rearm."""
+        self.timeout_s = min(self.timeout_s * factor, ceiling_s)
+        self.rearm(now)
+
+    def acked(self, rtt: RttEstimator, now: float) -> None:
+        """Sample the round trip -- by Karn's rule only if sent exactly once."""
+        if self.transmissions == 1:
+            rtt.sample(now - self.sent_at)
+
+
+@dataclass
+class _UnackedSubmit(_Unacked):
+    """An unACKed SUBMIT, with the ticket it fails and the span it belongs to."""
+
+    ticket: TransportTicket = field(kw_only=True)
+    span_id: Optional[int] = field(default=None, kw_only=True)
 
 
 class ProtocolDevice:
@@ -597,7 +640,7 @@ class ProtocolDevice:
         self._running = True
         self._seen_submits: Dict[int, Frame] = {}  # submit seq -> ACK frame
         self._due: List[_DueCompletion] = []
-        self._unacked: Dict[int, _UnackedCompletion] = {}  # by completion seq
+        self._unacked: Dict[int, _Unacked] = {}  # by completion seq
         self._attempts: Dict[Tuple[str, int], int] = {}
         self._next_tx_seq = 0
         self.rtt = RttEstimator(retransmit_s)
@@ -630,11 +673,9 @@ class ProtocolDevice:
             pipe=self.pipe,
         )
 
-    def _retransmit(self, pending: _UnackedCompletion, now: float) -> None:
-        # Callers hold self._cond.
+    def _retransmit(self, pending: _Unacked) -> None:
+        # Callers hold self._cond and have rearmed the timer.
         self.completions_retransmitted += 1
-        pending.transmissions += 1
-        pending.deadline = now + pending.timeout_s
         self._send(pending.frame)
 
     # -- reader thread --------------------------------------------------
@@ -672,8 +713,8 @@ class ProtocolDevice:
         elif frame.kind == "ACK":
             with self._cond:
                 pending = self._unacked.pop(frame.seq, None)
-                if pending is not None and pending.transmissions == 1:
-                    self.rtt.sample(time.monotonic() - pending.sent_at)
+                if pending is not None:
+                    pending.acked(self.rtt, time.monotonic())
         elif frame.kind == "SYNC":
             with self._cond:
                 self._send(Frame(kind="SYNC_ACK", seq=frame.seq))
@@ -681,7 +722,9 @@ class ProtocolDevice:
                 # completion it has not ACKed, right now.
                 now = time.monotonic()
                 for seq in sorted(self._unacked):
-                    self._retransmit(self._unacked[seq], now)
+                    pending = self._unacked[seq]
+                    pending.rearm(now)
+                    self._retransmit(pending)
                 self._cond.notify_all()
         else:
             # COMPLETE/NACK/SYNC_ACK are transport-bound kinds; a conforming
@@ -723,10 +766,7 @@ class ProtocolDevice:
                 # Ship every completion whose paced due time has passed.
                 while self._due and self._due[0].due <= self.clock.now():
                     item = heapq.heappop(self._due)
-                    timeout_s = self.rtt.rto_s
-                    self._unacked[item.seq] = _UnackedCompletion(
-                        frame=item.frame, sent_at=now, timeout_s=timeout_s, deadline=now + timeout_s
-                    )
+                    self._unacked[item.seq] = _Unacked.sent(item.frame, now, self.rtt.rto_s)
                     self._send(item.frame)
                 if self._due:
                     if self.clock.sleeps:
@@ -740,10 +780,8 @@ class ProtocolDevice:
                 # Retransmit each completion whose own timer expired.
                 for pending in self._unacked.values():
                     if pending.deadline <= now:
-                        pending.timeout_s = min(
-                            pending.timeout_s * DEVICE_BACKOFF, self.retransmit_s
-                        )
-                        self._retransmit(pending, now)
+                        pending.expire(now, DEVICE_BACKOFF, self.retransmit_s)
+                        self._retransmit(pending)
                     wait_s = min(wait_s, pending.deadline - now)
                 self._cond.wait(max(wait_s, 0.001))
 
@@ -799,14 +837,20 @@ class WireProtocolTransport:
 
     Owns side A of a :class:`BytePipe` whose side B is served by a
     :class:`ProtocolDevice` (built automatically unless one is supplied).
-    ``submit()`` runs on the engine thread: it frames the action, transmits,
-    and blocks until the device's ACK arrives -- retrying with exponential
-    backoff under the same sequence number when the wire eats the frame.
-    The first wait is the current RTO of :attr:`rtt`, estimated from measured
+    ``submit()`` runs on the engine thread: it frames the action, transmits
+    it once and returns the ticket without waiting for the device's ACK.
+    The submit stays in the transport's table of unACKed submits until its
+    ACK -- or its COMPLETE, which counts as an implicit ACK -- arrives; the
+    transport's own retransmit thread resends it under the same sequence
+    number whenever its timer expires, backing off each time.  The first
+    timer is the current RTO of :attr:`rtt`, estimated from measured
     SUBMIT->ACK round trips; by Karn's rule only a submit ACKed on its first
-    transmission gives a sample.  Completions are decoded by the transport's
-    own reader thread and posted to the registered callbacks strictly
-    out-of-band.
+    transmission gives a sample.  A submit that exhausts its retries, is
+    NACKed, or is still unACKed when the transport closes fails its ticket:
+    the failure is posted to the completion callbacks like a completion, so
+    the engine raises it when it waits for that ticket.  Completions are
+    decoded by the transport's reader thread and posted to the registered
+    callbacks strictly out-of-band.
 
     Parameters
     ----------
@@ -821,8 +865,8 @@ class WireProtocolTransport:
         measured, and the ceiling of the measured RTO.
     max_retries / backoff / max_backoff_s:
         How many retransmissions of one submit to attempt, the multiplicative
-        backoff of its wait between them, and the cap of that backed-off
-        wait.  The defaults survive the default chaos rates with margin.
+        backoff of its timer between them, and the cap of that backed-off
+        timer.  The defaults survive the default chaos rates with margin.
     device_retransmit_s:
         The device's initial RTO and ceiling for unACKed completions (see
         :class:`ProtocolDevice`).
@@ -867,10 +911,13 @@ class WireProtocolTransport:
         self._callbacks: List[Callable[[TransportCompletion], None]] = []
         self._decoder = FrameDecoder()
         self._next_seq = 0
-        self._acked: Set[int] = set()
-        self._nacked: Dict[int, str] = {}
+        self._unacked: Dict[int, _UnackedSubmit] = {}  # by submit seq
+        #: When the retransmit thread wakes next; a submit whose timer runs
+        #: out sooner wakes it early.
+        self._wake_at = 0.0
         self._tickets: Dict[str, TransportTicket] = {}
-        self._completed_ticket_ids: Set[str] = set()
+        #: Tickets whose completion was delivered or whose submit failed.
+        self._resolved_ticket_ids: Set[str] = set()
         self._seen_completion_seqs: Set[int] = set()
         self._attempts: Dict[Tuple[str, int], int] = {}
         self.rtt = RttEstimator(ack_timeout_s)
@@ -884,11 +931,16 @@ class WireProtocolTransport:
         self._m_resyncs = registry.counter("wire_resyncs_total", labels)
         self._m_duplicates_dropped = registry.counter("wire_duplicates_dropped_total", labels)
         self._reader = threading.Thread(target=self._read_loop, name=f"{name}-reader", daemon=True)
+        self._retransmitter = threading.Thread(
+            target=self._retransmit_loop, name=f"{name}-retransmit", daemon=True
+        )
         self._reader.start()
+        self._retransmitter.start()
 
     # -- wire helpers ---------------------------------------------------
-    def _send(self, frame: Frame) -> int:
-        """Transmit one frame; returns the attempt index used (0 = first)."""
+    def _send(self, frame: Frame, parent_id: Optional[int] = None) -> None:
+        """Transmit one frame (its ``wire.frame`` span parents to ``parent_id``,
+        or to the calling thread's open span)."""
         with self._cond:
             key = (frame.kind, frame.seq)
             attempt = self._attempts.get(key, 0)
@@ -896,7 +948,9 @@ class WireProtocolTransport:
             self._m_frames_sent.inc()
             if attempt > 0 and frame.kind == "SUBMIT":
                 self._m_retries.inc()
-        with obs_tracer.span("wire.frame", kind=frame.kind, seq=frame.seq, attempt=attempt):
+        with obs_tracer.span(
+            "wire.frame", parent_id=parent_id, kind=frame.kind, seq=frame.seq, attempt=attempt
+        ):
             _send_frame(
                 self.pipe.write_a,
                 frame,
@@ -905,88 +959,88 @@ class WireProtocolTransport:
                 attempt=attempt,
                 pipe=self.pipe,
             )
-        return attempt
 
     # -- DeviceDriver protocol ------------------------------------------
     def submit(
         self, action: str, *, module: str, duration_s: float, **kwargs: Any
     ) -> TransportTicket:
-        """Frame the action, transmit, and block until the device ACKs.
+        """Frame the action, transmit it once, and return its ticket.
 
-        Retries idempotently: every retransmission reuses the sequence
-        number, and the device ACKs repeats without re-running the action.
-        Raises :class:`~repro.wei.drivers.base.DriverError` when the wire
-        stays dead through every retry, and ``RuntimeError`` when the
-        transport is closed before or while it waits.
+        The ACK is not awaited: the retransmit thread resends the submit
+        until it is ACKed, always under the same sequence number, and the
+        device ACKs repeats without re-running the action.  If the wire
+        stays dead through every retry the ticket fails with
+        :class:`~repro.wei.drivers.base.DriverError`, and if the transport
+        closes first with the closed-transport ``RuntimeError`` -- both are
+        raised where the engine waits for the ticket.  Raises that
+        ``RuntimeError`` directly when the transport is already closed.
         """
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-        with self._cond:
-            if not self._running:
-                raise self._closed_error()
-            seq = self._next_seq
-            self._next_seq += 1
-            timeout = self.rtt.rto_s
-        ticket = TransportTicket(
-            ticket_id=f"{self.name}:{seq}",
-            module=module,
-            action=action,
-            duration_s=float(duration_s),
-            sim_start=float(kwargs.get("sim_start", 0.0)),
-            sim_end=float(kwargs.get("sim_end", 0.0)),
-        )
-        with self._cond:
-            self._tickets[ticket.ticket_id] = ticket
-        frame = Frame(
-            kind="SUBMIT",
-            seq=seq,
-            payload={
-                "ticket_id": ticket.ticket_id,
-                "module": module,
-                "action": action,
-                "duration_s": float(duration_s),
-            },
-        )
-        with obs_tracer.span(
-            "wire.submit", module=module, action=action, seq=seq, ticket_id=ticket.ticket_id
-        ) as submit_span:
-            for _ in range(self.max_retries + 1):
-                self._ensure_connected()
-                sent_at = time.monotonic()
-                attempt = self._send(frame)
-                if self._wait_for_ack(seq, timeout):
-                    if attempt == 0:
-                        # Karn's rule: the ACK of a retransmitted submit may
-                        # answer any copy, so only a first transmission is
-                        # a round-trip sample.
-                        with self._cond:
-                            self.rtt.sample(time.monotonic() - sent_at)
-                    submit_span.set(attempts=attempt + 1)
-                    return ticket
-                timeout = min(timeout * self.backoff, self.max_backoff_s)
-            raise DriverError(
-                f"device never ACKed {module}.{action} (seq {seq}) "
-                f"after {self.max_retries + 1} transmissions"
-            )
-
-    def _wait_for_ack(self, seq: int, timeout_s: float) -> bool:
-        deadline = time.monotonic() + timeout_s
-        with self._cond:
-            while seq not in self._acked:
-                if seq in self._nacked:
-                    raise DriverError(f"device NACKed seq {seq}: {self._nacked[seq]}")
+        with obs_tracer.span("wire.submit", module=module, action=action) as submit_span:
+            self._ensure_connected()
+            with self._cond:
                 if not self._running:
-                    # Closed mid-submit: retransmitting into a closed pipe
-                    # would only burn the remaining retries.
                     raise self._closed_error()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
+                seq = self._next_seq
+                self._next_seq += 1
+                ticket = TransportTicket(
+                    ticket_id=f"{self.name}:{seq}",
+                    module=module,
+                    action=action,
+                    duration_s=float(duration_s),
+                    sim_start=float(kwargs.get("sim_start", 0.0)),
+                    sim_end=float(kwargs.get("sim_end", 0.0)),
+                )
+                frame = Frame(
+                    kind="SUBMIT",
+                    seq=seq,
+                    payload={
+                        "ticket_id": ticket.ticket_id,
+                        "module": module,
+                        "action": action,
+                        "duration_s": float(duration_s),
+                    },
+                )
+                self._tickets[ticket.ticket_id] = ticket
+                entry = self._unacked[seq] = _UnackedSubmit.sent(
+                    frame,
+                    time.monotonic(),
+                    self.rtt.rto_s,
+                    ticket=ticket,
+                    span_id=submit_span.span.span_id if submit_span.span is not None else None,
+                )
+                if entry.deadline < self._wake_at:
+                    self._cond.notify_all()
+            submit_span.set(seq=seq, ticket_id=ticket.ticket_id)
+            self._send(frame)
+        return ticket
 
     def _closed_error(self) -> RuntimeError:
         return RuntimeError(f"transport {self.name!r} is closed")
+
+    def _give_up(self, seq: int, error: Exception) -> Tuple[_UnackedSubmit, Exception]:
+        """Drop unACKed submit ``seq`` from the table and resolve its ticket.
+
+        Callers hold ``self._cond`` and post the returned failure with
+        :meth:`_post_failures` once they released it.
+        """
+        entry = self._unacked.pop(seq)
+        self._resolved_ticket_ids.add(entry.ticket.ticket_id)
+        return entry, error
+
+    def _post_failures(self, failures: List[Tuple[_UnackedSubmit, Exception]]) -> None:
+        """Post each failed submit's ticket to the callbacks (no lock held)."""
+        if not failures:
+            return
+        with self._cond:
+            callbacks = list(self._callbacks)
+        for entry, error in failures:
+            completion = TransportCompletion.for_ticket(
+                entry.ticket, error=str(error), failure=error
+            )
+            for callback in callbacks:
+                callback(completion)
 
     def on_completion(self, callback: Callable[[TransportCompletion], None]) -> None:
         """Register ``callback`` for every future completion (deduplicated)."""
@@ -995,19 +1049,73 @@ class WireProtocolTransport:
                 self._callbacks.append(callback)
 
     def pending(self) -> int:
-        """Accepted actions whose completion has not been delivered yet."""
+        """Accepted actions whose completion has not been delivered yet.
+
+        A submit that failed (retries exhausted, NACKed, or cut off by
+        :meth:`close`) no longer counts: its ticket is resolved.
+        """
         with self._cond:
-            return len(self._tickets) - len(self._completed_ticket_ids)
+            return len(self._tickets) - len(self._resolved_ticket_ids)
 
     def close(self) -> None:
-        """Stop both ends and the reader thread; the pipe closes for good."""
+        """Stop both ends and the transport's threads; the pipe closes for good.
+
+        Every submit still unACKed fails with the closed-transport
+        ``RuntimeError``, posted from the retransmit thread as it exits.
+        """
         with self._cond:
             self._running = False
             self._cond.notify_all()
         self.device.close()
         self.pipe.close()
-        if self._reader.is_alive() and self._reader is not threading.current_thread():
-            self._reader.join(timeout=5.0)
+        for thread in (self._reader, self._retransmitter):
+            if thread.is_alive() and thread is not threading.current_thread():
+                thread.join(timeout=5.0)
+
+    # -- retransmit thread ----------------------------------------------
+    def _retransmit_loop(self) -> None:
+        """Resend every submit whose timer expired; fail those out of retries.
+
+        Frames are sent and failures posted outside the transport lock.  On
+        close, every submit still unACKed fails with the closed error.
+        """
+        while True:
+            due: List[_UnackedSubmit] = []
+            failures: List[Tuple[_UnackedSubmit, Exception]] = []
+            with self._cond:
+                running = self._running
+                if not running:
+                    failures = [
+                        self._give_up(seq, self._closed_error()) for seq in sorted(self._unacked)
+                    ]
+                else:
+                    now = time.monotonic()
+                    for seq, entry in sorted(self._unacked.items()):
+                        if entry.deadline > now:
+                            continue
+                        if entry.transmissions > self.max_retries:
+                            ticket = entry.ticket
+                            error = DriverError(
+                                f"device never ACKed {ticket.module}.{ticket.action} (seq {seq}) "
+                                f"after {entry.transmissions} transmissions"
+                            )
+                            failures.append(self._give_up(seq, error))
+                        else:
+                            entry.expire(now, self.backoff, self.max_backoff_s)
+                            due.append(entry)
+                    if not due and not failures:
+                        self._wake_at = min(
+                            (entry.deadline for entry in self._unacked.values()),
+                            default=now + 0.5,
+                        )
+                        self._cond.wait(max(self._wake_at - now, 0.001))
+                        continue
+            for entry in due:
+                self._ensure_connected()
+                self._send(entry.frame, parent_id=entry.span_id)
+            self._post_failures(failures)
+            if not running:
+                return
 
     # -- reader thread --------------------------------------------------
     def _read_loop(self) -> None:
@@ -1030,12 +1138,18 @@ class WireProtocolTransport:
     def _dispatch(self, frame: Frame) -> None:
         if frame.kind == "ACK":
             with self._cond:
-                self._acked.add(frame.seq)
-                self._cond.notify_all()
+                entry = self._unacked.pop(frame.seq, None)
+                if entry is not None:
+                    entry.acked(self.rtt, time.monotonic())
         elif frame.kind == "NACK":
+            reason = str(frame.payload.get("error", "unspecified"))
             with self._cond:
-                self._nacked[frame.seq] = str(frame.payload.get("error", "unspecified"))
-                self._cond.notify_all()
+                if frame.seq not in self._unacked:
+                    return
+                failure = self._give_up(
+                    frame.seq, DriverError(f"device NACKed seq {frame.seq}: {reason}")
+                )
+            self._post_failures([failure])
         elif frame.kind == "COMPLETE":
             self._handle_complete(frame)
         # SYNC_ACK needs no action: the resync handshake is fire-and-forget
@@ -1056,19 +1170,24 @@ class WireProtocolTransport:
             seq=frame.seq,
         ) as complete_span:
             with self._cond:
+                # The device only completes a submit it accepted, so the
+                # COMPLETE is the submit's ACK too; as with a retransmitted
+                # submit's ACK, it gives no round-trip sample.
+                self._unacked.pop(frame.payload.get("submit_seq", -1), None)
                 if frame.seq in self._seen_completion_seqs:
                     self._m_duplicates_dropped.inc()
                     complete_span.set(duplicate=True)
                     return
                 self._seen_completion_seqs.add(frame.seq)
                 ticket = self._tickets.get(ticket_id)
-                if ticket is None:
-                    # A completion for a command we never issued: drop it loudly
-                    # in the counters rather than inventing a ticket.
+                if ticket is None or ticket_id in self._resolved_ticket_ids:
+                    # A completion for a command we never issued, or whose
+                    # submit already failed: drop it loudly in the counters
+                    # rather than inventing or reviving a ticket.
                     self._m_duplicates_dropped.inc()
                     complete_span.set(duplicate=True)
                     return
-                self._completed_ticket_ids.add(ticket_id)
+                self._resolved_ticket_ids.add(ticket_id)
                 callbacks = list(self._callbacks)
             error = frame.payload.get("error")
             completion = TransportCompletion.for_ticket(ticket, error=error)
@@ -1079,8 +1198,9 @@ class WireProtocolTransport:
     def _ensure_connected(self) -> None:
         """Reconnect a severed link and announce the resync to the device.
 
-        Runs on whichever thread notices the dead link first (the reader on
-        EOF, or the engine thread between submit retries).  Reconnecting and
+        Runs on whichever thread notices the dead link first: the reader on
+        EOF, the engine thread before a submit's first transmission, or the
+        retransmit thread before a resend.  Reconnecting and
         sending ``SYNC`` makes the device retransmit every unACKed
         completion immediately; the handshake is deliberately non-blocking --
         the ``SYNC_ACK`` comes back through the normal read loop, and even a

@@ -11,6 +11,7 @@ the full pinned sizes.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,17 @@ class TestCheckBenchFile:
         path.write_text(json.dumps(payload).replace("NaN", '"oops"'))
         assert any("rows_per_s_ingest" in p for p in check_bench_file(path, root=REPO_ROOT))
 
+    def test_negative_values_only_for_signed_metrics(self, tmp_path):
+        payload = self._valid_payload()
+        payload["metrics"]["rows_per_s_ingest"]["value"] = -1.0
+        path = tmp_path / "BENCH_portal.json"
+        path.write_text(json.dumps(payload))
+        assert any("non-negative" in p for p in check_bench_file(path, root=REPO_ROOT))
+
+        payload["metrics"]["rows_per_s_ingest"]["signed"] = True
+        path.write_text(json.dumps(payload))
+        assert check_bench_file(path, root=REPO_ROOT) == []
+
     def test_rejects_wrong_filename_schema_and_future_stamp(self, tmp_path):
         payload = self._valid_payload()
         path = tmp_path / "BENCH_vision.json"
@@ -131,6 +143,12 @@ class TestRunnerSmoke:
         assert result.metrics["makespan_h"]["value"] > 0
         assert result.science["campaign_fingerprint_sha256"]
         assert result.hot_paths[0]["baseline_s"] > 0
+
+    def test_obs_area_reports_paired_on_overhead_with_its_spread(self):
+        result = run_area("obs", repeats=1, scale=0.01)
+        on = result.metrics["tracing_on_overhead_pct"]
+        assert on["signed"] is True and math.isfinite(on["value"])
+        assert result.metrics["tracing_on_overhead_iqr_pct"]["value"] >= 0
 
     def test_unknown_area_rejected(self):
         with pytest.raises(ValueError, match="unknown bench area"):

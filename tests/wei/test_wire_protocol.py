@@ -3,9 +3,10 @@
 Covers the frame codec (round trips, CRC rejection, resynchronisation after
 corruption), the byte pipe's link semantics, the protocol reliability rules
 (idempotent submit retry, completion retransmission, reconnect-with-resync,
-giving up on a dead wire), the round-trip-driven retransmission timers and
-the transport running a real engine workload with science identical to pure
-simulation.
+giving up on a dead wire), pipelined submits (``submit()`` returns before the
+ACK; failures surface where the ticket is awaited), the round-trip-driven
+retransmission timers and the transport running a real engine workload with
+science identical to pure simulation.
 """
 
 import threading
@@ -15,7 +16,7 @@ import pytest
 
 from repro.sim.clock import WallClock
 from repro.wei.chaos import ChaosDecision
-from repro.wei.drivers import DriverRegistry
+from repro.wei.drivers import CompletionBridge, DriverRegistry
 from repro.wei.drivers.base import DriverError
 from repro.wei.drivers.protocol import (
     MIN_RTO_S,
@@ -89,6 +90,23 @@ class SlowAcks:
 
     def record(self, *args):
         pass
+
+
+class EatDeviceAcks:
+    """Chaos stub: drop every ACK the device sends (COMPLETEs still flow)."""
+
+    def decide(self, direction, seq, attempt, kind=""):
+        return ChaosDecision(drop=(kind == "ACK" and direction.endswith(":rx")))
+
+    def record(self, *args):
+        pass
+
+
+def bridged(transport):
+    """A completion bridge fed by ``transport``, as an engine's registry builds."""
+    bridge = CompletionBridge()
+    transport.on_completion(bridge.post)
+    return bridge
 
 
 def wait_until(predicate, timeout_s=10.0):
@@ -272,48 +290,114 @@ class TestWireTransport:
         transport.close()
 
     def test_close_during_retries_stops_retransmitting(self):
-        """Closing the transport mid-submit ends the submit at once with the
-        closed-transport error instead of burning every remaining retry."""
+        """Closing the transport mid-retry fails the unACKed submit's ticket
+        with the closed-transport error instead of burning every remaining
+        retry."""
         transport = fast_transport(chaos=DeadWire(), ack_timeout_s=0.1, backoff=1.0)
-        errors = []
-
-        def submit():
-            try:
-                transport.submit("get_plate", module="sciclops", duration_s=1.0)
-            except Exception as exc:  # noqa: BLE001 - the test inspects it
-                errors.append(exc)
-
-        thread = threading.Thread(target=submit)
-        thread.start()
+        bridge = bridged(transport)
+        ticket = bridge.register(transport.submit("get_plate", module="sciclops", duration_s=1.0))
         assert wait_until(lambda: transport.stats().retries >= 2)
         retries_at_close = transport.stats().retries
         transport.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert len(errors) == 1
-        assert type(errors[0]) is RuntimeError and "closed" in str(errors[0])
+        with pytest.raises(RuntimeError) as excinfo:
+            bridge.wait_for(ticket, timeout_s=5.0)
+        assert excinfo.type is RuntimeError and "closed" in str(excinfo.value)
         assert transport.stats().retries == retries_at_close
 
     def test_dead_wire_gives_up_after_every_retry(self):
         """A device that never ACKs is declared dead after max_retries + 1
-        transmissions, and never sooner than the backoff schedule allows."""
+        transmissions, and never sooner than the backoff schedule allows;
+        the error surfaces where the ticket is awaited."""
         wire = DeadWire(dead=False)
         transport = fast_transport(chaos=wire, max_retries=3)
+        bridge = bridged(transport)
         for i in range(5):
             transport.submit(f"warmup{i}", module="m", duration_s=1.0)
+        assert wait_until(lambda: transport.rtt.samples == 5)
         rto_s = transport.rtt.rto_s
         assert MIN_RTO_S <= rto_s < transport.ack_timeout_s
         retries_before = transport.stats().retries
         wire.dead = True
         started = time.monotonic()
+        ticket = bridge.register(transport.submit("get_plate", module="sciclops", duration_s=1.0))
         with pytest.raises(DriverError, match="after 4 transmissions"):
-            transport.submit("get_plate", module="sciclops", duration_s=1.0)
+            bridge.wait_for(ticket, timeout_s=10.0)
         elapsed = time.monotonic() - started
         schedule_s = sum(
             min(rto_s * transport.backoff**k, transport.max_backoff_s) for k in range(4)
         )
         assert elapsed >= schedule_s
         assert transport.stats().retries - retries_before == 3
+        transport.close()
+
+    def test_given_up_submit_is_no_longer_pending(self):
+        """A submit that exhausted its retries resolves its ticket, so it does
+        not count as in flight forever."""
+        transport = fast_transport(chaos=DeadWire(), max_retries=1)
+        received, lock = collect_completions(transport)
+        ticket = transport.submit("get_plate", module="sciclops", duration_s=1.0)
+        assert wait_until(lambda: len(received) == 1)
+        with lock:
+            failed = received[0]
+        assert failed.ticket_id == ticket.ticket_id
+        assert isinstance(failed.failure, DriverError)
+        assert "after 2 transmissions" in str(failed.failure)
+        assert transport.pending() == 0
+        transport.close()
+
+    def test_close_resolves_unacked_submits(self):
+        transport = fast_transport(chaos=DeadWire())
+        received, lock = collect_completions(transport)
+        transport.submit("get_plate", module="sciclops", duration_s=1.0)
+        transport.submit("transfer", module="pf400", duration_s=1.0)
+        assert transport.pending() == 2
+        transport.close()
+        assert transport.pending() == 0
+        with lock:
+            assert [type(c.failure) for c in received] == [RuntimeError, RuntimeError]
+
+    def test_submits_return_before_their_acks(self):
+        """Under ACKs delayed by ``d``, five submits return in well under
+        ``d``; each action still runs once and each completion arrives once."""
+        delay_s = 1.0
+
+        class RecordingSlowAcks(SlowAcks):
+            def __init__(self, delay_s):
+                super().__init__(delay_s)
+                self.completes_sent = []
+
+            def decide(self, direction, seq, attempt, kind=""):
+                if kind == "COMPLETE" and attempt == 0:
+                    self.completes_sent.append(seq)
+                return super().decide(direction, seq, attempt, kind)
+
+        chaos = RecordingSlowAcks(delay_s)
+        transport = fast_transport(chaos=chaos)
+        received, lock = collect_completions(transport)
+        started = time.monotonic()
+        tickets = [transport.submit(f"act{i}", module="m", duration_s=1.0) for i in range(5)]
+        assert time.monotonic() - started < delay_s / 4
+        assert wait_until(lambda: len(received) == 5)
+        time.sleep(delay_s + 0.1)  # every delayed ACK lands in this window
+        with lock:
+            delivered = [completion.ticket_id for completion in received]
+        assert sorted(delivered) == sorted(t.ticket_id for t in tickets)
+        assert len(chaos.completes_sent) == 5  # one run per action
+        assert transport.pending() == 0
+        transport.close()
+
+    def test_complete_ends_retransmission_of_its_submit(self):
+        """With every device ACK lost, the COMPLETE is the submit's ACK: the
+        retransmissions stop and no round trip is sampled."""
+        transport = fast_transport(chaos=EatDeviceAcks(), ack_timeout_s=0.02, backoff=1.0)
+        received, _ = collect_completions(transport)
+        transport.submit("get_plate", module="sciclops", duration_s=1.0)
+        assert wait_until(lambda: len(received) == 1)
+        retries = transport.stats().retries
+        time.sleep(0.2)  # ten more timer periods
+        assert transport.stats().retries == retries
+        assert received[0].failure is None
+        assert transport.rtt.samples == 0
         transport.close()
 
     def test_stats_snapshot_shape(self):
@@ -375,7 +459,7 @@ class TestRttEstimator:
         received, _ = collect_completions(transport)
         for i in range(5):
             transport.submit(f"act{i}", module="m", duration_s=1.0)
-        assert transport.rtt.samples == 5
+        assert wait_until(lambda: transport.rtt.samples == 5)
         assert transport.rtt.rto_s < transport.ack_timeout_s
         assert wait_until(lambda: len(received) == 5)
         assert wait_until(lambda: transport.device.rtt.samples >= 1)
@@ -384,7 +468,9 @@ class TestRttEstimator:
     def test_retransmitted_submit_gives_no_sample(self):
         """Karn's rule: an ACK after a retransmission may answer either copy."""
         transport = fast_transport(chaos=EatFirstAttempt())
+        received, _ = collect_completions(transport)
         transport.submit("transfer", module="pf400", duration_s=10.0)
+        assert wait_until(lambda: len(received) == 1)
         assert transport.stats().retries >= 1
         assert transport.rtt.samples == 0 and transport.rtt.srtt_s is None
         assert transport.rtt.rto_s == transport.ack_timeout_s
@@ -392,8 +478,13 @@ class TestRttEstimator:
 
     def test_acks_slower_than_the_ceiling_retransmit_safely(self):
         """ACKs later than the RTO ceiling force spurious retransmissions;
-        each action still runs once and each completion arrives once."""
-        transport = fast_transport(ack_timeout_s=0.05, chaos=SlowAcks(2 * 0.05))
+        each action still runs once and each completion arrives once.
+
+        The actions are paced to finish after the delayed ACKs: a COMPLETE
+        would end its submit's retransmissions as an implicit ACK."""
+        transport = fast_transport(
+            ack_timeout_s=0.05, chaos=SlowAcks(2 * 0.05), wall_clock=WallClock(speedup=5.0)
+        )
         received, lock = collect_completions(transport)
         tickets = [transport.submit(f"act{i}", module="m", duration_s=1.0) for i in range(3)]
         assert wait_until(lambda: len(received) == 3)
@@ -495,6 +586,34 @@ class TestWireBackedEngine:
         # the identical-science assertions elsewhere prove none of it was
         # observable.
         assert sum(recovery.values()) > 0
+
+    def test_dead_wire_fails_the_run_before_the_completion_timeout(self, make_workcell):
+        """The exhausted submit's DriverError comes out of run_until_complete
+        as soon as the retries run out, not after completion_timeout_s."""
+        from repro.wei.concurrent import ConcurrentWorkflowEngine
+
+        workcell = make_workcell(seed=7)
+        registry = DriverRegistry.wire(
+            workcell,
+            wall_clock=WallClock(sleep=False, speedup=FAST),
+            chaos=DeadWire(),
+            ack_timeout_s=0.02,
+            max_retries=2,
+        )
+        try:
+            engine = ConcurrentWorkflowEngine(
+                workcell, drivers=registry, completion_timeout_s=30.0
+            )
+            engine.submit(self.newplate_spec())
+            started = time.monotonic()
+            with pytest.raises(DriverError, match="after 3 transmissions") as excinfo:
+                engine.run_until_complete()
+            elapsed = time.monotonic() - started
+        finally:
+            registry.close()
+        assert excinfo.type is DriverError
+        assert str(excinfo.value).startswith("device never ACKed sciclops.get_plate")
+        assert elapsed < 5.0
 
     def test_sim_engine_reports_zero_recovery(self, make_engine):
         engine = make_engine(seed=3)

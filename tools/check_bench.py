@@ -5,7 +5,9 @@ Checks, for every bench file at the repo root:
 
 * **schema** -- ``schema_version`` is the current one, the ``area`` matches
   the filename, all required keys are present, metric values are finite and
-  non-negative with a sane ``direction``, and each ``hot_paths`` entry's
+  non-negative (or, for a metric marked ``"signed": true`` such as a
+  measured overhead that noise can put below zero, any finite number) with
+  a sane ``direction``, and each ``hot_paths`` entry's
   recorded ``speedup`` is consistent with its timings;
 * **claims** -- the four core areas (events, codec, campaign, vision) are
   present and each records at least one hot path at >= the minimum speedup
@@ -114,7 +116,9 @@ def check_bench_file(path: Path, *, root: Path = REPO_ROOT) -> List[str]:
     else:
         for name, metric in metrics.items():
             value = metric.get("value")
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                problems.append(f"{path.name}: metric {name!r} value {value!r} is not a finite number")
+            elif value < 0 and metric.get("signed") is not True:
                 problems.append(f"{path.name}: metric {name!r} value {value!r} is not a finite non-negative number")
             if metric.get("direction", "higher") not in ("higher", "lower"):
                 problems.append(f"{path.name}: metric {name!r} direction {metric.get('direction')!r} invalid")
