@@ -74,9 +74,9 @@ def _positive_int(text: str) -> int:
 def _positive_float(text: str) -> float:
     """``argparse`` type for strictly positive, finite floats (e.g. ``--speedup``).
 
-    ``0`` would freeze a paced transport forever and negatives would run it
-    backwards, so both are rejected at parse time with a clear usage error;
-    ``nan``/``inf`` are rejected for the same reason.
+    ``0`` would freeze the wire device's pacing forever and negatives would
+    run it backwards, so both are rejected at parse time with a clear usage
+    error; ``nan``/``inf`` are rejected for the same reason.
     """
     try:
         value = float(text)
@@ -168,15 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=TRANSPORT_MODES,
         default="sim",
-        help="'sim' completes actions on the simulated clock; 'paced' delivers "
-        "completions out-of-band from a wall-clock-paced driver; 'wire' speaks "
-        "the framed byte-stream protocol (CRC frames, ACK/retry, resync)",
+        help="'sim' completes actions on the simulated clock; 'wire' delivers "
+        "completions out-of-band over the framed byte-stream protocol (CRC "
+        "frames, ACK/retry, resync), paced at wall-clock speed / --speedup",
     )
     run_parser.add_argument(
         "--speedup",
         type=_positive_float,
         default=1000.0,
-        help="wall-clock compression for --transport paced/wire (1 = hardware speed)",
+        help="wall-clock compression for --transport wire (1 = hardware speed)",
     )
     run_parser.add_argument("--json", action="store_true", help="emit the full result as JSON")
     _add_trace_argument(run_parser)
@@ -242,15 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=TRANSPORT_MODES,
         default="sim",
-        help="'sim' completes actions on the simulated clock; 'paced' delivers "
-        "completions out-of-band from a wall-clock-paced driver; 'wire' speaks "
-        "the framed byte-stream protocol (CRC frames, ACK/retry, resync)",
+        help="'sim' completes actions on the simulated clock; 'wire' delivers "
+        "completions out-of-band over the framed byte-stream protocol (CRC "
+        "frames, ACK/retry, resync), paced at wall-clock speed / --speedup",
     )
     campaign_parser.add_argument(
         "--speedup",
         type=_positive_float,
         default=1000.0,
-        help="wall-clock compression for --transport paced/wire (1 = hardware speed)",
+        help="wall-clock compression for --transport wire (1 = hardware speed)",
     )
     campaign_parser.add_argument(
         "--chaos-seed",
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser.add_argument(
         "--exercise",
         action="store_true",
-        help="run a tiny pinned paced campaign first so the registry has "
+        help="run a tiny pinned wire campaign first so the registry has "
         "series to show (a fresh process starts empty)",
     )
 
@@ -537,8 +537,6 @@ def _command_run(args) -> int:
     registry = None
     if args.transport == "wire":
         registry = DriverRegistry.wire(workcell, speedup=args.speedup)
-    elif args.transport == "paced":
-        registry = DriverRegistry.paced(workcell, speedup=args.speedup)
     engine = ConcurrentWorkflowEngine(workcell, drivers=registry)
     handle = engine.submit_program(ColorPickerApp(config, workcell=workcell).program(), name="run")
     try:
@@ -631,13 +629,12 @@ def _command_campaign(args) -> int:
             f"{stats.wall_elapsed_s:.2f}s real time, mean delivery latency "
             f"{stats.mean_delivery_latency_s * 1000:.1f} ms"
         )
-        if args.transport == "wire":
-            print(
-                f"Wire recovery: {stats.retries} retries, {stats.resyncs} resyncs, "
-                f"{stats.crc_errors} CRC errors, "
-                f"{stats.completions_retransmitted} completions retransmitted"
-                + (f" (chaos seed {args.chaos_seed})" if chaos is not None else "")
-            )
+        print(
+            f"Wire recovery: {stats.retries} retries, {stats.resyncs} resyncs, "
+            f"{stats.crc_errors} CRC errors, "
+            f"{stats.completions_retransmitted} completions retransmitted"
+            + (f" (chaos seed {args.chaos_seed})" if chaos is not None else "")
+        )
     if args.n_workcells > 1:
         shards = ", ".join(f"{makespan / 3600:.2f} h" for makespan in campaign.workcell_makespans)
         print(
@@ -1056,14 +1053,14 @@ def _command_metrics(args) -> int:
     from repro.obs import metrics as obs_metrics
 
     if args.exercise:
-        # A tiny pinned paced campaign touches every layer (bridge, paced
+        # A tiny pinned wire campaign touches every layer (bridge, wire
         # transport, coordinator, portal), populating the registry.
         run_campaign(
             n_runs=2,
             samples_per_run=2,
             seed=816,
             experiment_id="metrics-exercise",
-            transport="paced",
+            transport="wire",
             speedup=500_000.0,
         )
     registry = obs_metrics.get_registry()

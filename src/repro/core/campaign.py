@@ -26,11 +26,12 @@ every lane of every workcell pulls from one shared run queue, the runs'
 records merge into a single portal experiment with their original
 ``run_index``es, and the campaign makespan is the slowest shard's.
 
-With ``transport="paced"`` the campaign runs in *real time*: every module is
-backed by a :class:`~repro.wei.drivers.mock.PacedMockTransport` that paces
-each action's sampled duration against a wall clock compressed by
-``speedup`` and delivers completions out-of-band from driver worker threads.
-The simulated timestamps -- and therefore every sample and score -- are
+With ``transport="wire"`` the campaign runs in *real time*: every workcell
+is backed by a :class:`~repro.wei.drivers.protocol.WireProtocolTransport`
+whose actions travel as CRC-checked frames to a device that paces each
+action's sampled duration against a wall clock compressed by ``speedup``;
+completions arrive out-of-band from the transport's reader thread.  The
+simulated timestamps -- and therefore every sample and score -- are
 identical to the sim-clock campaign with the same seed; only the real
 elapsed time (and the completion-delivery plumbing) differs.
 """
@@ -69,11 +70,11 @@ __all__ = [
 
 #: Execution modes understood by :func:`run_campaign` (and the CLI):
 #: ``"sim"`` completes every action inline on the simulated clock,
-#: ``"paced"`` delivers completions out-of-band at wall-clock pace / speedup,
-#: ``"wire"`` additionally speaks the framed byte-stream protocol
-#: (CRC-checked frames, ACK/retry, reconnect-with-resync) and accepts a
-#: seeded :class:`~repro.wei.chaos.ChaosSchedule` to attack it.
-TRANSPORT_MODES = ("sim", "paced", "wire")
+#: ``"wire"`` delivers completions out-of-band at wall-clock pace / speedup
+#: over the framed byte-stream protocol (CRC-checked frames, ACK/retry,
+#: reconnect-with-resync) and accepts a seeded
+#: :class:`~repro.wei.chaos.ChaosSchedule` to attack it.
+TRANSPORT_MODES = ("sim", "wire")
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class CampaignResult:
     workcell_makespans: List[float] = field(default_factory=list)
     #: Which shard/lane executed each run, in run order.
     assignments: List[Optional[ShardAssignment]] = field(default_factory=list)
-    #: Execution mode the campaign ran under (``"sim"`` or ``"paced"``).
+    #: Execution mode the campaign ran under (``"sim"`` or ``"wire"``).
     transport: str = "sim"
     #: Transport-layer report for transport campaigns: completion counts,
     #: the real wall seconds the campaign took, delivery-latency summary
@@ -400,26 +401,25 @@ def run_campaign(
         ``n_ot2`` OT-2/barty lanes.  Pass one to reshape the fleet while the
         campaign runs: an ``on_run_complete`` hook may call
         ``coordinator.attach_workcell`` / ``drain_workcell`` mid-flight.
+        Its engines keep whatever transports they were built with, so
+        ``transport`` other than ``"sim"`` and ``chaos`` are rejected
+        together with it.
     on_run_complete:
         Callback fired with a :class:`~repro.wei.coordinator.RunCompletion`
         as each run finishes -- *after* its record has been ingested into
         the portal, so the callback sees the streamed state.
     transport:
         ``"sim"`` (the default) completes every action inline on the
-        simulated clock; ``"paced"`` backs every module with a
-        :class:`~repro.wei.drivers.mock.PacedMockTransport` so completions
-        arrive out-of-band from driver threads, paced at wall-clock speed /
-        ``speedup``; ``"wire"`` backs every workcell with a
+        simulated clock; ``"wire"`` backs every workcell with a
         :class:`~repro.wei.drivers.protocol.WireProtocolTransport` whose
         actions travel as CRC-checked frames over a byte pipe with
-        ACK/retry and reconnect-with-resync.  Scores and portal records are
-        identical in every mode (same seeds, same sampled durations);
-        ``campaign.transport_stats`` reports the delivery counters, latency
-        and -- for the wire -- retry/resync/CRC accounting.  Ignored when
-        an explicit ``coordinator`` is passed (its engines keep whatever
-        transports they were built with).
+        ACK/retry and reconnect-with-resync, and whose completions arrive
+        out-of-band, paced at wall-clock speed / ``speedup``.  Scores and
+        portal records are identical in both modes (same seeds, same
+        sampled durations); ``campaign.transport_stats`` reports the
+        delivery counters, latency and retry/resync/CRC accounting.
     speedup:
-        Wall-clock compression for the transport modes: 1000 paces 1000
+        Wall-clock compression for ``transport="wire"``: 1000 paces 1000
         simulated seconds per real second; ``1`` is hardware speed.
     completion_timeout_s:
         Real seconds a transport-backed engine waits for one completion
@@ -431,17 +431,18 @@ def run_campaign(
         workcell's transport).  The protocol recovers every injected fault,
         so scores and portal contents still match the sim baseline -- the
         invariant ``python -m repro soak`` asserts across a whole seed
-        matrix.  Rejected for other transports.
+        matrix.  Rejected for ``transport="sim"`` and with an explicit
+        ``coordinator``.
 
     The workcells this function builds are stocked for the whole campaign
     (plates and bulk dye, see :func:`workcell_stock`), since any lane may
     claim every run.  Each run's record streams into the portal the moment
     the run completes (never post-hoc), tagged with the executing workcell
     and lane, so the portal holds every record before this function
-    returns.  ``transport="paced"`` and ``"wire"`` give each workcell's
-    engine its own :class:`~repro.wei.drivers.registry.DriverRegistry`
-    (the wire ones sharing the optional ``chaos`` schedule); their worker
-    threads are stopped before this function returns.
+    returns.  ``transport="wire"`` gives each workcell's engine its own
+    :class:`~repro.wei.drivers.registry.DriverRegistry`, all sharing the
+    optional ``chaos`` schedule; their threads are stopped before this
+    function returns.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -465,6 +466,12 @@ def run_campaign(
         )
     if not (speedup > 0.0):
         raise ValueError(f"speedup must be > 0, got {speedup}")
+    if coordinator is not None and (transport != "sim" or chaos is not None):
+        raise ValueError(
+            "transport and chaos cannot be combined with an explicit coordinator; "
+            "its engines keep the transports they were built with "
+            "(pass engine_factory= to MultiWorkcellCoordinator.build_color_picker_fleet)"
+        )
     speed_profiles: Optional[tuple] = None
     if module_speeds is not None:
         if coordinator is not None:
@@ -512,16 +519,11 @@ def run_campaign(
     transports = ExitStack()
 
     def build_engine(workcell) -> ConcurrentWorkflowEngine:
-        if transport == "paced":
-            registry = DriverRegistry.paced(
-                workcell, speedup=speedup, name=f"paced-mock[{workcell.name}]"
-            )
-        elif transport == "wire":
-            registry = DriverRegistry.wire(
-                workcell, speedup=speedup, name=f"wire[{workcell.name}]", chaos=chaos
-            )
-        else:
+        if transport == "sim":
             return ConcurrentWorkflowEngine(workcell)
+        registry = DriverRegistry.wire(
+            workcell, speedup=speedup, name=f"wire[{workcell.name}]", chaos=chaos
+        )
         transports.callback(registry.close)
         return ConcurrentWorkflowEngine(
             workcell, drivers=registry, completion_timeout_s=completion_timeout_s
@@ -629,8 +631,7 @@ def _transport_report(
     latency), the report sums each engine's wire-level recovery counters
     (:meth:`~repro.wei.concurrent.ConcurrentWorkflowEngine.transport_retry_stats`):
     ``retries``, ``resyncs``, ``crc_errors``, ``duplicates_dropped`` and
-    ``completions_retransmitted`` -- all zero for paced-mock fleets, whose
-    in-process delivery cannot lose frames.  Each per-engine snapshot is
+    ``completions_retransmitted``.  Each per-engine snapshot is
     taken atomically under that component's own lock; this only sums them.
     """
     latencies: List[float] = []

@@ -7,7 +7,7 @@ identity, and parent/child causality -- end-to-end across the stack:
 campaign → run → step → action submit/complete → wire frame/retry/resync →
 completion-bridge post/deliver → portal ingest.  One trace therefore shows
 a run's full causal tree even though its spans land on several OS threads
-(engine loop, wire reader, device worker, paced-mock worker).
+(engine loop, wire reader, wire retransmitter, device reader and worker).
 
 Activation mirrors :mod:`repro.analysis.runtime`: a module-level
 ``_active`` tracer that is ``None`` by default.  Every instrumentation

@@ -56,8 +56,8 @@ the same as pure simulation), but the action is also handed to the module's
 driver's callback threads fill -- instead of letting the simulated clock
 free-run.  Deck mutations still land on the engine thread at the completion
 event; only the *pace* is set by the transport (e.g. a
-:class:`~repro.wei.drivers.mock.PacedMockTransport` sleeping each duration /
-speedup).  A silent transport fails the run with
+:class:`~repro.wei.drivers.protocol.WireProtocolTransport` whose device
+sleeps each duration / speedup).  A silent transport fails the run with
 :class:`~repro.wei.drivers.base.CompletionTimeout` after
 ``completion_timeout_s`` real seconds rather than hanging the event loop.
 """
@@ -434,7 +434,7 @@ class ConcurrentWorkflowEngine:
         Drivers that speak a real protocol (the
         :class:`~repro.wei.drivers.protocol.WireProtocolTransport`) expose a
         ``stats()`` snapshot with retry/resync accounting; drivers without
-        one (the paced mock, pure simulation) contribute zeros.  The fields
+        one, and pure simulation, contribute zeros.  The fields
         are always present, so fleet views can show the columns
         unconditionally: ``retries`` (command retransmissions), ``resyncs``
         (reconnect handshakes), ``crc_errors`` (frames discarded as

@@ -177,7 +177,7 @@ class ShardStatus:
     #: (a fleet may mix simulated and transport-backed workcells).
     transport: str = "sim"
     #: Wire-level command retransmissions this shard's transports performed
-    #: (0 for sim/paced shards, whose delivery cannot lose frames).
+    #: (0 for sim shards, which have no wire to lose frames on).
     retries: int = 0
     #: Reconnect-with-resync cycles this shard's transports survived.
     resyncs: int = 0

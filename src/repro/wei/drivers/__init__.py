@@ -2,15 +2,15 @@
 
 The bridge from "fast simulation" to "as fast as the hardware allows": a
 :class:`DeviceDriver` accepts submitted actions and completes them
-out-of-band from its own threads, a :class:`CompletionBridge` hands those
-completions back to the single-threaded engine, and the reference
-:class:`PacedMockTransport` paces each action's simulated duration against a
-speedup-scaled :class:`~repro.sim.clock.WallClock`.
-:class:`WireProtocolTransport` goes one layer lower still: the same driver
-contract, but spoken as length-prefixed CRC-checked frames over an
-in-process byte pipe, with ACK/retry, idempotent retransmission and
-reconnect-with-resync (the substrate :mod:`repro.wei.chaos` injects faults
-into).  See ``docs/drivers.md`` for the threading model and fault semantics.
+out-of-band from its own threads, and a :class:`CompletionBridge` hands
+those completions back to the single-threaded engine.
+:class:`WireProtocolTransport` is the driver: each action travels as a
+length-prefixed CRC-checked frame over an in-process byte pipe to a
+:class:`ProtocolDevice` that paces the action's simulated duration against
+a speedup-scaled :class:`~repro.sim.clock.WallClock`, with ACK/retry,
+idempotent retransmission and reconnect-with-resync (the substrate
+:mod:`repro.wei.chaos` injects faults into).  See ``docs/drivers.md`` for
+the threading model and fault semantics.
 """
 
 from repro.wei.drivers.base import (
@@ -22,7 +22,6 @@ from repro.wei.drivers.base import (
     TransportTicket,
 )
 from repro.wei.drivers.bridge import BridgeStats, CompletionBridge
-from repro.wei.drivers.mock import TRANSPORT_FAULTS, PacedMockTransport, TransportFaultPlan
 from repro.wei.drivers.protocol import (
     BytePipe,
     Frame,
@@ -44,9 +43,6 @@ __all__ = [
     "DeviceDriver",
     "BridgeStats",
     "CompletionBridge",
-    "TRANSPORT_FAULTS",
-    "TransportFaultPlan",
-    "PacedMockTransport",
     "Frame",
     "FrameError",
     "FrameDecoder",

@@ -18,10 +18,10 @@ split:
   of one transport round-trip, matched by ``ticket_id``.
 * :class:`~repro.wei.drivers.bridge.CompletionBridge` marries the driver's
   callback threads to the engine's single-threaded two-phase lifecycle.
-* :class:`~repro.wei.drivers.mock.PacedMockTransport` is the reference
-  driver: it paces each action's sampled duration against a
-  :class:`~repro.sim.clock.WallClock` (with a configurable speedup) on a
-  background worker and posts completions strictly out-of-band.
+* :class:`~repro.wei.drivers.protocol.WireProtocolTransport` is the
+  driver: it frames each action onto a byte pipe whose far end paces the
+  sampled duration against a :class:`~repro.sim.clock.WallClock` (with a
+  configurable speedup), and posts completions strictly out-of-band.
 
 Driver errors
 -------------

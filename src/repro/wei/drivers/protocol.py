@@ -1,9 +1,8 @@
 """A framed wire protocol over an in-process byte-pipe "serial" endpoint.
 
-The :class:`~repro.wei.drivers.mock.PacedMockTransport` proved the engine can
-consume out-of-band completions, but it hands Python objects across threads --
-nothing can go wrong *on the wire* because there is no wire.  This module
-speaks a real protocol over a byte stream, so every hardware failure mode a
+This module is the one out-of-band transport behind the engine's driver
+contract.  It speaks a real protocol over a byte stream rather than handing
+Python objects across threads, so every hardware failure mode a
 serial/socket transport suffers (truncated frames, bit flips, duplicated or
 reordered deliveries, dead links) exists and must be survived:
 
@@ -45,11 +44,10 @@ at once (as in TCP's sliding window, RFC 9293); the transport's retransmit
 thread resends unACKed submits, and a submit that is never ACKed fails its
 ticket where the engine waits for it.  Completions are decoded on the
 transport's reader thread -- strictly out-of-band -- and posted through the
-registered callbacks exactly like the paced mock.  The far end is
-:class:`ProtocolDevice`, a device-service emulator that paces each
-action's already-sampled duration against a
-:class:`~repro.sim.clock.WallClock`, exactly like the mock transport but
-reachable only through the byte stream.
+registered callbacks.  The far end is :class:`ProtocolDevice`, a
+device-service emulator that paces each action's already-sampled duration
+against a :class:`~repro.sim.clock.WallClock` and is reachable only
+through the byte stream.
 
 Fault injection plugs in between the two ends: a
 :class:`~repro.wei.chaos.ChaosSchedule` decides, per transmission, whether a
@@ -1066,8 +1064,9 @@ class WireProtocolTransport:
         with self._cond:
             self._running = False
             self._cond.notify_all()
-        self.device.close()
+        # Closing the pipe first wakes both ends' readers at once.
         self.pipe.close()
+        self.device.close()
         for thread in (self._reader, self._retransmitter):
             if thread.is_alive() and thread is not threading.current_thread():
                 thread.join(timeout=5.0)

@@ -107,35 +107,13 @@ class DriverRegistry:
         """Back every module type in ``workcell`` with one ``transport``.
 
         The registry is attached so ``Module.describe()`` reports the
-        binding; :meth:`paced` and :meth:`wire` are thin wrappers over this.
+        binding; :meth:`wire` is a thin wrapper over this.
         """
         registry = cls(bridge=CompletionBridge(name=f"{transport.name}-bridge"))
         for module_type in sorted({m.module_type for m in workcell.modules.values()}):
             registry.bind_type(module_type, transport)
         registry.attach(workcell)
         return registry
-
-    @classmethod
-    def paced(
-        cls,
-        workcell: "Workcell",
-        *,
-        speedup: float = 1000.0,
-        name: str = "paced-mock",
-        **transport_kwargs,
-    ) -> "DriverRegistry":
-        """One :class:`~repro.wei.drivers.mock.PacedMockTransport` for every module.
-
-        The common real-time configuration: a single mock transport paces
-        every module type present in ``workcell`` at ``speedup``x wall time,
-        and the registry is attached so ``Module.describe()`` reports the
-        binding.
-        """
-        from repro.wei.drivers.mock import PacedMockTransport
-
-        return cls.for_transport(
-            workcell, PacedMockTransport(name=name, speedup=speedup, **transport_kwargs)
-        )
 
     @classmethod
     def wire(

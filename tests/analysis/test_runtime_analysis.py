@@ -287,14 +287,14 @@ class TestRealLockGraphIsCycleFree:
         # The engine side stayed single-threaded under chaos, too.
         assert instrumented_locks.ownership.violations == []
 
-    def test_paced_transport_graph_is_cycle_free(self, instrumented_locks):
+    def test_clean_wire_transport_graph_is_cycle_free(self, instrumented_locks):
         from repro.core.campaign import run_campaign
 
         run_campaign(
             n_runs=2,
             samples_per_run=2,
             seed=7,
-            transport="paced",
+            transport="wire",
             speedup=1_000_000.0,
         )
         graph = instrumented_locks.graph

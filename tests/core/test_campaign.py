@@ -211,6 +211,24 @@ class TestHeterogeneousCampaign:
                 coordinator=coordinator, module_speeds={"ot2": 2.0},
             )
 
+    def test_transport_or_chaos_with_explicit_coordinator_rejected(self):
+        """An explicit coordinator's engines keep their own transports: a
+        transport or chaos schedule passed beside it is an error, not a
+        silent sim run reported as the requested transport."""
+        from repro.wei.chaos import ChaosSchedule
+
+        coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(1, seed=816)
+        with pytest.raises(ValueError, match="explicit coordinator"):
+            run_campaign(
+                n_runs=1, samples_per_run=2, coordinator=coordinator,
+                transport="wire", chaos=ChaosSchedule(101),
+            )
+        with pytest.raises(ValueError, match="explicit coordinator"):
+            run_campaign(
+                n_runs=1, samples_per_run=2, coordinator=coordinator, transport="wire"
+            )
+        assert coordinator.assignments == []
+
 
 class TestStreamingElasticCampaign:
     SEED = 11

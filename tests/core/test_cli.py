@@ -210,50 +210,7 @@ class TestPositiveFloatValidation:
             assert args.speedup == 1000.0
 
 
-class TestPacedTransportCommands:
-    def test_run_with_paced_transport_reports_delivery(self, capsys):
-        exit_code = main(
-            [
-                "run",
-                "--samples", "4",
-                "--batch-size", "2",
-                "--seed", "3",
-                "--solver", "random",
-                "--transport", "paced",
-                "--speedup", "100000",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "Transport paced-mock" in out
-        assert "completions delivered out-of-band" in out
-
-    def test_paced_run_scores_match_sim_run(self, capsys):
-        args = ["run", "--samples", "4", "--batch-size", "2", "--seed", "11", "--json"]
-        assert main(args) == 0
-        sim = json.loads(capsys.readouterr().out)
-        assert main(args + ["--transport", "paced", "--speedup", "100000"]) == 0
-        paced = json.loads(capsys.readouterr().out)
-        assert paced["best_score"] == sim["best_score"]
-        assert [s["score"] for s in paced["samples"]] == [s["score"] for s in sim["samples"]]
-
-    def test_campaign_with_paced_transport_reports_delivery(self, capsys):
-        exit_code = main(
-            [
-                "campaign",
-                "--runs", "2",
-                "--samples-per-run", "3",
-                "--seed", "2",
-                "--transport", "paced",
-                "--speedup", "100000",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "Paced transport (speedup 100000x)" in out
-        assert "completions delivered out-of-band" in out
-
+class TestTransportCommands:
     def test_unknown_transport_rejected(self):
         with pytest.raises(SystemExit):
             main(["campaign", "--transport", "telepathy"])
@@ -383,6 +340,41 @@ class TestModuleSpeedsFlag:
 
 
 class TestWireTransportCommands:
+    def test_run_with_wire_transport_reports_delivery(self, capsys):
+        exit_code = main(
+            [
+                "run",
+                "--samples", "4",
+                "--batch-size", "2",
+                "--seed", "3",
+                "--solver", "random",
+                "--transport", "wire",
+                "--speedup", "100000",
+            ]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "Table 1" in out
+        assert "Transport wire" in out
+        assert "completions delivered out-of-band" in out
+
+    def test_campaign_with_wire_transport_reports_delivery(self, capsys):
+        exit_code = main(
+            [
+                "campaign",
+                "--runs", "2",
+                "--samples-per-run", "3",
+                "--seed", "2",
+                "--transport", "wire",
+                "--speedup", "100000",
+            ]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "Wire transport (speedup 100000x)" in out
+        assert "completions delivered out-of-band" in out
+        assert "(chaos seed" not in out
+
     def test_campaign_with_wire_transport_and_chaos_seed(self, capsys):
         exit_code = main(
             [
@@ -418,6 +410,23 @@ class TestWireTransportCommands:
         wire = json.loads(capsys.readouterr().out)
         assert wire["best_score"] == sim["best_score"]
         assert [s["score"] for s in wire["samples"]] == [s["score"] for s in sim["samples"]]
+
+
+class TestMetricsCommand:
+    def test_exercise_renders_bridge_and_wire_series(self, capsys):
+        """``--exercise`` runs a wire campaign, so a fresh registry shows the
+        completion-bridge series and the wire frame counters."""
+        from repro.obs.metrics import reset_registry
+
+        reset_registry()
+        try:
+            assert main(["metrics", "--exercise", "--format", "prom"]) == 0
+        finally:
+            reset_registry()
+        out = capsys.readouterr().out
+        assert "bridge_delivered_total{" in out
+        assert "wire_frames_sent_total{" in out
+        assert "wire_retries_total{" in out
 
 
 class TestSoakCommand:

@@ -107,7 +107,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         first = registry.counter("frames_total", {"driver": "wire"})
         second = registry.counter("frames_total", {"driver": "wire"})
-        other = registry.counter("frames_total", {"driver": "paced"})
+        other = registry.counter("frames_total", {"driver": "sim"})
         assert first is second
         assert other is not first
 

@@ -3,8 +3,8 @@
 Covers :class:`~repro.wei.chaos.ChaosSchedule`'s replay/liveness contract,
 the soak fingerprint/diff machinery, the full soak invariant over the
 default CI seed matrix (marked ``soak``), and the regression satellite: a
-transport-backed campaign -- paced, and wire under every default chaos
-seed -- produces scores and portal contents identical to ``transport="sim"``.
+wire campaign -- over a clean link, and under every default chaos seed --
+produces scores and portal contents identical to ``transport="sim"``.
 """
 
 import pytest
@@ -96,10 +96,6 @@ class TestCampaignChaosValidation:
     def test_chaos_requires_wire_transport(self):
         with pytest.raises(ValueError):
             run_campaign(n_runs=1, samples_per_run=2, chaos=ChaosSchedule(1))
-        with pytest.raises(ValueError):
-            run_campaign(
-                n_runs=1, samples_per_run=2, transport="paced", chaos=ChaosSchedule(1)
-            )
 
 
 class TestTransportRegressionMatrix:
@@ -120,13 +116,13 @@ class TestTransportRegressionMatrix:
             ]
         assert campaign_fingerprint(candidate) == sim_fingerprint
 
-    def test_paced_campaign_matches_sim(self, sim_baseline):
+    def test_clean_wire_campaign_matches_sim(self, sim_baseline):
         sim, fingerprint = sim_baseline
-        paced = run_campaign(
-            experiment_id="matrix", transport="paced", speedup=FAST, **CAMPAIGN
+        wire = run_campaign(
+            experiment_id="matrix", transport="wire", speedup=FAST, **CAMPAIGN
         )
-        self.assert_identical_science(sim, fingerprint, paced)
-        assert paced.transport_stats.timed_out == 0
+        self.assert_identical_science(sim, fingerprint, wire)
+        assert wire.transport_stats.timed_out == 0
 
     @pytest.mark.parametrize("chaos_seed", DEFAULT_SEED_MATRIX)
     def test_wire_campaign_matches_sim_under_every_default_chaos_seed(

@@ -1,9 +1,9 @@
 """Tests for the asynchronous driver/transport subsystem (`repro.wei.drivers`).
 
-Covers the completion bridge's threading contract, the paced mock
-transport's pacing and fault injection, the engine's transport-backed
-execution path (identical science, out-of-band delivery, deterministic
-fault handling) and the coordinator's mixed sim/paced fleets including
+Covers the completion bridge's threading contract, the wire device's
+real-time pacing, the engine's transport-backed execution path (identical
+science, out-of-band delivery, deterministic fault handling through chaos
+stubs) and the coordinator's mixed sim/wire fleets including
 drain-while-in-flight.
 """
 
@@ -21,16 +21,18 @@ from repro.wei.drivers import (
     CompletionTimeout,
     DriverRegistry,
     InBandCompletionError,
-    PacedMockTransport,
     TransportCompletion,
-    TransportFaultPlan,
     TransportTicket,
+    WireProtocolTransport,
 )
 from repro.wei.workflow import WorkflowSpec, WorkflowStep
-
-#: Effectively-instant pacing that still exercises the full worker-thread
-#: delivery path (completions remain strictly out-of-band).
-FAST = 1_000_000.0
+from tests.wei.wire_stubs import (
+    FAST,
+    DelayFirstComplete,
+    DropCompletes,
+    DuplicateFirstComplete,
+    wait_until,
+)
 
 
 def newplate_spec():
@@ -67,13 +69,20 @@ def fetch_and_trash_spec():
     )
 
 
-@pytest.fixture
-def make_paced_engine(make_workcell):
-    """Factory: a colour-picker engine whose every module rides one paced transport."""
+def fast_wire_registry(workcell, chaos=None):
+    """One wire transport for every module, paced on a no-sleep clock."""
+    return DriverRegistry.wire(
+        workcell, wall_clock=WallClock(sleep=False, speedup=FAST), chaos=chaos
+    )
 
-    def _make(seed=7, *, speedup=FAST, fault_plan=None, timeout=10.0):
+
+@pytest.fixture
+def make_wire_engine(make_workcell):
+    """Factory: a colour-picker engine whose every module rides one wire transport."""
+
+    def _make(seed=7, *, chaos=None, timeout=10.0):
         workcell = make_workcell(seed=seed)
-        registry = DriverRegistry.paced(workcell, speedup=speedup, fault_plan=fault_plan)
+        registry = fast_wire_registry(workcell, chaos)
         engine = ConcurrentWorkflowEngine(
             workcell, drivers=registry, completion_timeout_s=timeout
         )
@@ -165,19 +174,9 @@ class TestCompletionBridge:
         assert bridge.wait_for(t, timeout_s=1.0).ticket_id == t.ticket_id
 
 
-class TestPacedMockTransport:
-    def test_completions_are_posted_out_of_band(self):
-        transport = PacedMockTransport(speedup=FAST)
-        received = []
-        done = threading.Event()
-        transport.on_completion(lambda c: (received.append(c), done.set()))
-        transport.submit("get_plate", module="sciclops", duration_s=50.0)
-        assert done.wait(5.0), "completion never arrived"
-        assert received[0].thread_id != threading.get_ident()
-        transport.close()
-
+class TestWireDevicePacing:
     def test_pacing_respects_speedup_lower_bound(self):
-        transport = PacedMockTransport(speedup=200.0)
+        transport = WireProtocolTransport(speedup=200.0)
         done = threading.Event()
         transport.on_completion(lambda c: done.set())
         start = time.monotonic()
@@ -190,7 +189,7 @@ class TestPacedMockTransport:
         transport.close()
 
     def test_earlier_due_submission_preempts_a_sleeping_worker(self):
-        transport = PacedMockTransport(speedup=100.0)
+        transport = WireProtocolTransport(speedup=100.0)
         order = []
         done = threading.Event()
 
@@ -206,39 +205,10 @@ class TestPacedMockTransport:
         assert order == ["fast", "slow"]
         transport.close()
 
-    def test_submit_after_close_raises(self):
-        transport = PacedMockTransport(speedup=FAST)
-        transport.close()
-        with pytest.raises(RuntimeError):
-            transport.submit("a", module="m", duration_s=1.0)
-
-    def test_unknown_fault_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TransportFaultPlan(by_ticket={0: "gremlins"})
-
-    def test_fault_plan_lookup_precedence(self):
-        plan = TransportFaultPlan(
-            by_ticket={1: "timeout"}, by_action={("m", "a"): "duplicate"}
-        )
-        assert plan.fault_for(0, "m", "a") == "duplicate"
-        assert plan.fault_for(1, "m", "a") == "timeout"
-        assert plan.fault_for(2, "m", "b") is None
-
 
 class TestTransportBackedEngine:
-    def test_paced_run_matches_pure_simulation_exactly(self, make_engine, make_paced_engine):
-        sim_engine = make_engine(seed=7)
-        sim_result = sim_engine.run_all([newplate_spec()])[0]
-        engine, registry = make_paced_engine(seed=7)
-        paced_result = engine.run_all([newplate_spec()])[0]
-        registry.close()
-        assert [s.to_dict() for s in paced_result.steps] == [
-            s.to_dict() for s in sim_result.steps
-        ]
-        assert paced_result.duration == sim_result.duration
-
-    def test_no_completion_is_ever_posted_on_the_engine_thread(self, make_paced_engine):
-        engine, registry = make_paced_engine(seed=3)
+    def test_no_completion_is_ever_posted_on_the_engine_thread(self, make_wire_engine):
+        engine, registry = make_wire_engine(seed=3)
         engine.run_all([fetch_and_trash_spec(), fetch_and_trash_spec()])
         assert engine.engine_thread_id == threading.get_ident()
         assert len(registry.bridge.delivered) > 0
@@ -248,9 +218,9 @@ class TestTransportBackedEngine:
         )
         registry.close()
 
-    def test_transport_introspection(self, make_paced_engine):
-        engine, registry = make_paced_engine(seed=3)
-        assert engine.transport_name == "paced-mock"
+    def test_transport_introspection(self, make_wire_engine):
+        engine, registry = make_wire_engine(seed=3)
+        assert engine.transport_name == "wire"
         assert engine.transport_idle()
         engine.run_all([newplate_spec()])
         assert engine.transport_idle()
@@ -258,7 +228,7 @@ class TestTransportBackedEngine:
         assert len(engine.completion_latencies()) == 2
         # The bindings are visible on the modules for fleet/status views.
         described = engine.workcell.module("sciclops").describe()
-        assert described["driver"] == "paced-mock"
+        assert described["driver"] == "wire"
         registry.close()
 
     def test_sim_engine_reports_no_transport(self, make_engine):
@@ -268,53 +238,44 @@ class TestTransportBackedEngine:
         assert engine.transport_stats() is None
         assert engine.completion_latencies() == []
 
-    def test_duplicate_completion_deduped_exactly_once(self, make_paced_engine):
-        engine, registry = make_paced_engine(
-            seed=7, fault_plan=TransportFaultPlan(by_ticket={0: "duplicate"})
-        )
+    def test_duplicate_completion_deduped_exactly_once(self, make_wire_engine):
+        engine, registry = make_wire_engine(seed=7, chaos=DuplicateFirstComplete())
         result = engine.run_all([newplate_spec()])[0]
         assert result.success
+        # The wire drops the echo by completion sequence number, so the
+        # bridge delivers each ticket once and never sees the copy.
+        assert registry.drivers()[0].stats().duplicates_dropped >= 1
         stats = registry.bridge.stats()
         assert stats.delivered == 2
-        assert stats.rejected_duplicate == 1
+        assert stats.rejected_duplicate == 0
         registry.close()
 
-    def test_silent_transport_times_out(self, make_paced_engine):
-        engine, registry = make_paced_engine(
-            seed=7, fault_plan=TransportFaultPlan(by_ticket={1: "timeout"}), timeout=0.1
-        )
+    def test_silent_transport_times_out(self, make_wire_engine):
+        engine, registry = make_wire_engine(seed=7, chaos=DropCompletes(), timeout=0.1)
         with pytest.raises(CompletionTimeout):
             engine.run_all([newplate_spec()])
         assert registry.bridge.stats().timed_out == 1
         registry.close()
 
-    def test_late_completion_within_deadline_is_tolerated(self, make_paced_engine):
-        engine, registry = make_paced_engine(
-            seed=7, fault_plan=TransportFaultPlan(by_ticket={0: "late"}), timeout=10.0
+    def test_late_completion_within_deadline_is_tolerated(self, make_wire_engine):
+        engine, registry = make_wire_engine(
+            seed=7, chaos=DelayFirstComplete(0.4), timeout=10.0
         )
         result = engine.run_all([newplate_spec()])[0]
         assert result.success
         assert registry.bridge.stats().rejected_late == 0
         registry.close()
 
-    def test_late_completion_past_deadline_is_rejected_late(self, make_workcell):
-        # 40 simulated seconds at 100x pace ~0.4s; the late fault doubles it
-        # to ~0.8s while the engine only waits 0.2s -> timeout, then the
-        # eventual arrival must be rejected exactly once as late.
-        workcell = make_workcell(seed=7)
-        registry = DriverRegistry.paced(
-            workcell,
-            speedup=100.0,
-            fault_plan=TransportFaultPlan(by_ticket={0: "late"}),
-        )
-        engine = ConcurrentWorkflowEngine(
-            workcell, drivers=registry, completion_timeout_s=0.2
+    def test_late_completion_past_deadline_is_rejected_late(self, make_wire_engine):
+        # Every copy of the first COMPLETE lands 0.4s after the action ends
+        # while the engine only waits 0.2s -> timeout, then the eventual
+        # arrival must be rejected exactly once as late.
+        engine, registry = make_wire_engine(
+            seed=7, chaos=DelayFirstComplete(0.4), timeout=0.2
         )
         with pytest.raises(CompletionTimeout):
             engine.run_all([newplate_spec()])
-        deadline = time.monotonic() + 5.0
-        while registry.bridge.stats().rejected_late == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert wait_until(lambda: registry.bridge.stats().rejected_late > 0, timeout_s=5.0)
         stats = registry.bridge.stats()
         assert stats.timed_out == 1
         assert stats.rejected_late == 1
@@ -365,8 +326,8 @@ class TestDriverRegistry:
     def test_module_binding_wins_over_type_binding(self, make_workcell):
         workcell = make_workcell(seed=1)
         registry = DriverRegistry()
-        by_type = PacedMockTransport(name="type-driver", speedup=FAST)
-        by_name = PacedMockTransport(name="name-driver", speedup=FAST)
+        by_type = WireProtocolTransport(name="type-driver", speedup=FAST)
+        by_name = WireProtocolTransport(name="name-driver", speedup=FAST)
         registry.bind_type("ot2", by_type)
         registry.bind_module("ot2", by_name)
         assert registry.driver_for(workcell.module("ot2")) is by_name
@@ -376,9 +337,9 @@ class TestDriverRegistry:
         assert workcell.module("pf400").describe()["driver"] is None
         registry.close()
 
-    def test_paced_constructor_covers_every_module(self, make_workcell):
+    def test_wire_constructor_covers_every_module(self, make_workcell):
         workcell = make_workcell(seed=1)
-        registry = DriverRegistry.paced(workcell, speedup=FAST)
+        registry = DriverRegistry.wire(workcell, speedup=FAST)
         assert all(
             registry.driver_for(module) is not None
             for module in workcell.modules.values()
@@ -387,13 +348,13 @@ class TestDriverRegistry:
         registry.close()
 
 
-class TestPacedFleet:
-    def test_mixed_sim_and_paced_shards_coexist(self, make_workcell, make_engine):
-        paced_workcell = make_workcell(name="paced-cell", seed=5)
-        registry = DriverRegistry.paced(paced_workcell, speedup=FAST)
-        paced = ConcurrentWorkflowEngine(paced_workcell, drivers=registry)
+class TestWireFleet:
+    def test_mixed_sim_and_wire_shards_coexist(self, make_workcell, make_engine):
+        wire_workcell = make_workcell(name="wire-cell", seed=5)
+        registry = fast_wire_registry(wire_workcell)
+        wire = ConcurrentWorkflowEngine(wire_workcell, drivers=registry)
         sim = make_engine(name="sim-cell", seed=6)
-        coordinator = MultiWorkcellCoordinator([paced, sim])
+        coordinator = MultiWorkcellCoordinator([wire, sim])
 
         def make_program(job, shard, lane):
             def fetch():
@@ -406,18 +367,18 @@ class TestPacedFleet:
         registry.close()
         assert results == [True, True, True, True]
         status = coordinator.status()
-        assert status.shards[0].transport == "paced-mock"
+        assert status.shards[0].transport == "wire"
         assert status.shards[1].transport == "sim"
         # Both shards actually claimed work (the merged loop interleaves them).
         assert all(shard.completed > 0 for shard in status.shards)
 
     def test_completion_arrives_during_drain(self, make_workcell):
-        """A drain requested while a paced shard is mid-action must wait for
+        """A drain requested while a wire shard is mid-action must wait for
         the in-flight transport completion before retiring the shard."""
         workcells = [
             make_workcell(name=f"cell-{i}", seed=10 + i) for i in range(2)
         ]
-        registries = [DriverRegistry.paced(w, speedup=FAST) for w in workcells]
+        registries = [fast_wire_registry(w) for w in workcells]
         engines = [
             ConcurrentWorkflowEngine(w, drivers=r)
             for w, r in zip(workcells, registries)
@@ -464,42 +425,42 @@ class TestPacedFleet:
         assert events == ["drain-requested", "workcell-retired"]
 
 
-class TestPacedCampaignRegression:
-    def test_paced_campaign_scores_identical_to_sim(self):
-        """Acceptance: --transport paced --speedup 1000 == sim scores, with
+class TestWireCampaignRegression:
+    def test_wire_campaign_scores_identical_to_sim(self):
+        """Acceptance: --transport wire --speedup 1000 == sim scores, with
         every completion delivered from a non-engine thread."""
         shared = dict(n_runs=2, samples_per_run=4, batch_size=2, seed=42)
         sim = run_campaign(experiment_id="sim-campaign", **shared)
-        paced = run_campaign(
-            experiment_id="paced-campaign",
-            transport="paced",
+        wire = run_campaign(
+            experiment_id="wire-campaign",
+            transport="wire",
             speedup=1000.0,
             **shared,
         )
-        assert paced.transport == "paced"
-        assert [run.best_score for run in paced.runs] == [
+        assert wire.transport == "wire"
+        assert [run.best_score for run in wire.runs] == [
             run.best_score for run in sim.runs
         ]
-        for sim_run, paced_run in zip(sim.runs, paced.runs):
+        for sim_run, wire_run in zip(sim.runs, wire.runs):
             assert [s.score for s in sim_run.samples] == [
-                s.score for s in paced_run.samples
+                s.score for s in wire_run.samples
             ]
-        stats = paced.transport_stats
+        stats = wire.transport_stats
         assert stats.delivered > 0
         assert stats.timed_out == 0
         assert stats.rejected_duplicate == 0 and stats.rejected_late == 0
         assert stats.wall_elapsed_s > 0
         assert stats.mean_delivery_latency_s >= 0.0
 
-    def test_paced_campaign_completions_off_engine_thread(self):
+    def test_wire_campaign_completions_off_engine_thread(self):
         portal_runs = []
         campaign = run_campaign(
             n_runs=2,
             samples_per_run=3,
             batch_size=3,
             seed=9,
-            experiment_id="paced-threads",
-            transport="paced",
+            experiment_id="wire-threads",
+            transport="wire",
             speedup=100_000.0,
             on_run_complete=portal_runs.append,
         )

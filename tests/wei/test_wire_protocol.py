@@ -29,10 +29,14 @@ from repro.wei.drivers.protocol import (
     encode_frame,
 )
 from repro.wei.workflow import WorkflowSpec, WorkflowStep
-
-#: Effectively-instant pacing that still runs the whole framed path
-#: (encode -> pipe -> device threads -> frames back -> callbacks).
-FAST = 1_000_000.0
+from tests.wei.wire_stubs import (
+    FAST,
+    DeadWire,
+    EatDeviceAcks,
+    EatFirstAttempt,
+    SlowAcks,
+    wait_until,
+)
 
 
 def fast_transport(**kwargs):
@@ -55,67 +59,11 @@ def collect_completions(transport):
     return received, lock
 
 
-class EatFirstAttempt:
-    """Chaos stub: drop the first transmission of every transport frame."""
-
-    def decide(self, direction, seq, attempt, kind=""):
-        return ChaosDecision(drop=(attempt == 0 and direction.endswith(":tx")))
-
-    def record(self, *args):
-        pass
-
-
-class DeadWire:
-    """Chaos stub: while ``dead``, drop every frame the transport sends."""
-
-    def __init__(self, dead=True):
-        self.dead = dead
-
-    def decide(self, direction, seq, attempt, kind=""):
-        return ChaosDecision(drop=self.dead and direction.endswith(":tx"))
-
-    def record(self, *args):
-        pass
-
-
-class SlowAcks:
-    """Chaos stub: delay every device->transport ACK by ``delay_s``."""
-
-    def __init__(self, delay_s):
-        self.delay_s = delay_s
-
-    def decide(self, direction, seq, attempt, kind=""):
-        slow = kind == "ACK" and direction.endswith(":rx")
-        return ChaosDecision(delay_s=self.delay_s if slow else 0.0)
-
-    def record(self, *args):
-        pass
-
-
-class EatDeviceAcks:
-    """Chaos stub: drop every ACK the device sends (COMPLETEs still flow)."""
-
-    def decide(self, direction, seq, attempt, kind=""):
-        return ChaosDecision(drop=(kind == "ACK" and direction.endswith(":rx")))
-
-    def record(self, *args):
-        pass
-
-
 def bridged(transport):
     """A completion bridge fed by ``transport``, as an engine's registry builds."""
     bridge = CompletionBridge()
     transport.on_completion(bridge.post)
     return bridge
-
-
-def wait_until(predicate, timeout_s=10.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
 
 
 class TestFrameCodec:
