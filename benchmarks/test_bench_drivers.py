@@ -1,11 +1,11 @@
-"""Benchmark: the paced transport delivers sim-identical science in real time.
+"""Benchmark: the wire transport delivers sim-identical science in real time.
 
-The acceptance claim of the driver-subsystem PR: a campaign run with
-``--transport paced --speedup 1000`` produces per-run scores identical to
-the sim-clock engine, with every action completion delivered out-of-band
-from a driver worker thread.  This benchmark runs both modes, verifies the
-science matches sample-for-sample, and reports the transport's real elapsed
-time, effective speedup and completion-delivery latency.
+A campaign run with ``--transport wire --speedup 1000`` produces per-run
+scores identical to the sim-clock engine, with every action completion
+delivered out-of-band from the transport's reader thread.  This benchmark
+runs both modes, verifies the science matches sample-for-sample, and reports
+the transport's real elapsed time, effective speedup and completion-delivery
+latency (the "Speedup pacing" table in ``docs/drivers.md``).
 """
 
 import time
@@ -27,31 +27,31 @@ def run_both_transports():
     wall_start = time.monotonic()
     sim = run_campaign(experiment_id="bench-sim-transport", **shared)
     sim_wall = time.monotonic() - wall_start
-    paced = run_campaign(
-        experiment_id="bench-paced-transport",
-        transport="paced",
+    wire = run_campaign(
+        experiment_id="bench-wire-transport",
+        transport="wire",
         speedup=SPEEDUP,
         **shared,
     )
-    return sim, sim_wall, paced
+    return sim, sim_wall, wire
 
 
 @pytest.mark.benchmark(group="drivers")
-def test_paced_transport_matches_sim_and_reports_latency(benchmark, report):
-    sim, sim_wall, paced = benchmark.pedantic(run_both_transports, rounds=1, iterations=1)
-    stats = paced.transport_stats
+def test_wire_transport_matches_sim_and_reports_latency(benchmark, report):
+    sim, sim_wall, wire = benchmark.pedantic(run_both_transports, rounds=1, iterations=1)
+    stats = wire.transport_stats
 
-    effective = paced.makespan_s / stats.wall_elapsed_s
+    effective = wire.makespan_s / stats.wall_elapsed_s
     report(
-        f"Sim-clock vs paced transport at --speedup {SPEEDUP:g} "
-        f"({paced.n_runs} runs, {paced.total_samples} samples)",
+        f"Sim-clock vs wire transport at --speedup {SPEEDUP:g} "
+        f"({wire.n_runs} runs, {wire.total_samples} samples)",
         format_table(
             ["transport", "sim makespan", "real elapsed", "effective speedup"],
             [
                 ("sim", f"{sim.makespan_s / 3600:.2f} h", f"{sim_wall:.2f} s", "-"),
                 (
-                    "paced",
-                    f"{paced.makespan_s / 3600:.2f} h",
+                    "wire",
+                    f"{wire.makespan_s / 3600:.2f} h",
                     f"{stats.wall_elapsed_s:.2f} s",
                     f"{effective:.0f}x",
                 ),
@@ -72,14 +72,16 @@ def test_paced_transport_matches_sim_and_reports_latency(benchmark, report):
     )
 
     # Identical science, sample for sample.
-    assert [run.best_score for run in paced.runs] == [run.best_score for run in sim.runs]
-    for sim_run, paced_run in zip(sim.runs, paced.runs):
-        np.testing.assert_allclose(sim_run.scores(), paced_run.scores())
+    assert wire.transport == "wire"
+    assert wire.makespan_s == sim.makespan_s
+    assert [run.best_score for run in wire.runs] == [run.best_score for run in sim.runs]
+    for sim_run, wire_run in zip(sim.runs, wire.runs):
+        np.testing.assert_allclose(sim_run.scores(), wire_run.scores())
     # Every completion was delivered out-of-band, none lost or duplicated.
     assert stats.delivered > 0
     assert stats.timed_out == 0
     assert stats.rejected_duplicate == 0 and stats.rejected_late == 0
     # Pacing is real: the campaign took at least its simulated time / speedup
     # (serialised on one lane), and delivery latency stayed sane.
-    assert stats.wall_elapsed_s >= 0.8 * paced.makespan_s / SPEEDUP
+    assert stats.wall_elapsed_s >= 0.8 * wire.makespan_s / SPEEDUP
     assert stats.mean_delivery_latency_s < 1.0

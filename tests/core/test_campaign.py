@@ -229,6 +229,12 @@ class TestHeterogeneousCampaign:
             )
         assert coordinator.assignments == []
 
+    def test_removed_paced_transport_rejected(self):
+        """``"paced"`` is no longer a transport mode: asking for it fails up
+        front and names the modes that remain."""
+        with pytest.raises(ValueError, match=r"unknown transport 'paced'.*\('sim', 'wire'\)"):
+            run_campaign(n_runs=1, samples_per_run=2, seed=1, transport="paced")
+
 
 class TestStreamingElasticCampaign:
     SEED = 11

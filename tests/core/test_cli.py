@@ -215,6 +215,13 @@ class TestTransportCommands:
         with pytest.raises(SystemExit):
             main(["campaign", "--transport", "telepathy"])
 
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_removed_paced_transport_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--transport", "paced"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'paced'" in capsys.readouterr().err
+
     def test_campaign_accepts_stealing_lpt_assignment(self, capsys):
         exit_code = main(
             [

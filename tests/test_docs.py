@@ -1,4 +1,5 @@
-"""Docs hygiene: intra-repo links must resolve and examples must compile.
+"""Docs hygiene: intra-repo links must resolve, examples must compile, and
+the wire-transport example must run.
 
 The same checks run as a dedicated CI job; running them in tier-1 too means
 a broken README link or a bit-rotted example script fails locally before a
@@ -6,6 +7,7 @@ PR is even opened.
 """
 
 import compileall
+import runpy
 import sys
 from pathlib import Path
 
@@ -48,3 +50,12 @@ def test_examples_compile():
     assert compileall.compile_dir(
         str(REPO_ROOT / "examples"), quiet=1, force=True
     ), "an examples/*.py script no longer compiles"
+
+
+def test_wire_transport_example_runs(capsys):
+    # The example asserts sim and chaotic-wire scores are equal before printing.
+    namespace = runpy.run_path(str(REPO_ROOT / "examples" / "wire_transport.py"))
+    assert namespace["main"]() == 0
+    out = capsys.readouterr().out
+    assert "Every sample score identical on sim and wire" in out
+    assert "Recovered:" in out

@@ -143,6 +143,30 @@ class TestTransportRegressionMatrix:
         # Chaos really happened; it just wasn't observable in the science.
         assert stats.retries + stats.crc_errors + stats.resyncs > 0
 
+    def test_wire_campaign_accepts_a_stub_schedule(self, sim_baseline):
+        """Any object with ``decide``/``record`` can stand in for a
+        :class:`ChaosSchedule`: here every first transmission from the
+        transport is dropped, so every submit is retried at least once and
+        completions are retransmitted for lost ACKs, yet the science is
+        unchanged."""
+        from tests.wei.wire_stubs import EatFirstAttempt
+
+        sim, fingerprint = sim_baseline
+        wire = run_campaign(
+            experiment_id="matrix",
+            transport="wire",
+            speedup=FAST,
+            completion_timeout_s=60.0,
+            chaos=EatFirstAttempt(),
+            **CAMPAIGN,
+        )
+        self.assert_identical_science(sim, fingerprint, wire)
+        stats = wire.transport_stats
+        assert stats.timed_out == 0
+        assert stats.delivered > 0
+        assert stats.retries >= stats.delivered
+        assert stats.completions_retransmitted > 0
+
 
 @pytest.mark.soak
 class TestSoakHarness:

@@ -179,6 +179,20 @@ class TestWireTransport:
         with pytest.raises(RuntimeError):
             transport.submit("a", module="m", duration_s=1.0)
 
+    def test_close_wakes_the_device_reader_at_once(self):
+        """close() shuts the pipe before the device, so the device's reader
+        sees EOF at once instead of waiting out its 0.5 s read timeout."""
+        transport = fast_transport()
+        received, lock = collect_completions(transport)
+        transport.submit("get_plate", module="sciclops", duration_s=1.0)
+        assert wait_until(lambda: len(received) == 1)
+        time.sleep(0.05)  # both readers are now parked in a fresh read
+        start = time.monotonic()
+        transport.close()
+        elapsed = time.monotonic() - start
+        assert not transport.device._reader.is_alive()
+        assert elapsed < 0.25, f"close() took {elapsed:.3f} s"
+
     def test_negative_duration_rejected(self):
         transport = fast_transport()
         with pytest.raises(ValueError):
