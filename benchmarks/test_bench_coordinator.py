@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.app import ColorPickerApp
 from repro.core.batch import run_batch_sweep
-from repro.core.campaign import predict_experiment_duration, run_campaign
+from repro.core.campaign import color_picker_programs, predict_experiment_duration, run_campaign
 from repro.core.experiment import ExperimentConfig
 
 SEED = 99
@@ -123,20 +122,10 @@ def run_lpt_comparison(make_fleet):
     def run_fleet(assignment):
         coordinator = make_fleet(2, seed=SEED)
 
-        def make_program(config, shard, lane):
-            app = ColorPickerApp(
-                config,
-                workcell=coordinator.engines[shard].workcell,
-                ot2=lane[0],
-                barty=lane[1],
-                staging="ot2",
-            )
-            return app.program()
-
         lanes = [engine.workcell.ot2_barty_pairs()[:1] for engine in coordinator.engines]
         results = coordinator.run_jobs(
             uneven_jobs(),
-            make_program,
+            color_picker_programs(coordinator),
             lanes=lanes,
             assignment=assignment,
             duration_hint=predict_experiment_duration,
@@ -203,32 +192,22 @@ def run_heterogeneous_comparison(make_fleet):
     def run_fleet(assignment, hint):
         coordinator = make_fleet(2, seed=SEED, module_speeds=list(HETERO_SPEEDS))
 
-        def make_program(config, shard, lane):
-            app = ColorPickerApp(
-                config,
-                workcell=coordinator.engines[shard].workcell,
-                ot2=lane[0],
-                barty=lane[1],
-                staging="ot2",
-            )
-            return app.program()
-
         lanes = [engine.workcell.ot2_barty_pairs()[:1] for engine in coordinator.engines]
         results = coordinator.run_jobs(
             skewed_jobs(),
-            make_program,
+            color_picker_programs(coordinator),
             lanes=lanes,
             assignment=assignment,
             duration_hint=hint,
         )
         return coordinator, results
 
-    # Speed-blind: a one-argument hint predicts from the default calibration,
-    # so both shards look alike and the first free (slow) lane takes the big
-    # run.  Lookahead: the two-argument predictor prices each run on each
-    # lane's own table and re-ranks when a lane frees.
+    # Speed-blind: a hint that ignores the lane's table predicts from the
+    # default calibration, so both shards look alike and the first free
+    # (slow) lane takes the big run.  Lookahead: the predictor prices each
+    # run on each lane's own table and re-ranks when a lane frees.
     blind, blind_results = run_fleet(
-        "stealing-lpt", lambda config: predict_experiment_duration(config)
+        "stealing-lpt", lambda config, _table: predict_experiment_duration(config)
     )
     lookahead, lookahead_results = run_fleet("lookahead", predict_experiment_duration)
     return blind, blind_results, lookahead, lookahead_results

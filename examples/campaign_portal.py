@@ -4,8 +4,8 @@
 Runs a campaign of 12 short colour-matching runs (15 samples each, different
 target colours), publishes every run to the simulated ACDC portal, and prints
 the portal's experiment summary view and the detail view of the final run --
-the two views shown in the paper's Figure 3.  Also demonstrates persisting the
-portal to disk and searching it.
+the two views shown in the paper's Figure 3.  The portal is a durable on-disk
+store, so the example also searches it and reopens it from disk.
 
 Run with:  python examples/campaign_portal.py
 """
@@ -16,13 +16,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import DataPortal, run_campaign  # noqa: E402
+from repro import run_campaign  # noqa: E402
 from repro.analysis.figure3 import render_figure3  # noqa: E402
+from repro.publish.store import DurableDataPortal  # noqa: E402
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        portal = DataPortal(directory=Path(tmp) / "acdc")
+        store = Path(tmp) / "acdc"
+        portal = DurableDataPortal(store)
         print("Running campaign: 12 runs x 15 samples ...")
         campaign = run_campaign(
             n_runs=12,
@@ -40,11 +42,12 @@ def main() -> None:
         good_runs = portal.search(experiment_id="acdc-demo", max_best_score=15.0)
         print(f"Runs that matched their target within 15 RGB units: {len(good_runs)}")
 
-        # And it persists to disk: reload it and query again.
-        reloaded = DataPortal.load(Path(tmp) / "acdc")
-        summary = reloaded.summary_view("acdc-demo")
+        # And it persists to disk: reopen it and query again.
+        portal.close()
+        with DurableDataPortal(store) as reopened:
+            summary = reopened.summary_view("acdc-demo")
         print(
-            f"Reloaded portal from disk: {summary['n_runs']} runs, "
+            f"Reopened portal from disk: {summary['n_runs']} runs, "
             f"{summary['total_samples']} samples, best score {summary['best_score']:.2f}"
         )
 

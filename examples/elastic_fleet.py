@@ -27,9 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import run_campaign  # noqa: E402
 from repro.publish.portal import DataPortal  # noqa: E402
-from repro.wei.concurrent import ConcurrentWorkflowEngine  # noqa: E402
 from repro.wei.coordinator import MultiWorkcellCoordinator  # noqa: E402
-from repro.wei.workcell import build_color_picker_workcell  # noqa: E402
 
 N_RUNS = 10
 SAMPLES_PER_RUN = 6
@@ -55,12 +53,10 @@ def main() -> None:
         completed.append(completion.job_index)
         note = f"run {completion.job_index} done on {completion.assignment.workcell}"
         if len(completed) == ATTACH_AFTER:
-            workcell = build_color_picker_workcell(name="workcell-2", seed=SEED + 999)
-            coordinator.attach_workcell(
-                ConcurrentWorkflowEngine(workcell),
-                lanes=workcell.ot2_barty_pairs()[:1],
-            )
-            note += "; ATTACHED workcell-2"
+            # Built exactly as the fleet builder would have built shard 2.
+            engine = MultiWorkcellCoordinator.build_color_picker_shard(2, seed=SEED)
+            coordinator.attach_workcell(engine, lanes=engine.workcell.ot2_barty_pairs()[:1])
+            note += f"; ATTACHED {engine.workcell.name}"
         if len(completed) == DRAIN_AFTER:
             coordinator.drain_workcell(0)
             note += "; DRAINING workcell-0"

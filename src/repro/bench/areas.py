@@ -315,7 +315,7 @@ _HETERO_SEED = 99
 
 def _run_heterogeneous_campaign(assignment: str, duration_hint) -> Tuple[float, int, list]:
     """(makespan_s, shard of the big run, per-run score lists) for one policy."""
-    from repro.core.app import ColorPickerApp
+    from repro.core.campaign import color_picker_programs
     from repro.core.experiment import ExperimentConfig
     from repro.wei.coordinator import MultiWorkcellCoordinator
 
@@ -335,20 +335,13 @@ def _run_heterogeneous_campaign(assignment: str, duration_hint) -> Tuple[float, 
         )
         for index, (n_samples, batch_size) in enumerate(_HETERO_RUNS)
     ]
-
-    def make_program(config, shard, lane):
-        app = ColorPickerApp(
-            config,
-            workcell=coordinator.engines[shard].workcell,
-            ot2=lane[0],
-            barty=lane[1],
-            staging="ot2",
-        )
-        return app.program()
-
     lanes = [engine.workcell.ot2_barty_pairs()[:1] for engine in coordinator.engines]
     results = coordinator.run_jobs(
-        jobs, make_program, lanes=lanes, assignment=assignment, duration_hint=duration_hint
+        jobs,
+        color_picker_programs(coordinator),
+        lanes=lanes,
+        assignment=assignment,
+        duration_hint=duration_hint,
     )
     scores = [[float(score) for score in run.scores()] for run in results]
     return coordinator.makespan, coordinator.assignments[0].shard, scores
@@ -428,11 +421,11 @@ def _bench_campaign(repeats: int, scale: float) -> AreaResult:
     )
 
     # Heterogeneous scheduling scenario: same 16 runs, same mixed-speed
-    # fleet, two policies.  A one-argument hint prices every shard off the
-    # default calibration (speed-blind); passing the predictor itself gives
-    # the lane-aware two-argument form lookahead re-ranks with.
+    # fleet, two policies.  A hint that ignores the shard's table prices
+    # every shard off the default calibration (speed-blind); the predictor
+    # itself is the lane-aware hint lookahead re-ranks with.
     blind_makespan, blind_shard, blind_scores = _run_heterogeneous_campaign(
-        "stealing-lpt", lambda job: predict_experiment_duration(job)
+        "stealing-lpt", lambda job, _table: predict_experiment_duration(job)
     )
     look_makespan, look_shard, look_scores = _run_heterogeneous_campaign(
         "lookahead", predict_experiment_duration

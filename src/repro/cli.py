@@ -43,7 +43,12 @@ from repro.analysis.table1 import render_table1
 from repro.color.targets import TARGET_COLORS
 from repro.core.app import ColorPickerApp
 from repro.core.batch import PAPER_BATCH_SIZES, run_batch_sweep
-from repro.core.campaign import TRANSPORT_MODES, run_campaign
+from repro.core.campaign import (
+    TRANSPORT_MODES,
+    campaign_configs,
+    run_campaign,
+    workcell_stock,
+)
 from repro.core.experiment import ExperimentConfig
 from repro.publish.portal import DataPortal
 from repro.sim.durations import ModuleSpeedProfile
@@ -207,14 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--runs", type=int, default=12)
     campaign_parser.add_argument("--samples-per-run", type=int, default=15)
     campaign_parser.add_argument("--seed", type=int, default=816)
-    campaign_parser.add_argument("--portal-dir", default=None, help="persist the portal to this directory")
     campaign_parser.add_argument(
-        "--portal-backend",
-        choices=("memory", "durable"),
-        default="memory",
-        help="portal backend for the streamed records: 'memory' (default; "
-        "--portal-dir writes per-run JSON files) or 'durable' (append-only "
-        "segment store at --portal-dir, operable with 'python -m repro portal')",
+        "--portal-dir",
+        default=None,
+        help="append the streamed records to the durable portal store in this "
+        "directory (operable with 'python -m repro portal'); default in-memory",
     )
     campaign_parser.add_argument(
         "--n-ot2",
@@ -593,14 +595,12 @@ def _command_sweep(args) -> int:
 
 
 def _command_campaign(args) -> int:
-    if args.portal_backend == "durable":
-        if not args.portal_dir:
-            raise SystemExit("--portal-backend durable requires --portal-dir")
+    if args.portal_dir:
         from repro.publish.store import DurableDataPortal
 
         portal = DurableDataPortal(args.portal_dir)
     else:
-        portal = DataPortal(directory=args.portal_dir) if args.portal_dir else DataPortal()
+        portal = DataPortal()
     chaos = None
     if args.chaos_seed is not None:
         from repro.wei.chaos import ChaosSchedule
@@ -647,24 +647,27 @@ def _command_campaign(args) -> int:
             f"\nConcurrent campaign on {args.n_ot2} OT-2 lanes: "
             f"makespan {campaign.makespan_s / 3600:.2f} h"
         )
-    if args.portal_backend == "durable":
+    if args.portal_dir:
         portal.close()
         print(
             f"\nPortal records appended to the durable store at {args.portal_dir} "
             f"(inspect with: python -m repro portal stats {args.portal_dir})"
         )
-    elif args.portal_dir:
-        print(f"\nPortal records written to {args.portal_dir}")
     return 0
 
 
 def _command_fleet_status(args) -> int:
-    from repro.wei.concurrent import ConcurrentWorkflowEngine
-    from repro.wei.coordinator import MultiWorkcellCoordinator, shard_seed
+    from repro.wei.coordinator import MultiWorkcellCoordinator
 
     module_speeds = _resolve_module_speeds(args.module_speeds, args.n_workcells)
+    # Any shard -- attached ones included -- may claim every run.
+    stock = workcell_stock(campaign_configs(args.runs, args.samples_per_run, seed=args.seed))
     coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
-        args.n_workcells, seed=args.seed, n_ot2=args.n_ot2, module_speeds=module_speeds
+        args.n_workcells,
+        seed=args.seed,
+        n_ot2=args.n_ot2,
+        module_speeds=module_speeds,
+        **stock,
     )
     # Workcells attached mid-campaign reuse the single shared profile when
     # one was given; per-shard profile lists only cover the initial fleet.
@@ -689,23 +692,17 @@ def _command_fleet_status(args) -> int:
         completed += 1
         note = ""
         if args.attach_after is not None and completed == args.attach_after:
-            shard_id = coordinator.n_workcells
-            durations = None
-            if attach_profile is not None and not attach_profile.is_identity:
-                from repro.sim.durations import paper_calibrated_durations
-
-                durations = attach_profile.apply(paper_calibrated_durations())
-            workcell = build_color_picker_workcell(
-                name=f"workcell-{shard_id}",
-                seed=shard_seed(args.seed, shard_id),
+            engine = MultiWorkcellCoordinator.build_color_picker_shard(
+                coordinator.n_workcells,
+                seed=args.seed,
                 n_ot2=args.n_ot2,
-                durations=durations,
+                profile=attach_profile,
+                **stock,
             )
-            engine = ConcurrentWorkflowEngine(workcell)
             coordinator.attach_workcell(
-                engine, lanes=workcell.ot2_barty_pairs()[: args.n_ot2]
+                engine, lanes=engine.workcell.ot2_barty_pairs()[: args.n_ot2]
             )
-            note = f"attached {workcell.name}"
+            note = f"attached {engine.workcell.name}"
         if args.drain_after is not None and completed == args.drain_after:
             active = [s for s in coordinator.status().shards if s.state == "active"]
             if len(active) > 1:

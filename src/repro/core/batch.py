@@ -17,14 +17,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.app import ColorPickerApp
-from repro.core.campaign import predict_experiment_duration, workcell_stock
+from repro.core.campaign import (
+    color_picker_programs,
+    predict_experiment_duration,
+    workcell_stock,
+)
 from repro.core.experiment import ExperimentConfig, ExperimentResult
-from repro.publish.portal import DataPortal
 from repro.sim.durations import DurationTable
-from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.coordinator import ASSIGNMENT_POLICIES, MultiWorkcellCoordinator
-from repro.wei.workcell import build_color_picker_workcell
+from repro.wei.coordinator import MultiWorkcellCoordinator
 
 __all__ = ["PAPER_BATCH_SIZES", "BatchSweepResult", "run_batch_sweep"]
 
@@ -79,25 +79,23 @@ def run_batch_sweep(
     n_samples: int = 128,
     target: Any = "paper-grey",
     solver: str = "evolutionary",
-    solver_options: Optional[Dict[str, Any]] = None,
     measurement: str = "direct",
     seed: Optional[int] = 2023,
-    portal: Optional[DataPortal] = None,
-    publish: bool = False,
-    config_overrides: Optional[Dict[str, Any]] = None,
     n_ot2: int = 1,
     assignment: str = "work-stealing",
     durations: Optional[DurationTable] = None,
 ) -> BatchSweepResult:
     """Run one colour-picker experiment per batch size and collect the results.
 
-    Every experiment gets an independently seeded solver and a fresh plate;
-    all of them run on one workcell, stocked for the whole sweep (see
-    :func:`~repro.core.campaign.workcell_stock`), as the paper's seven
-    experiments ran on one robot.  With the default ``n_ot2=1`` they run one
-    after another.  With ``n_ot2 > 1`` they are executed *concurrently* on
-    that many OT-2/barty lanes: by default a lane
-    claims the next pending experiment the moment it frees
+    Every experiment gets an independently seeded solver (``seed +
+    batch_size``) and a fresh plate; all of them run on one workcell,
+    ``workcell-0`` of a one-shard
+    :class:`~repro.wei.coordinator.MultiWorkcellCoordinator` fleet, stocked
+    for the whole sweep (see :func:`~repro.core.campaign.workcell_stock`), as
+    the paper's seven experiments ran on one robot.  Nothing is published.
+    With the default ``n_ot2=1`` they run one after another.  With ``n_ot2 >
+    1`` they are executed *concurrently* on that many OT-2/barty lanes: by
+    default a lane claims the next pending experiment the moment it frees
     (``assignment="work-stealing"``, which suits the sweep's heavily skewed
     per-experiment durations), ``assignment="stealing-lpt"`` additionally
     orders the shared queue longest-predicted-duration-first (LPT list
@@ -105,65 +103,45 @@ def run_batch_sweep(
     means, predicted against the duration table the engine actually runs),
     while ``assignment="static"`` pins experiment ``i`` to lane
     ``i % n_ot2`` for comparison, and ``assignment="lookahead"`` re-ranks the
-    queue online each time a lane frees.  The lanes are scheduled by a
-    one-workcell :class:`~repro.wei.coordinator.MultiWorkcellCoordinator`.
-    ``durations`` overrides the workcell's duration table.  With
-    ``measurement="direct"`` (the default) solver behaviour and scores are
-    the same for every lane count and only the simulated wall time shrinks;
-    in ``"vision"`` mode the shared camera's frame keys are drawn in claim
-    order, so scores differ slightly between lane counts.
+    queue online each time a lane frees.  ``durations`` overrides the
+    workcell's duration table.  With ``measurement="direct"`` (the default)
+    solver behaviour and scores are the same for every lane count and only
+    the simulated wall time shrinks; in ``"vision"`` mode the shared
+    camera's frame keys are drawn in claim order, so scores differ slightly
+    between lane counts.
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must not be empty")
     if n_ot2 < 1:
         raise ValueError(f"n_ot2 must be >= 1, got {n_ot2}")
-    if assignment not in ASSIGNMENT_POLICIES:
-        raise ValueError(
-            f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
-        )
-    sweep = BatchSweepResult(n_ot2=n_ot2)
-    overrides = dict(config_overrides or {})
-
     configs = {}
     for batch_size in batch_sizes:
         if batch_size < 1:
             raise ValueError(f"batch sizes must be >= 1, got {batch_size}")
-        experiment_seed = None if seed is None else seed + batch_size
         configs[batch_size] = ExperimentConfig(
             target=target,
             n_samples=n_samples,
             batch_size=batch_size,
             solver=solver,
-            solver_options=dict(solver_options or {}),
             measurement=measurement,
-            seed=experiment_seed,
-            publish=publish,
+            seed=None if seed is None else seed + batch_size,
+            publish=False,
             experiment_id=f"figure4-N{n_samples}",
             run_id=f"figure4-B{batch_size}",
-            **overrides,
         )
-
-    workcell = build_color_picker_workcell(
-        seed=seed, n_ot2=n_ot2, durations=durations, **workcell_stock(list(configs.values()))
+    jobs = list(configs.values())
+    coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
+        1, seed=seed, n_ot2=n_ot2, durations=durations, **workcell_stock(jobs)
     )
-    engine = ConcurrentWorkflowEngine(workcell)
-
-    def make_program(config: ExperimentConfig, _shard: int, lane: tuple):
-        ot2, barty = lane
-        app = ColorPickerApp(
-            config, workcell=workcell, portal=portal, ot2=ot2, barty=barty, staging="ot2"
-        )
-        return app.program()
-
     # The duration hint predicts against the table the shared workcell
     # actually runs, so "stealing-lpt" orders the queue by what will execute.
-    results = MultiWorkcellCoordinator([engine]).run_jobs(
-        list(configs.values()),
-        make_program,
-        lanes=[workcell.ot2_barty_pairs()[:n_ot2]],
+    results = coordinator.run_jobs(
+        jobs,
+        color_picker_programs(coordinator),
+        lanes=[coordinator.workcells[0].ot2_barty_pairs()[:n_ot2]],
         assignment=assignment,
         duration_hint=predict_experiment_duration,
     )
-    sweep.experiments = dict(zip(configs, results))
-    sweep.makespan_s = engine.makespan
-    return sweep
+    return BatchSweepResult(
+        experiments=dict(zip(configs, results)), n_ot2=n_ot2, makespan_s=coordinator.makespan
+    )

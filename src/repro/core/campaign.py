@@ -51,21 +51,18 @@ from repro.publish.portal import DataPortal, PortalBackend
 from repro.publish.records import RunRecord, SampleRecord
 from repro.sim.durations import DurationTable, ModuleSpeedProfile, paper_calibrated_durations
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.coordinator import (
-    ASSIGNMENT_POLICIES,
-    MultiWorkcellCoordinator,
-    RunCompletion,
-    ShardAssignment,
-)
+from repro.wei.coordinator import MultiWorkcellCoordinator, RunCompletion, ShardAssignment
 from repro.wei.drivers.registry import DriverRegistry
-from repro.wei.workcell import build_color_picker_workcell
 
 __all__ = [
     "TRANSPORT_MODES",
     "CampaignResult",
     "TransportReport",
+    "campaign_configs",
+    "color_picker_programs",
     "predict_experiment_duration",
     "run_campaign",
+    "workcell_stock",
 ]
 
 #: Execution modes understood by :func:`run_campaign` (and the CLI):
@@ -267,31 +264,55 @@ def workcell_stock(configs: Sequence[ExperimentConfig]) -> Dict[str, float]:
     return {"plates_per_tower": max(20, plates), "bulk_capacity_ul": max(500_000.0, dye_ul)}
 
 
-def _campaign_config(
-    *,
-    experiment_id: str,
-    run_index: int,
+def campaign_configs(
+    n_runs: int,
     samples_per_run: int,
-    targets: Optional[Sequence[Any]],
-    batch_size: int,
-    solver: str,
-    measurement: str,
-    seed: Optional[int],
-) -> ExperimentConfig:
-    target = targets[run_index % len(targets)] if targets else "paper-grey"
-    run_seed = None if seed is None else seed + run_index
-    return ExperimentConfig(
-        target=target,
-        n_samples=samples_per_run,
-        batch_size=min(batch_size, samples_per_run),
-        solver=solver,
-        measurement=measurement,
-        seed=run_seed,
-        publish=False,  # the campaign publishes one consolidated record per run
-        experiment_id=experiment_id,
-        run_id=f"{experiment_id}-run{run_index:03d}",
-        run_index=run_index,
-    )
+    *,
+    experiment_id: str = "acdc-campaign",
+    targets: Optional[Sequence[Any]] = None,
+    batch_size: int = 1,
+    solver: str = "evolutionary",
+    measurement: str = "direct",
+    seed: Optional[int] = 816,
+) -> List[ExperimentConfig]:
+    """The job list :func:`run_campaign` executes: run ``i`` cycles through
+    ``targets`` (the paper's grey by default) and is seeded ``seed + i``."""
+    return [
+        ExperimentConfig(
+            target=targets[run_index % len(targets)] if targets else "paper-grey",
+            n_samples=samples_per_run,
+            batch_size=min(batch_size, samples_per_run),
+            solver=solver,
+            measurement=measurement,
+            seed=None if seed is None else seed + run_index,
+            publish=False,  # the campaign publishes one consolidated record per run
+            experiment_id=experiment_id,
+            run_id=f"{experiment_id}-run{run_index:03d}",
+            run_index=run_index,
+        )
+        for run_index in range(n_runs)
+    ]
+
+
+def color_picker_programs(
+    coordinator: MultiWorkcellCoordinator, portal: Optional[PortalBackend] = None
+) -> Callable[[ExperimentConfig, int, tuple], Any]:
+    """``make_program`` for :meth:`MultiWorkcellCoordinator.run_jobs`: a claimed
+    config runs as a :class:`ColorPickerApp` on the shard's ``(ot2, barty)`` lane."""
+
+    def make_program(config: ExperimentConfig, shard: int, lane: tuple):
+        ot2, barty = lane
+        app = ColorPickerApp(
+            config,
+            workcell=coordinator.engines[shard].workcell,
+            portal=portal,
+            ot2=ot2,
+            barty=barty,
+            staging="ot2",
+        )
+        return app.program()
+
+    return make_program
 
 
 def _campaign_record(
@@ -344,7 +365,6 @@ def run_campaign(
     on_run_complete: Optional[Callable[[RunCompletion], None]] = None,
     transport: str = "sim",
     speedup: float = 1000.0,
-    completion_timeout_s: float = 60.0,
     chaos: Optional[Any] = None,
 ) -> CampaignResult:
     """Run ``n_runs`` short experiments and publish each to the same portal experiment.
@@ -420,10 +440,9 @@ def run_campaign(
         delivery counters, latency and retry/resync/CRC accounting.
     speedup:
         Wall-clock compression for ``transport="wire"``: 1000 paces 1000
-        simulated seconds per real second; ``1`` is hardware speed.
-    completion_timeout_s:
-        Real seconds a transport-backed engine waits for one completion
-        before failing the run with
+        simulated seconds per real second; ``1`` is hardware speed.  A
+        completion that has not arrived 60 real seconds after its action was
+        due fails the run with
         :class:`~repro.wei.drivers.base.CompletionTimeout`.
     chaos:
         Optional seeded :class:`~repro.wei.chaos.ChaosSchedule` injected
@@ -434,12 +453,13 @@ def run_campaign(
         matrix.  Rejected for ``transport="sim"`` and with an explicit
         ``coordinator``.
 
-    The workcells this function builds are stocked for the whole campaign
-    (plates and bulk dye, see :func:`workcell_stock`), since any lane may
-    claim every run.  Each run's record streams into the portal the moment
-    the run completes (never post-hoc), tagged with the executing workcell
-    and lane, so the portal holds every record before this function
-    returns.  ``transport="wire"`` gives each workcell's engine its own
+    Without a ``coordinator`` the fleet is built by
+    :meth:`MultiWorkcellCoordinator.build_color_picker_fleet` (shards named
+    ``workcell-<i>``) and stocked for the whole campaign (plates and bulk
+    dye, see :func:`workcell_stock`), since any lane may claim every run.
+    Each run's record streams into the portal the moment the run completes
+    (never post-hoc), tagged with the executing workcell and lane, so the
+    portal holds every record before this function returns.  ``transport="wire"`` gives each workcell's engine its own
     :class:`~repro.wei.drivers.registry.DriverRegistry`, all sharing the
     optional ``chaos`` schedule; their threads are stopped before this
     function returns.
@@ -452,10 +472,6 @@ def run_campaign(
         raise ValueError(f"n_ot2 must be >= 1, got {n_ot2}")
     if n_workcells < 1:
         raise ValueError(f"n_workcells must be >= 1, got {n_workcells}")
-    if assignment not in ASSIGNMENT_POLICIES:
-        raise ValueError(
-            f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
-        )
     if transport not in TRANSPORT_MODES:
         raise ValueError(
             f"unknown transport {transport!r}; expected one of {TRANSPORT_MODES}"
@@ -489,8 +505,6 @@ def run_campaign(
                     f"unknown module(s) in module_speeds: {', '.join(unknown)}; "
                     f"expected names from {sorted(known)}"
                 )
-        if all(profile.is_identity for profile in speed_profiles):
-            speed_profiles = None
     portal = portal if portal is not None else DataPortal()
     campaign = CampaignResult(
         experiment_id=experiment_id,
@@ -500,19 +514,16 @@ def run_campaign(
         transport=transport,
     )
 
-    configs = [
-        _campaign_config(
-            experiment_id=experiment_id,
-            run_index=run_index,
-            samples_per_run=samples_per_run,
-            targets=targets,
-            batch_size=batch_size,
-            solver=solver,
-            measurement=measurement,
-            seed=seed,
-        )
-        for run_index in range(n_runs)
-    ]
+    configs = campaign_configs(
+        n_runs,
+        samples_per_run,
+        experiment_id=experiment_id,
+        targets=targets,
+        batch_size=batch_size,
+        solver=solver,
+        measurement=measurement,
+        seed=seed,
+    )
 
     # Transport registries own driver worker threads: the stack stops them
     # once the runs are done, or if building the fleet fails part-way.
@@ -525,21 +536,7 @@ def run_campaign(
             workcell, speedup=speedup, name=f"wire[{workcell.name}]", chaos=chaos
         )
         transports.callback(registry.close)
-        return ConcurrentWorkflowEngine(
-            workcell, drivers=registry, completion_timeout_s=completion_timeout_s
-        )
-
-    def make_program(config: ExperimentConfig, shard: int, lane: tuple):
-        ot2, barty = lane
-        app = ColorPickerApp(
-            config,
-            workcell=coordinator.engines[shard].workcell,
-            portal=portal,
-            ot2=ot2,
-            barty=barty,
-            staging="ot2",
-        )
-        return app.program()
+        return ConcurrentWorkflowEngine(workcell, drivers=registry)
 
     def stream_record(completion: RunCompletion) -> None:
         record = _campaign_record(
@@ -571,25 +568,14 @@ def run_campaign(
         try:
             with transports:
                 if coordinator is None:
-                    stock = workcell_stock(configs)
-                    if n_workcells == 1:
-                        # A one-shard campaign keeps the default workcell name and seed.
-                        durations = None
-                        if speed_profiles is not None:
-                            durations = speed_profiles[0].apply(paper_calibrated_durations())
-                        workcell = build_color_picker_workcell(
-                            seed=seed, n_ot2=n_ot2, durations=durations, **stock
-                        )
-                        coordinator = MultiWorkcellCoordinator([build_engine(workcell)])
-                    else:
-                        coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
-                            n_workcells,
-                            seed=seed,
-                            n_ot2=n_ot2,
-                            engine_factory=build_engine,
-                            module_speeds=speed_profiles,
-                            **stock,
-                        )
+                    coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
+                        n_workcells,
+                        seed=seed,
+                        n_ot2=n_ot2,
+                        engine_factory=build_engine,
+                        module_speeds=speed_profiles,
+                        **workcell_stock(configs),
+                    )
                 lanes = [
                     engine.workcell.ot2_barty_pairs()[:n_ot2] for engine in coordinator.engines
                 ]
@@ -600,7 +586,7 @@ def run_campaign(
                 try:
                     results = coordinator.run_jobs(
                         configs,
-                        make_program,
+                        color_picker_programs(coordinator, portal),
                         lanes=lanes,
                         assignment=assignment,
                         duration_hint=predict_experiment_duration,

@@ -11,11 +11,9 @@ the paper's Figure 3:
 
 Two backends implement one contract (:class:`PortalBackend`):
 
-* :class:`DataPortal` -- the original in-memory store (optionally writing
-  per-run JSON files to a directory), kept bit-identical to its historical
-  behaviour so every existing caller is unchanged, and
-* :class:`~repro.publish.store.DurableDataPortal` -- the production-scale
-  append-only on-disk store (JSONL segments, crash recovery, compaction)
+* :class:`DataPortal` -- the in-memory store, and
+* :class:`~repro.publish.store.DurableDataPortal` -- the one persisted
+  store: append-only JSONL segments with crash recovery and compaction,
   documented in ``docs/portal.md``.
 
 Both expose the same queries, the same Figure-3 views, the same
@@ -42,11 +40,9 @@ Duplicate ``run_id``\\ s are **rejected, never silently clobbered**: a second
 ``ingest`` of an existing run raises :class:`DuplicateRunError` unless the
 caller passes ``overwrite=True``, which performs an explicit *versioned
 overwrite* -- the new record replaces the old one and the run's version
-counter (:meth:`DataPortal.version`) increments.  Directory persistence
-keeps only the latest version of each run on disk; version counters are
-in-memory and restart at 1 when a portal is rebuilt with
-:meth:`DataPortal.load`.  (The durable backend records the version in every
-appended envelope, so *its* counters survive reopen.)
+counter (:meth:`DataPortal.version`) increments.  (The durable backend
+records the version in every appended envelope, so its counters survive
+reopen.)
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.publish.records import ExperimentRecord, RunRecord
@@ -302,19 +297,17 @@ class PortalBackend:
 
 
 class DataPortal(PortalBackend):
-    """In-memory (optionally directory-backed) run-record store with search.
+    """In-memory run-record store with search.
 
-    Not thread-safe; see the module docstring for the consistency model
-    (mutations are visible to every query as soon as the mutating call
-    returns).
+    Nothing is persisted: use :class:`~repro.publish.store.DurableDataPortal`
+    for records that must outlive the process.  Not thread-safe; see the
+    module docstring for the consistency model (mutations are visible to
+    every query as soon as the mutating call returns).
     """
 
     backend_name = "memory"
 
-    def __init__(self, directory: Optional[Path] = None):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+    def __init__(self) -> None:
         self._runs: Dict[str, RunRecord] = {}
         self._experiments: Dict[str, List[str]] = {}
         self._versions: Dict[str, int] = {}
@@ -330,10 +323,7 @@ class DataPortal(PortalBackend):
         :class:`DuplicateRunError` unless ``overwrite=True``, in which case
         the stored record is replaced and the run's version counter
         (:meth:`version`) increments -- re-publication is an explicit,
-        observable event, never a silent clobber.  When the portal is
-        directory-backed the record's JSON file is (re)written synchronously
-        before this method returns, so on-disk state never lags in-memory
-        state.
+        observable event, never a silent clobber.
         """
         self._validate_record(record)
         previous = self._runs.get(record.run_id)
@@ -341,26 +331,17 @@ class DataPortal(PortalBackend):
             raise self._duplicate_error(record.run_id, self._versions[record.run_id])
         if previous is not None and previous.experiment_id != record.experiment_id:
             # An overwrite that moves the run between experiments must leave
-            # no trace under the old one, in memory or on disk -- otherwise
-            # a reload of the directory would see the run twice.
+            # no trace under the old one.
             old_runs = self._experiments[previous.experiment_id]
             old_runs.remove(record.run_id)
             if not old_runs:
                 del self._experiments[previous.experiment_id]
-            if self.directory is not None:
-                stale = self.directory / previous.experiment_id / f"{record.run_id}.json"
-                stale.unlink(missing_ok=True)
         self._runs[record.run_id] = record
         self._versions[record.run_id] = self._versions.get(record.run_id, 0) + 1
         runs = self._experiments.setdefault(record.experiment_id, [])
         if record.run_id not in runs:
             runs.append(record.run_id)
         self.ingest_count += 1
-        if self.directory is not None:
-            experiment_dir = self.directory / record.experiment_id
-            experiment_dir.mkdir(parents=True, exist_ok=True)
-            with open(experiment_dir / f"{record.run_id}.json", "w", encoding="utf-8") as handle:
-                json.dump(record.to_dict(), handle, indent=2, default=str)
 
     def version(self, run_id: str) -> int:
         """How many times ``run_id`` has been ingested (1 = never overwritten)."""
@@ -425,24 +406,3 @@ class DataPortal(PortalBackend):
         ]
         results.sort(key=lambda record: (record.experiment_id, record.run_index))
         return results
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    @classmethod
-    def load(cls, directory: Path) -> "DataPortal":
-        """Rebuild a portal from a directory previously written by :meth:`ingest`.
-
-        Only the latest version of each run exists on disk, so every reloaded
-        run starts again at version 1.
-        """
-        directory = Path(directory)
-        portal = cls(directory=None)
-        if not directory.exists():
-            raise FileNotFoundError(f"portal directory {directory} does not exist")
-        for path in sorted(directory.glob("*/*.json")):
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            portal.ingest(RunRecord.from_dict(data))
-        portal.directory = directory
-        return portal

@@ -53,6 +53,9 @@ __all__ = [
 #: matrix through ``python -m repro soak --seeds ...``.
 DEFAULT_SEED_MATRIX = (101, 202, 303)
 
+#: How many of a seed's most recent injected faults its case keeps.
+_KEEP_EVENTS = 200
+
 
 def _round9(values: List[float]) -> List[float]:
     """``[round(v, 9) for v in values]``, vectorised but bit-identical.
@@ -281,23 +284,20 @@ def run_soak(
     batch_size: int = 2,
     n_workcells: int = 2,
     n_ot2: int = 1,
-    solver: str = "evolutionary",
     campaign_seed: int = 816,
     seeds: Sequence[int] = DEFAULT_SEED_MATRIX,
     speedup: float = 500_000.0,
-    completion_timeout_s: float = 60.0,
-    chaos_kwargs: Optional[Dict[str, Any]] = None,
-    keep_events: int = 200,
     on_case: Optional[Callable[[SoakCase], None]] = None,
     flight_dir: Optional[str] = None,
 ) -> SoakReport:
     """Run the chaos soak matrix and report the invariant's verdict per seed.
 
-    One sim-transport baseline campaign is fingerprinted, then the same
-    campaign (same ``campaign_seed``, shards, lanes and assignment policy)
-    is executed over the framed wire protocol once per entry of ``seeds``,
-    each under ``ChaosSchedule(seed, **chaos_kwargs)``.  ``on_case`` fires
-    after each seed's verdict (the CLI uses it for live progress).
+    One sim-transport baseline campaign of the default evolutionary solver
+    is fingerprinted, then the same campaign (same ``campaign_seed``,
+    shards, lanes and assignment policy) is executed over the framed wire
+    protocol once per entry of ``seeds``, each under the default-rate
+    ``ChaosSchedule(seed)``.  ``on_case`` fires after each seed's verdict
+    (the CLI uses it for live progress).
 
     A mismatching or crashing seed never aborts the matrix: its case is
     recorded as failed (with the mismatch list or the exception) and the
@@ -314,7 +314,6 @@ def run_soak(
         "batch_size": batch_size,
         "n_workcells": n_workcells,
         "n_ot2": n_ot2,
-        "solver": solver,
         "campaign_seed": campaign_seed,
         "seeds": list(seeds),
         "speedup": speedup,
@@ -323,7 +322,6 @@ def run_soak(
         n_runs=n_runs,
         samples_per_run=samples_per_run,
         batch_size=batch_size,
-        solver=solver,
         seed=campaign_seed,
         n_workcells=n_workcells,
         n_ot2=n_ot2,
@@ -347,9 +345,6 @@ def run_soak(
                 baseline,
                 shared,
                 speedup=speedup,
-                completion_timeout_s=completion_timeout_s,
-                chaos_kwargs=chaos_kwargs,
-                keep_events=keep_events,
                 flight_dir=flight_dir,
             )
         )
@@ -364,13 +359,10 @@ def _run_case(
     shared: Dict[str, Any],
     *,
     speedup: float,
-    completion_timeout_s: float,
-    chaos_kwargs: Optional[Dict[str, Any]],
-    keep_events: int,
     flight_dir: Optional[str] = None,
 ) -> SoakCase:
     """Execute one chaos seed's campaign and judge it against the baseline."""
-    chaos = ChaosSchedule(chaos_seed, **(chaos_kwargs or {}))
+    chaos = ChaosSchedule(chaos_seed)
     wall_start = time.monotonic()
     try:
         campaign = run_campaign(
@@ -378,7 +370,6 @@ def _run_case(
             portal=DataPortal(),
             transport="wire",
             speedup=speedup,
-            completion_timeout_s=completion_timeout_s,
             chaos=chaos,
             **shared,
         )
@@ -395,7 +386,7 @@ def _run_case(
             mismatches=[f"campaign raised {type(exc).__name__}: {exc}"],
             wall_s=time.monotonic() - wall_start,
             chaos=chaos.describe(),
-            chaos_events=chaos.events[-keep_events:],
+            chaos_events=chaos.events[-_KEEP_EVENTS:],
             error=f"{type(exc).__name__}: {exc}",
         )
     fingerprint = campaign_fingerprint(campaign)
@@ -416,6 +407,6 @@ def _run_case(
         makespan_s=campaign.makespan_s,
         transport_stats=campaign.transport_stats.to_dict(),
         chaos=chaos.describe(),
-        chaos_events=chaos.events[-keep_events:],
+        chaos_events=chaos.events[-_KEEP_EVENTS:],
         fingerprint=None if ok else fingerprint,
     )

@@ -58,8 +58,9 @@ free-run.  Deck mutations still land on the engine thread at the completion
 event; only the *pace* is set by the transport (e.g. a
 :class:`~repro.wei.drivers.protocol.WireProtocolTransport` whose device
 sleeps each duration / speedup).  A silent transport fails the run with
-:class:`~repro.wei.drivers.base.CompletionTimeout` after
-``completion_timeout_s`` real seconds rather than hanging the event loop.
+:class:`~repro.wei.drivers.base.CompletionTimeout` once a completion is
+``completion_timeout_s`` real seconds past the time its action was due,
+rather than hanging the event loop.
 """
 
 from __future__ import annotations
@@ -336,7 +337,8 @@ class ConcurrentWorkflowEngine:
         #: Transport bindings; ``None`` completes every action in pure
         #: simulation exactly as before.
         self.drivers = drivers
-        #: Real-time deadline for one transport completion (seconds).
+        #: Grace period (real seconds) a transport completion may take past
+        #: the time its paced action was due.
         self.completion_timeout_s = completion_timeout_s
         #: Thread driving the event loop, recorded at each completion event
         #: so transport audits can prove completions were posted elsewhere.

@@ -59,7 +59,6 @@ mutations land at action completion on every shard.
 
 from __future__ import annotations
 
-import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,7 +77,6 @@ from repro.wei.workcell import Workcell, build_color_picker_workcell
 
 __all__ = [
     "SHARD_SEED_STRIDE",
-    "shard_seed",
     "ShardAssignment",
     "RunCompletion",
     "ShardStatus",
@@ -87,16 +85,10 @@ __all__ = [
 ]
 
 #: Stride between consecutive shards' root seeds: large and prime so derived
-#: per-device child seeds never collide between shards.  Every place that
-#: builds a fleet shard (fleet builder, campaign layer, CLI attach) derives
-#: its seed through :func:`shard_seed`, so the fleet stays reproducible no
-#: matter which entry point constructed it.
+#: per-device child seeds never collide between shards.  Every fleet shard is
+#: built by :meth:`MultiWorkcellCoordinator.build_color_picker_shard`, so the
+#: fleet stays reproducible no matter which entry point constructed it.
 SHARD_SEED_STRIDE = 100_003
-
-
-def shard_seed(seed: Optional[int], shard: int) -> Optional[int]:
-    """Deterministic root seed for fleet shard ``shard`` (``None`` stays unseeded)."""
-    return None if seed is None else seed + SHARD_SEED_STRIDE * shard
 
 #: Assignment policies understood by :meth:`MultiWorkcellCoordinator.run_jobs`:
 #: ``"work-stealing"`` pulls jobs in submission order, ``"stealing-lpt"``
@@ -304,12 +296,9 @@ class _CampaignContext:
     #: Real (monotonic) time each job entered its queue, for the
     #: queue-wait histograms observed at claim time.
     enqueue_wall: Dict[int, float] = field(default_factory=dict)
-    #: The campaign's ``duration_hint`` and its calling convention: arity 1
-    #: is the legacy ``hint(job)`` form, arity 2 passes the predicting
-    #: shard's :class:`~repro.sim.durations.DurationTable` as the second
-    #: argument (lane-aware prediction on heterogeneous fleets).
-    duration_hint: Optional[Callable[..., float]] = None
-    hint_arity: int = 1
+    #: The campaign's ``duration_hint(job, durations)``, called with the
+    #: predicting shard's :class:`~repro.sim.durations.DurationTable`.
+    duration_hint: Optional[Callable[[Any, Any], float]] = None
     #: Cached raw predictions keyed ``(shard_id, job_index)`` -- each
     #: shard's table is fixed for the campaign, so one prediction per
     #: (shard, job) pair suffices however often lookahead re-ranks.
@@ -325,30 +314,6 @@ class _CampaignContext:
     #: Per-claimed-job ``(raw_prediction, claim_sim_time)`` used to update
     #: the owning shard's drift EWMA at completion.
     claim_info: Dict[int, Tuple[float, float]] = field(default_factory=dict)
-
-
-def _hint_arity(hint: Callable[..., float]) -> int:
-    """Calling convention of a ``duration_hint``: 1 = ``hint(job)``, 2 =
-    ``hint(job, durations)`` (lane-aware, e.g.
-    :func:`~repro.core.campaign.predict_experiment_duration`).
-
-    Inspected once per campaign; uninspectable callables (builtins, some
-    callables implemented in C) fall back to the legacy 1-argument form.
-    """
-    try:
-        signature = inspect.signature(hint)
-    except (TypeError, ValueError):
-        return 1
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-        elif parameter.kind == inspect.Parameter.VAR_POSITIONAL:
-            return 2
-    return 2 if positional >= 2 else 1
 
 
 class MultiWorkcellCoordinator:
@@ -417,14 +382,7 @@ class MultiWorkcellCoordinator:
         module_speeds: Optional[Any] = None,
         **workcell_kwargs: Any,
     ) -> "MultiWorkcellCoordinator":
-        """Build ``n_workcells`` colour-picker workcells and their engines.
-
-        Each shard gets a distinct deterministic seed (:func:`shard_seed`)
-        so device RNG streams differ between shards but the whole fleet is
-        reproducible.  ``engine_factory(workcell)`` customises engine
-        construction per shard -- e.g. binding a transport
-        :class:`~repro.wei.drivers.registry.DriverRegistry` -- and defaults
-        to a plain simulated engine.
+        """Build ``n_workcells`` colour-picker shards with :meth:`build_color_picker_shard`.
 
         ``module_speeds`` describes a heterogeneous fleet: a single
         :class:`~repro.sim.durations.ModuleSpeedProfile` / mapping / spec
@@ -436,27 +394,56 @@ class MultiWorkcellCoordinator:
         """
         if n_workcells < 1:
             raise ValueError(f"n_workcells must be >= 1, got {n_workcells}")
-        if engine_factory is None:
-            engine_factory = ConcurrentWorkflowEngine
-        profiles = None
-        if module_speeds is not None:
-            profiles = ModuleSpeedProfile.broadcast(module_speeds, n_workcells)
-        engines = []
-        for shard in range(n_workcells):
-            kwargs = dict(workcell_kwargs)
-            if profiles is not None and not profiles[shard].is_identity:
-                base = kwargs.get("durations")
-                if base is None:
-                    base = paper_calibrated_durations()
-                kwargs["durations"] = profiles[shard].apply(base)
-            workcell = build_color_picker_workcell(
-                name=f"workcell-{shard}",
-                seed=shard_seed(seed, shard),
-                n_ot2=n_ot2,
-                **kwargs,
-            )
-            engines.append(engine_factory(workcell))
-        return cls(engines)
+        profiles = ModuleSpeedProfile.broadcast(module_speeds, n_workcells)
+        return cls(
+            [
+                cls.build_color_picker_shard(
+                    shard,
+                    seed=seed,
+                    n_ot2=n_ot2,
+                    engine_factory=engine_factory,
+                    profile=profiles[shard],
+                    **workcell_kwargs,
+                )
+                for shard in range(n_workcells)
+            ]
+        )
+
+    @staticmethod
+    def build_color_picker_shard(
+        shard: int,
+        *,
+        seed: Optional[int] = None,
+        n_ot2: int = 1,
+        engine_factory: Optional[Callable[[Workcell], ConcurrentWorkflowEngine]] = None,
+        profile: Optional[ModuleSpeedProfile] = None,
+        **workcell_kwargs: Any,
+    ) -> ConcurrentWorkflowEngine:
+        """Build fleet shard ``shard``: workcell ``workcell-<shard>`` and its engine.
+
+        The workcell's root seed is ``seed + SHARD_SEED_STRIDE * shard``
+        (shard 0 keeps ``seed``), so device RNG streams differ between
+        shards but the whole fleet is reproducible, and a shard attached mid-campaign is built
+        exactly as if it had been in the initial fleet.  ``profile`` rescales
+        the shard's duration table; ``workcell_kwargs`` go to
+        :func:`~repro.wei.workcell.build_color_picker_workcell` (e.g. the
+        consumable stock from :func:`~repro.core.campaign.workcell_stock`).
+        ``engine_factory(workcell)`` customises engine construction -- e.g.
+        binding a transport :class:`~repro.wei.drivers.registry.DriverRegistry`
+        -- and defaults to a plain simulated engine.
+        """
+        if profile is not None and not profile.is_identity:
+            base = workcell_kwargs.get("durations")
+            if base is None:
+                base = paper_calibrated_durations()
+            workcell_kwargs["durations"] = profile.apply(base)
+        workcell = build_color_picker_workcell(
+            name=f"workcell-{shard}",
+            seed=None if seed is None else seed + SHARD_SEED_STRIDE * shard,
+            n_ot2=n_ot2,
+            **workcell_kwargs,
+        )
+        return (engine_factory or ConcurrentWorkflowEngine)(workcell)
 
     # ------------------------------------------------------------------
     # Fleet views
@@ -722,7 +709,7 @@ class MultiWorkcellCoordinator:
         *,
         lanes: Optional[Sequence[Sequence[Any]]] = None,
         assignment: str = "work-stealing",
-        duration_hint: Optional[Callable[[Any], float]] = None,
+        duration_hint: Optional[Callable[[Any, Any], float]] = None,
     ) -> List[Any]:
         """Execute ``jobs`` across the fleet and return results in job order.
 
@@ -746,15 +733,15 @@ class MultiWorkcellCoordinator:
         ``i % L`` of the flattened lane list -- kept for benchmarking
         against the dynamic policies.
 
-        ``duration_hint`` may take one argument (``hint(job)``, one global
-        prediction) or two (``hint(job, durations)``, called with each
-        predicting shard's :class:`~repro.sim.durations.DurationTable` --
-        lane-aware, e.g.
-        :func:`~repro.core.campaign.predict_experiment_duration`).  With a
-        lane-aware hint, ``"stealing-lpt"`` orders the queue by consensus
-        *normalized* predicted size (per-shard predictions divided by that
-        shard's mean, averaged), so the ordering stays meaningful when lane
-        speeds diverge; see ``docs/scheduling.md``.
+        ``duration_hint(job, durations)`` is called with each predicting
+        shard's :class:`~repro.sim.durations.DurationTable`, so predictions
+        are lane-aware (e.g.
+        :func:`~repro.core.campaign.predict_experiment_duration`); a
+        speed-blind hint ignores the table.  ``"stealing-lpt"`` orders the
+        queue by consensus *normalized* predicted size (per-shard
+        predictions divided by that shard's mean, averaged), so the ordering
+        stays meaningful when lane speeds diverge; see
+        ``docs/scheduling.md``.
 
         Run listeners (:meth:`add_run_listener`) fire as each job completes,
         and :meth:`attach_workcell` / :meth:`drain_workcell` may reshape the
@@ -773,7 +760,7 @@ class MultiWorkcellCoordinator:
             )
         if assignment in ("stealing-lpt", "lookahead") and duration_hint is None:
             raise ValueError(
-                f"assignment={assignment!r} needs a duration_hint(job) predictor "
+                f"assignment={assignment!r} needs a duration_hint(job, durations) predictor "
                 "to order the shared queue by predicted duration"
             )
         if self._campaign is not None:
@@ -793,14 +780,13 @@ class MultiWorkcellCoordinator:
             shard.handles = []
             shard.queues = []
 
-        hint_arity = _hint_arity(duration_hint) if duration_hint is not None else 1
         shared: Optional[Deque[tuple]] = None
         if assignment in ("work-stealing", "lookahead"):
             # Lookahead keeps submission order: each lane re-ranks the
             # remaining queue itself at every claim.
             shared = deque(enumerate(jobs))
         elif assignment == "stealing-lpt":
-            shared = self._lpt_queue(jobs, duration_hint, hint_arity, active)
+            shared = self._lpt_queue(jobs, duration_hint, active)
         context = _CampaignContext(
             jobs=jobs,
             make_program=make_program,
@@ -809,7 +795,6 @@ class MultiWorkcellCoordinator:
             queue=shared,
             enqueue_wall={index: time.monotonic() for index in range(len(jobs))},
             duration_hint=duration_hint,
-            hint_arity=hint_arity,
         )
         self._campaign = context
         try:
@@ -859,57 +844,47 @@ class MultiWorkcellCoordinator:
     def _predict(self, context: _CampaignContext, shard: _Shard, index: int, job: Any) -> float:
         """Raw (drift-uncorrected) predicted duration of ``job`` on ``shard``.
 
-        Lane-aware when the campaign's hint takes the lane's duration table
-        (arity 2); cached per ``(shard, job)`` since each shard's table is
-        fixed for the campaign.
+        Predicted against the shard's own duration table; cached per
+        ``(shard, job)`` since each shard's table is fixed for the campaign.
         """
         key = (shard.shard_id, index)
         cached = context.predictions.get(key)
         if cached is None:
-            if context.hint_arity >= 2:
-                cached = float(context.duration_hint(job, shard.engine.workcell.durations))
-            else:
-                cached = float(context.duration_hint(job))
+            cached = float(context.duration_hint(job, shard.engine.workcell.durations))
             context.predictions[key] = cached
         return cached
 
     def _lpt_queue(
         self,
         jobs: Sequence[Any],
-        duration_hint: Callable[..., float],
-        hint_arity: int,
+        duration_hint: Callable[[Any, Any], float],
         active: List[_Shard],
     ) -> Deque[tuple]:
         """The ``"stealing-lpt"`` shared queue: longest-predicted-first.
 
-        With a legacy 1-argument hint every lane predicts the same number,
-        so the queue is ordered by it directly.  With a lane-aware hint the
-        shards may disagree (a 2x-OT-2 shard predicts every run shorter), so
-        each job is ranked by its *consensus normalized* size: each active
-        shard's predictions are divided by that shard's mean prediction
-        (removing the shard's overall speed) and averaged across shards --
-        the intrinsic LPT size that stays meaningful when lane speeds
-        diverge.  Stable sort: equal predictions keep submission order, so
-        the assignment stays deterministic.
+        The shards may disagree (a 2x-OT-2 shard predicts every run
+        shorter), so each job is ranked by its *consensus normalized* size:
+        each active shard's predictions are divided by that shard's mean
+        prediction (removing the shard's overall speed) and averaged across
+        shards -- the intrinsic LPT size that stays meaningful when lane
+        speeds diverge.  A speed-blind hint predicts the same number on
+        every shard, so its order is that of the raw predictions.  Stable
+        sort: equal predictions keep submission order, so the assignment
+        stays deterministic.
         """
         if not jobs:
             return deque()
-        if hint_arity >= 2 and active:
-            per_shard: List[List[float]] = []
-            for shard in active:
-                table = shard.engine.workcell.durations
-                predictions = [float(duration_hint(job, table)) for job in jobs]
-                mean = sum(predictions) / len(predictions)
-                if mean > 0:
-                    per_shard.append([p / mean for p in predictions])
-            if per_shard:
-                keys = [
-                    sum(column) / len(per_shard) for column in zip(*per_shard)
-                ]
-            else:
-                keys = [0.0] * len(jobs)
+        per_shard: List[List[float]] = []
+        for shard in active:
+            table = shard.engine.workcell.durations
+            predictions = [float(duration_hint(job, table)) for job in jobs]
+            mean = sum(predictions) / len(predictions)
+            if mean > 0:
+                per_shard.append([p / mean for p in predictions])
+        if per_shard:
+            keys = [sum(column) / len(per_shard) for column in zip(*per_shard)]
         else:
-            keys = [float(duration_hint(job)) for job in jobs]
+            keys = [0.0] * len(jobs)
         return deque(sorted(enumerate(jobs), key=lambda item: -keys[item[0]]))
 
     def _live_competitors(

@@ -27,8 +27,8 @@ Driver errors
 -------------
 
 :class:`DriverError` is the base; :class:`CompletionTimeout` is raised by
-the engine side when a ticket's completion never arrives within the
-configured real-time window, and :class:`InBandCompletionError` when a
+the engine side when a ticket's completion has not arrived within the
+configured real-time grace period after the action was due, and :class:`InBandCompletionError` when a
 driver misbehaves by delivering a completion from the thread that is
 consuming it (which would silently serialise "asynchronous" hardware).
 """
@@ -68,9 +68,11 @@ class TransportTicket:
 
     ``duration_s`` is the action's already-sampled simulated duration (the
     device drew it at submission, exactly as in pure simulation); the
-    transport decides how much *real* time that maps to.  ``sim_start`` /
-    ``sim_end`` are the simulated timestamps the engine recorded, so drivers
-    and diagnostics can correlate transport traffic with the run log.
+    transport decides how much *real* time that maps to, and records when
+    the completion is due in ``due_monotonic`` (a :func:`time.monotonic`
+    reading; 0.0 means due at once).  ``sim_start`` / ``sim_end`` are the
+    simulated timestamps the engine recorded, so drivers and diagnostics can
+    correlate transport traffic with the run log.
     """
 
     ticket_id: str
@@ -79,6 +81,7 @@ class TransportTicket:
     duration_s: float
     sim_start: float = 0.0
     sim_end: float = 0.0
+    due_monotonic: float = 0.0
 
 
 @dataclass

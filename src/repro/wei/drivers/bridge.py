@@ -21,7 +21,8 @@ Fault semantics (deterministic by construction):
   consumed -- is **rejected as a duplicate** (counted once per extra post),
 * a delivery for a ticket the engine already gave up on (:meth:`wait_for`
   timed out) is **rejected as late**,
-* a ticket whose completion never arrives raises
+* a ticket whose completion has not arrived ``timeout_s`` real seconds
+  after it was due raises
   :class:`~repro.wei.drivers.base.CompletionTimeout` on the engine side,
 * a completion carrying a ``failure`` (the transport could not deliver the
   command) resolves its ticket and raises that failure on the engine side,
@@ -132,14 +133,17 @@ class CompletionBridge:
     def wait_for(self, ticket: TransportTicket, timeout_s: float) -> TransportCompletion:
         """Block until ``ticket``'s completion arrives; deliver it exactly once.
 
-        ``timeout_s`` is a *real-time* deadline: hardware that stops talking
-        must fail the run instead of hanging it.  On timeout the ticket is
+        ``timeout_s`` is a *real-time* grace period counted from the
+        ticket's ``due_monotonic`` (or from now, if that has passed): an
+        action the hardware paces for minutes gets those minutes plus the
+        grace, while hardware that stops talking still fails the run
+        instead of hanging it.  On timeout the ticket is
         marked resolved, so a completion limping in afterwards is rejected
         as late rather than resurrecting a dead action.  A completion whose
         ``failure`` is set resolves the ticket and raises that failure.
         """
         owner_check(self, "engine-side")
-        deadline = time.monotonic() + timeout_s
+        deadline = max(time.monotonic(), ticket.due_monotonic) + timeout_s
         try:
             with obs_tracer.span(
                 "bridge.deliver",
@@ -164,7 +168,7 @@ class CompletionBridge:
                             self._m_timed_out.inc()
                             raise CompletionTimeout(
                                 f"completion for {ticket.module}.{ticket.action} "
-                                f"(ticket {ticket.ticket_id}) did not arrive within {timeout_s}s"
+                                f"(ticket {ticket.ticket_id}) did not arrive within {timeout_s}s of its due time"
                             )
                     completion = self._arrived.pop(ticket.ticket_id)
                     self._outstanding.pop(ticket.ticket_id, None)

@@ -982,6 +982,10 @@ class WireProtocolTransport:
                     raise self._closed_error()
                 seq = self._next_seq
                 self._next_seq += 1
+                # The device paces the action from (about) now; a no-sleep
+                # clock jumps straight to its end.
+                clock = self.device.clock
+                paced_s = clock.real_seconds(duration_s) if clock.sleeps else 0.0
                 ticket = TransportTicket(
                     ticket_id=f"{self.name}:{seq}",
                     module=module,
@@ -989,6 +993,7 @@ class WireProtocolTransport:
                     duration_s=float(duration_s),
                     sim_start=float(kwargs.get("sim_start", 0.0)),
                     sim_end=float(kwargs.get("sim_end", 0.0)),
+                    due_monotonic=time.monotonic() + paced_s,
                 )
                 frame = Frame(
                     kind="SUBMIT",

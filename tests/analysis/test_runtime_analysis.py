@@ -270,7 +270,6 @@ class TestRealLockGraphIsCycleFree:
             n_workcells=2,
             transport="wire",
             speedup=1_000_000.0,
-            completion_timeout_s=60.0,
             chaos=ChaosSchedule(20230816),
         )
         assert campaign.n_runs == 2

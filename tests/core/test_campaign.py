@@ -332,5 +332,5 @@ class TestStreamingElasticCampaign:
         )
         # A one-lane campaign runs on a one-shard coordinator, so each run
         # carries the lane that executed it.
-        lane = ShardAssignment(job_index=0, shard=0, workcell="rpl_colorpicker", lane=("ot2", "barty"))
+        lane = ShardAssignment(job_index=0, shard=0, workcell="workcell-0", lane=("ot2", "barty"))
         assert seen == [(0, lane), (1, replace(lane, job_index=1))]

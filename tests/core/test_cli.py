@@ -82,7 +82,33 @@ class TestCommands:
         )
         assert exit_code == 0
         assert "summary view" in capsys.readouterr().out
-        assert any(portal_dir.rglob("*.json"))
+        # --portal-dir is the durable store: JSONL segments that the
+        # portal subcommands read back.
+        assert any(portal_dir.glob("*.jsonl"))
+        assert main(["portal", "stats", str(portal_dir)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["backend"] == "durable"
+        assert stats["n_runs"] == 2
+        assert stats["recovery"]["clean"]
+
+    def test_fleet_status_stocks_every_shard_for_the_whole_campaign(self, capsys):
+        """30 runs exhaust a default-stocked workcell's dye; the initial shard
+        and the attached one (which runs almost everything once shard 0
+        drains) are both stocked for the whole job list."""
+        exit_code = main(
+            [
+                "fleet-status",
+                "--runs", "30",
+                "--samples-per-run", "2",
+                "--n-workcells", "1",
+                "--attach-after", "1",
+                "--drain-after", "2",
+            ]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "fleet event: workcell-attached workcell-1" in out
+        assert "30 runs streamed to the portal (30 records)" in out
 
     def test_fleet_status_command_with_attach_and_drain(self, capsys):
         exit_code = main(

@@ -56,7 +56,6 @@ class TestTracedChaosCampaign:
                 portal=DataPortal(),
                 transport="wire",
                 speedup=SPEEDUP,
-                completion_timeout_s=60.0,
                 chaos=ChaosSchedule(chaos_seed),
                 **CAMPAIGN,
             )

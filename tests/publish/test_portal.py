@@ -2,16 +2,17 @@
 
 Tests taking the ``portal`` fixture (see ``conftest.py``) run once per
 backend -- in-memory and durable -- so the legacy contract pinned here
-also governs the on-disk store.  Directory persistence and ``load()`` are
-in-memory-backend features and keep constructing :class:`DataPortal`
-directly; the durable store's own persistence is covered in
-``test_store.py`` / ``test_store_recovery.py``.
+also governs the on-disk store.  :class:`DataPortal` persists nothing;
+``TestPersistence`` round-trips the durable store through a reopen, and its
+segment-level persistence is covered in ``test_store.py`` /
+``test_store_recovery.py``.
 """
 
 import pytest
 
 from repro.publish.portal import DataPortal, DuplicateRunError, PortalQueryError
 from repro.publish.records import RunRecord, SampleRecord
+from repro.publish.store import DurableDataPortal
 
 
 def make_record(experiment="exp", run_index=0, solver="evolutionary", best=20.0):
@@ -75,31 +76,6 @@ class TestIngestAndQuery:
         assert portal.get_run(moved.run_id).experiment_id == "exp-b"
         with pytest.raises(PortalQueryError):
             portal.get_experiment("exp-a")
-
-    def test_overwrite_across_experiments_cleans_memory_directory(self, tmp_path):
-        directory = tmp_path / "portal"
-        portal = DataPortal(directory=directory)
-        moved = make_record("exp-a")
-        portal.ingest(moved)
-        replacement = make_record("exp-b")
-        replacement.run_id = moved.run_id
-        portal.ingest(replacement, overwrite=True)
-        # The old experiment disappears on disk too...
-        assert not (directory / "exp-a" / f"{moved.run_id}.json").exists()
-        # ...so the directory the portal wrote is always reloadable.
-        reloaded = DataPortal.load(directory)
-        assert reloaded.n_runs == 1
-        assert reloaded.get_run(moved.run_id).experiment_id == "exp-b"
-
-    def test_overwrite_rewrites_persisted_record(self, tmp_path):
-        directory = tmp_path / "portal"
-        portal = DataPortal(directory=directory)
-        portal.ingest(make_record(best=30.0))
-        portal.ingest(make_record(best=10.0), overwrite=True)
-        reloaded = DataPortal.load(directory)
-        # Disk keeps only the latest version; version counters restart at 1.
-        assert reloaded.get_run("exp-run0").best_score == 10.0
-        assert reloaded.version("exp-run0") == 1
 
     def test_unknown_queries_raise(self, portal):
         with pytest.raises(PortalQueryError):
@@ -230,15 +206,24 @@ class TestViews:
 
 
 class TestPersistence:
-    def test_round_trip_through_directory(self, tmp_path):
-        directory = tmp_path / "portal"
-        portal = DataPortal(directory=directory)
-        for index in range(3):
-            portal.ingest(make_record("exp", index))
-        reloaded = DataPortal.load(directory)
-        assert reloaded.n_runs == 3
-        assert reloaded.get_experiment("exp").n_samples == 9
+    def test_round_trip_through_reopen(self, portal_store_dir):
+        with DurableDataPortal(portal_store_dir) as portal:
+            for index in range(3):
+                portal.ingest(make_record("exp", index))
+        with DurableDataPortal(portal_store_dir) as reopened:
+            assert reopened.n_runs == 3
+            assert reopened.get_experiment("exp").n_samples == 9
 
-    def test_load_missing_directory_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            DataPortal.load(tmp_path / "does-not-exist")
+    def test_overwrite_across_experiments_then_reopen(self, portal_store_dir):
+        with DurableDataPortal(portal_store_dir) as portal:
+            moved = make_record("exp-a")
+            portal.ingest(moved)
+            replacement = make_record("exp-b")
+            replacement.run_id = moved.run_id
+            portal.ingest(replacement, overwrite=True)
+        # The reopened store holds the run once, under its new experiment.
+        with DurableDataPortal(portal_store_dir) as reopened:
+            assert reopened.n_runs == 1
+            assert reopened.get_run(moved.run_id).experiment_id == "exp-b"
+            with pytest.raises(PortalQueryError):
+                reopened.get_experiment("exp-a")

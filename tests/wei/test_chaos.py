@@ -133,7 +133,6 @@ class TestTransportRegressionMatrix:
             experiment_id="matrix",
             transport="wire",
             speedup=FAST,
-            completion_timeout_s=60.0,
             chaos=ChaosSchedule(chaos_seed),
             **CAMPAIGN,
         )
@@ -156,7 +155,6 @@ class TestTransportRegressionMatrix:
             experiment_id="matrix",
             transport="wire",
             speedup=FAST,
-            completion_timeout_s=60.0,
             chaos=EatFirstAttempt(),
             **CAMPAIGN,
         )

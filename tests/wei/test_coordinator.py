@@ -173,7 +173,7 @@ class TestLptOrdering(FactoryFixtures):
             list(self.SHORT_FIRST),
             lambda duration, shard, lane: sleeper(duration),
             assignment=assignment,
-            duration_hint=lambda duration: duration,
+            duration_hint=lambda duration, _table: duration,
         )
         return coordinator, results, completion_times
 
@@ -214,7 +214,7 @@ class TestLptOrdering(FactoryFixtures):
             [("a", 5.0), ("b", 5.0), ("c", 5.0)],
             lambda job, shard, lane: sleeper(job[1], marker=job[0]),
             assignment="stealing-lpt",
-            duration_hint=lambda job: job[1],
+            duration_hint=lambda job, _table: job[1],
         )
         assert results == ["a", "b", "c"]
 
@@ -257,7 +257,7 @@ class TestLaneAwareLpt(FactoryFixtures):
 
     def test_lane_aware_hint_beats_speed_blind_hint(self):
         paper = paper_calibrated_durations()
-        blind = self.run_fleet(lambda job: job_cost(job, paper))
+        blind = self.run_fleet(lambda job, _table: job_cost(job, paper))
         aware = self.run_fleet(lambda job, table: job_cost(job, table))
         # Blind order [T, T, T, O]: the OT-2 job starts only at t=50 and
         # finishes at 338.  Lane-aware order [O, T, T, T]: it starts at t=0.
@@ -286,7 +286,7 @@ class TestLookahead(FactoryFixtures):
 
     def test_lookahead_beats_speed_blind_lpt_on_skewed_fleet(self):
         paper = paper_calibrated_durations()
-        blind = self.run_fleet("stealing-lpt", lambda job: job_cost(job, paper))
+        blind = self.run_fleet("stealing-lpt", lambda job, _table: job_cost(job, paper))
         lookahead = self.run_fleet("lookahead", lambda job, table: job_cost(job, table))
         # Speed-blind LPT hands the longest job to whichever lane claims
         # first (shard 0, the slow one); lookahead defers the slow lane and
@@ -309,7 +309,7 @@ class TestLookahead(FactoryFixtures):
             [20.0] * 8,
             lambda duration, shard, lane: sleeper(duration),
             assignment="lookahead",
-            duration_hint=lambda duration: duration / 2.0,
+            duration_hint=lambda duration, _table: duration / 2.0,
         )
         drifts = [shard.predictor_drift for shard in coordinator.status().shards]
         assert all(drift == pytest.approx(2.0) for drift in drifts)

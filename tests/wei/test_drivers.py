@@ -166,6 +166,23 @@ class TestCompletionBridge:
         assert len(bridge.rejected) == 1
         assert bridge.outstanding() == 0
 
+    def test_grace_period_counts_from_the_due_time(self):
+        bridge = CompletionBridge()
+        t = TransportTicket(
+            ticket_id="t:0",
+            module="m",
+            action="a",
+            duration_s=30.0,
+            due_monotonic=time.monotonic() + 0.3,
+        )
+        bridge.register(t)
+        poster = threading.Timer(0.2, lambda: bridge.post(TransportCompletion.for_ticket(t)))
+        poster.start()
+        # Arrives 0.2s into the wait, before the action is even due: the
+        # 0.05s grace has not started yet.
+        assert bridge.wait_for(t, timeout_s=0.05).ticket_id == "t:0"
+        poster.join()
+
     def test_post_before_register_is_matched(self):
         bridge = CompletionBridge()
         t = ticket()
@@ -280,6 +297,26 @@ class TestTransportBackedEngine:
         assert stats.timed_out == 1
         assert stats.rejected_late == 1
         registry.close()
+
+    def test_paced_action_longer_than_the_timeout_completes(self, make_workcell):
+        """completion_timeout_s is the grace after the action is due: a
+        get_plate paced for 55s / 100 = 0.55s of real time must complete
+        under a 0.2s timeout."""
+        workcell = make_workcell(seed=7)
+        registry = DriverRegistry.wire(workcell, speedup=100.0)
+        engine = ConcurrentWorkflowEngine(workcell, drivers=registry, completion_timeout_s=0.2)
+        spec = WorkflowSpec(
+            name="wf_get_plate",
+            steps=[WorkflowStep(module="sciclops", action="get_plate", args={})],
+        )
+        try:
+            result = engine.run_all([spec])[0]
+        finally:
+            registry.close()
+        assert result.success
+        assert result.duration / 100.0 > engine.completion_timeout_s
+        assert registry.bridge.stats().delivered == 1
+        assert registry.bridge.stats().timed_out == 0
 
     def test_in_band_driver_is_rejected(self, make_workcell):
         class InBandDriver:
