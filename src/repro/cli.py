@@ -661,7 +661,16 @@ def _command_fleet_status(args) -> int:
 
     module_speeds = _resolve_module_speeds(args.module_speeds, args.n_workcells)
     # Any shard -- attached ones included -- may claim every run.
-    stock = workcell_stock(campaign_configs(args.runs, args.samples_per_run, seed=args.seed))
+    # The stock is sized from the same job list run_campaign executes below.
+    job_args = dict(
+        experiment_id="fleet-status",
+        targets=None,
+        batch_size=1,
+        solver="evolutionary",
+        measurement="direct",
+        seed=args.seed,
+    )
+    stock = workcell_stock(campaign_configs(args.runs, args.samples_per_run, **job_args))
     coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
         args.n_workcells,
         seed=args.seed,
@@ -713,13 +722,12 @@ def _command_fleet_status(args) -> int:
     campaign = run_campaign(
         n_runs=args.runs,
         samples_per_run=args.samples_per_run,
-        seed=args.seed,
         portal=portal,
-        experiment_id="fleet-status",
         n_ot2=args.n_ot2,
         assignment=args.assignment,
         coordinator=coordinator,
         on_run_complete=on_run_complete,
+        **job_args,
     )
 
     status = coordinator.status()

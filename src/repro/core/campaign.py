@@ -268,12 +268,12 @@ def campaign_configs(
     n_runs: int,
     samples_per_run: int,
     *,
-    experiment_id: str = "acdc-campaign",
-    targets: Optional[Sequence[Any]] = None,
-    batch_size: int = 1,
-    solver: str = "evolutionary",
-    measurement: str = "direct",
-    seed: Optional[int] = 816,
+    experiment_id: str,
+    targets: Optional[Sequence[Any]],
+    batch_size: int,
+    solver: str,
+    measurement: str,
+    seed: Optional[int],
 ) -> List[ExperimentConfig]:
     """The job list :func:`run_campaign` executes: run ``i`` cycles through
     ``targets`` (the paper's grey by default) and is seeded ``seed + i``."""
@@ -295,7 +295,7 @@ def campaign_configs(
 
 
 def color_picker_programs(
-    coordinator: MultiWorkcellCoordinator, portal: Optional[PortalBackend] = None
+    coordinator: MultiWorkcellCoordinator,
 ) -> Callable[[ExperimentConfig, int, tuple], Any]:
     """``make_program`` for :meth:`MultiWorkcellCoordinator.run_jobs`: a claimed
     config runs as a :class:`ColorPickerApp` on the shard's ``(ot2, barty)`` lane."""
@@ -305,7 +305,6 @@ def color_picker_programs(
         app = ColorPickerApp(
             config,
             workcell=coordinator.engines[shard].workcell,
-            portal=portal,
             ot2=ot2,
             barty=barty,
             staging="ot2",
@@ -586,7 +585,7 @@ def run_campaign(
                 try:
                     results = coordinator.run_jobs(
                         configs,
-                        color_picker_programs(coordinator, portal),
+                        color_picker_programs(coordinator),
                         lanes=lanes,
                         assignment=assignment,
                         duration_hint=predict_experiment_duration,
