@@ -660,8 +660,8 @@ def _command_fleet_status(args) -> int:
     from repro.wei.coordinator import MultiWorkcellCoordinator
 
     module_speeds = _resolve_module_speeds(args.module_speeds, args.n_workcells)
-    # Any shard -- attached ones included -- may claim every run.
-    # The stock is sized from the same job list run_campaign executes below.
+    # Any shard -- attached ones included -- may claim every run of the job
+    # list run_campaign executes below, so each is stocked for all of it.
     job_args = dict(
         experiment_id="fleet-status",
         targets=None,

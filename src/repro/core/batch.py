@@ -112,8 +112,6 @@ def run_batch_sweep(
     """
     if not batch_sizes:
         raise ValueError("batch_sizes must not be empty")
-    if n_ot2 < 1:
-        raise ValueError(f"n_ot2 must be >= 1, got {n_ot2}")
     configs = {}
     for batch_size in batch_sizes:
         if batch_size < 1:
