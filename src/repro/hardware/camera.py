@@ -97,7 +97,9 @@ class CameraImage:
         rows, cols, capacity = self._plate_shape
         plate = Plate(self.plate_barcode, rows=rows, cols=cols, well_capacity_ul=capacity)
         for name, contents in self._filled.items():
-            plate.wells[name].contents = dict(contents)
+            well = plate.well(name)
+            for liquid, volume in contents.items():
+                well.add(liquid, volume)
         return render_plate_image(
             plate,
             self._chemistry,

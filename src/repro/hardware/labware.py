@@ -8,6 +8,7 @@ clock or the random streams themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -52,9 +53,16 @@ def parse_well_name(name: str) -> Tuple[int, int]:
     return _ROW_LETTERS.index(name[0]), int(name[1:]) - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(rows: int, cols: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """Row-major well names of a ``rows x cols`` plate and each name's index."""
+    names = tuple(well_name(r, c) for r in range(rows) for c in range(cols))
+    return names, {name: index for index, name in enumerate(names)}
+
+
 def well_names(rows: int, cols: int) -> List[str]:
     """All well names of a ``rows x cols`` plate in row-major order."""
-    return [well_name(r, c) for r in range(rows) for c in range(cols)]
+    return list(_layout(rows, cols)[0])
 
 
 @dataclass
@@ -63,12 +71,19 @@ class Well:
 
     Contents are tracked as a mapping from liquid name (dye or diluent) to
     volume in µl.  The well does not know what colour it is -- that is the
-    camera's job, via the mixing model.
+    camera's job, via the mixing model.  Change the contents only through
+    :meth:`add` and :meth:`empty`: they keep the owning plate's occupancy
+    current.
     """
 
     name: str
     capacity_ul: float = 360.0
     contents: Dict[str, float] = field(default_factory=dict)
+    # Not dataclass fields: the plate whose occupancy this well reports to
+    # and the well's row-major index on it, set by Plate.well (None for a
+    # standalone well).
+    _plate = None
+    _index = -1
 
     @property
     def volume(self) -> float:
@@ -83,12 +98,15 @@ class Well:
     def add(self, liquid: str, volume_ul: float) -> None:
         """Dispense ``volume_ul`` of ``liquid`` into the well."""
         check_non_negative("volume_ul", volume_ul)
-        if self.volume + volume_ul > self.capacity_ul + 1e-9:
+        volume = self.volume
+        if volume + volume_ul > self.capacity_ul + 1e-9:
             raise LabwareError(
                 f"well {self.name}: adding {volume_ul:.1f} µl would exceed capacity "
-                f"({self.volume:.1f}/{self.capacity_ul:.1f} µl)"
+                f"({volume:.1f}/{self.capacity_ul:.1f} µl)"
             )
         self.contents[liquid] = self.contents.get(liquid, 0.0) + float(volume_ul)
+        if volume <= 0.0 and self._plate is not None and not self.is_empty:
+            self._plate._occupy(self._index)
 
     def dye_volumes(self, dye_names: Sequence[str]) -> np.ndarray:
         """Return the volumes of the named dyes as an array (µl)."""
@@ -97,29 +115,38 @@ class Well:
     def empty(self) -> None:
         """Remove all liquid (used when a plate is trashed and reused in tests)."""
         self.contents.clear()
+        if self._plate is not None:
+            self._plate._vacate(self._index)
 
 
-@dataclass
+@dataclass(eq=False)
 class Plate:
     """An SBS microplate with ``rows x cols`` wells.
 
-    Wells are created lazily in row-major order.  ``barcode`` identifies the
-    plate in run records and portal publications.
+    A :class:`Well` is created on its first :meth:`well` lookup, so
+    :attr:`wells` holds only the wells touched so far.  The plate keeps
+    which wells hold liquid itself (the wells report every change), so
+    :attr:`remaining_capacity` is O(1) and :meth:`next_empty_wells` scans
+    from the first empty well.  ``barcode`` identifies the plate in run
+    records and portal publications; equality is identity.
     """
 
     barcode: str
     rows: int = 8
     cols: int = 12
     well_capacity_ul: float = 360.0
-    wells: Dict[str, Well] = field(default_factory=dict)
+    wells: Dict[str, Well] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         check_positive("rows", self.rows)
         check_positive("cols", self.cols)
         check_positive("well_capacity_ul", self.well_capacity_ul)
-        if not self.wells:
-            for name in well_names(self.rows, self.cols):
-                self.wells[name] = Well(name=name, capacity_ul=self.well_capacity_ul)
+        self._names, self._index = _layout(self.rows, self.cols)
+        #: 1 per well holding liquid, in row-major order, and their count.
+        self._used = bytearray(len(self._names))
+        self._n_used = 0
+        #: Every well before this index holds liquid.
+        self._first_empty = 0
 
     @property
     def n_wells(self) -> int:
@@ -129,17 +156,17 @@ class Plate:
     @property
     def used_wells(self) -> List[str]:
         """Names of wells that contain liquid, in row-major order."""
-        return [name for name in well_names(self.rows, self.cols) if not self.wells[name].is_empty]
+        return [name for name, used in zip(self._names, self._used) if used]
 
     @property
     def empty_wells(self) -> List[str]:
         """Names of wells that are still empty, in row-major order."""
-        return [name for name in well_names(self.rows, self.cols) if self.wells[name].is_empty]
+        return [name for name, used in zip(self._names, self._used) if not used]
 
     @property
     def remaining_capacity(self) -> int:
         """Number of wells that can still receive a sample."""
-        return len(self.empty_wells)
+        return len(self._names) - self._n_used
 
     @property
     def is_full(self) -> bool:
@@ -148,10 +175,15 @@ class Plate:
 
     def well(self, name: str) -> Well:
         """Return the well called ``name`` (KeyError with plate context otherwise)."""
-        try:
-            return self.wells[name]
-        except KeyError:
-            raise KeyError(f"plate {self.barcode}: no well named {name!r}") from None
+        well = self.wells.get(name)
+        if well is None:
+            index = self._index.get(name)
+            if index is None:
+                raise KeyError(f"plate {self.barcode}: no well named {name!r}")
+            well = self.wells[name] = Well(name=name, capacity_ul=self.well_capacity_ul)
+            well._plate = self
+            well._index = index
+        return well
 
     def next_empty_wells(self, count: int) -> List[str]:
         """Return the next ``count`` empty wells in row-major order.
@@ -159,18 +191,38 @@ class Plate:
         Raises :class:`LabwareError` if fewer than ``count`` remain.
         """
         check_positive("count", count)
-        empty = self.empty_wells
-        if len(empty) < count:
+        remaining = self.remaining_capacity
+        if remaining < count:
             raise LabwareError(
-                f"plate {self.barcode}: requested {count} empty wells, only {len(empty)} remain"
+                f"plate {self.barcode}: requested {count} empty wells, only {remaining} remain"
             )
-        return empty[:count]
+        used = self._used
+        index = self._first_empty
+        while used[index]:
+            index += 1
+        self._first_empty = index
+        found: List[str] = []
+        while len(found) < count:
+            if not used[index]:
+                found.append(self._names[index])
+            index += 1
+        return found
 
     def well_grid_positions(self) -> Iterator[Tuple[str, int, int]]:
         """Yield ``(name, row, col)`` for all wells (used by the image renderer)."""
-        for row in range(self.rows):
-            for col in range(self.cols):
-                yield well_name(row, col), row, col
+        for index, name in enumerate(self._names):
+            row, col = divmod(index, self.cols)
+            yield name, row, col
+
+    def _occupy(self, index: int) -> None:
+        self._used[index] = 1
+        self._n_used += 1
+
+    def _vacate(self, index: int) -> None:
+        if self._used[index]:
+            self._used[index] = 0
+            self._n_used -= 1
+            self._first_empty = min(self._first_empty, index)
 
 
 @dataclass
@@ -258,9 +310,12 @@ class TipRack:
 
 
 class PlateStack:
-    """A sciclops storage tower holding fresh microplates."""
+    """A sciclops storage tower holding fresh microplates.
 
-    _barcode_counter = itertools.count(1)
+    Barcodes are ``<prefix>-0001``, ``<prefix>-0002``, ... in pop order,
+    counted per tower, so a seeded campaign labels its plates the same way
+    whatever ran before it in the process.
+    """
 
     def __init__(self, capacity: int = 20, plate_rows: int = 8, plate_cols: int = 12, prefix: str = "plate"):
         check_positive("capacity", capacity)
@@ -269,6 +324,7 @@ class PlateStack:
         self.plate_cols = plate_cols
         self.prefix = prefix
         self._remaining = capacity
+        self._barcode_counter = itertools.count(1)
 
     @property
     def remaining(self) -> int:

@@ -56,6 +56,10 @@ class DurationModel:
         check_non_negative("per_unit_s", self.per_unit_s)
         check_non_negative("jitter_cv", self.jitter_cv)
         check_non_negative("minimum_s", self.minimum_s)
+        # The jitter's log-normal parameters, fixed per model.
+        sigma = np.sqrt(np.log(1.0 + self.jitter_cv**2))
+        object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_log_mean", -0.5 * sigma**2)
 
     def mean(self, units: float = 1.0) -> float:
         """Expected duration for ``units`` units of work (ignoring the floor)."""
@@ -68,8 +72,7 @@ class DurationModel:
         if self.jitter_cv <= 0.0 or mean <= 0.0:
             return max(mean, self.minimum_s)
         # Log-normal multiplicative jitter with unit mean.
-        sigma = np.sqrt(np.log(1.0 + self.jitter_cv**2))
-        factor = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+        factor = rng.lognormal(mean=self._log_mean, sigma=self._sigma)
         return max(mean * factor, self.minimum_s)
 
 

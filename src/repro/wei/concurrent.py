@@ -23,7 +23,9 @@ runs interleave over shared devices:
   occupied by another task's plate, or a sciclops ``get_plate`` while a plate
   sits at the exchange, is parked until a later completion frees the slot
   (the physical workcell has single-plate nests, so two concurrent plates
-  must take turns at the camera stage and the exchange);
+  must take turns at the camera stage and the exchange); an OT-2's plate is
+  not carried off while the OT-2 runs, and the OT-2 does not mix while its
+  plate is away (see :meth:`ConcurrentWorkflowEngine._blocked_by_location`);
 * per-step retries of recoverable command failures go through
   :func:`~repro.wei.engine.attempt_submission`.
 
@@ -65,11 +67,13 @@ rather than hanging the event loop.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Deque, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.obs import tracer as obs_tracer
 from repro.sim.clock import SimClock
@@ -225,7 +229,12 @@ class ConcurrencyError(RuntimeError):
     """Raised when concurrent execution can no longer make progress."""
 
 
-@dataclass
+#: One admission condition on one deck location, ``(condition, location)``;
+#: see :meth:`ConcurrentWorkflowEngine._holds` for the conditions.
+_Wait = Tuple[str, str]
+
+
+@dataclass(slots=True)
 class _ActivityOutcome:
     """What happened when one module activity executed (incl. retries)."""
 
@@ -240,7 +249,7 @@ class _ActivityOutcome:
         return self.invocation is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Activity:
     """One pending exclusive use of a module by some task."""
 
@@ -250,6 +259,12 @@ class _Activity:
     max_retries: int
     continuation: Callable[[_ActivityOutcome], None]
     label: str = ""
+    #: Deck locations the activity fills at completion, the location it
+    #: empties (a transfer's source), and the admission waits that can hold
+    #: it back; set once when it is requested (:meth:`_locate`).
+    fills: Tuple[str, ...] = ()
+    vacates: Optional[str] = None
+    waits: Tuple[_Wait, ...] = ()
     #: Tracing state for the two-phase ``"action"`` span: the id is
     #: pre-allocated at the start event (so submit/deliver children can
     #: parent to it) and the span is recorded whole at the completion event.
@@ -284,7 +299,7 @@ class ConcurrentRun:
         return self.done and self.error is None
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkflowTask:
     handle: ConcurrentRun
     index: int = 0
@@ -355,11 +370,18 @@ class ConcurrentWorkflowEngine:
         self.runs_failed = 0
         self._queues: Dict[str, Deque[_Activity]] = {}
         self._busy: Dict[str, bool] = {}
-        self._parked: Deque[_Activity] = deque()
+        #: Parked activities by the wait that holds them back, each list in
+        #: parking order: ``(sequence number, activity)``.
+        self._parked: Dict[_Wait, List[Tuple[int, _Activity]]] = {}
+        self._park_sequence = itertools.count()
         #: Deck locations that in-flight actions will fill at completion.
         #: With completion-time mutations the deck alone cannot show them,
         #: so admission control counts these reservations as occupancy.
         self._incoming: Dict[str, int] = {}
+        #: Deck locations in-flight transfers will empty at completion.
+        self._outgoing: Dict[str, int] = {}
+        #: OT-2 deck location -> the OT-2 module that mixes on it.
+        self._deck_owner: Dict[str, str] = {}
         self._workflows: List[ConcurrentRun] = []
         self._programs: List[ProgramHandle] = []
         self._generators: Dict[int, Generator] = {}
@@ -370,8 +392,8 @@ class ConcurrentWorkflowEngine:
         # Register every module up front so utilisation() reports 0.0 for
         # idle modules (and for an engine that never ran a step) instead of
         # omitting them.
-        for name in workcell.modules:
-            self._module_state(name)
+        for module in workcell.modules.values():
+            self._module_state(module)
 
     # ------------------------------------------------------------------
     # Public API
@@ -554,7 +576,8 @@ class ConcurrentWorkflowEngine:
         self.engine_thread_id = threading.get_ident()
         while self.scheduler.step() is not None:
             pass
-        blocked = [activity.label for activity in self._parked]
+        parked = sorted(entry for waiters in self._parked.values() for entry in waiters)
+        blocked = [activity.label for _, activity in parked]
         blocked += [activity.label for queue in self._queues.values() for activity in queue]
         if blocked:
             raise ConcurrencyError(
@@ -584,7 +607,7 @@ class ConcurrentWorkflowEngine:
         step = spec.steps[task.index]
         module = self.workcell.module(step.module)
         try:
-            args = resolve_payload_references(dict(step.args), task.handle.payload)
+            args = resolve_payload_references(step.args, task.handle.payload)
         except KeyError as exc:
             task.handle.result.success = False
             self._finish_workflow(
@@ -767,70 +790,103 @@ class ConcurrentWorkflowEngine:
     # ------------------------------------------------------------------
     # Module scheduling: queues, guards, invocation
     # ------------------------------------------------------------------
-    def _module_state(self, name: str) -> None:
+    def _module_state(self, module: Module) -> None:
+        name = module.name
         if name not in self._queues:
             self._queues[name] = deque()
             self._busy[name] = False
             self.timelines[name] = ResourceTimeline(name)
+            if module.module_type == "ot2":
+                deck_location = getattr(module.device, "deck_location", None)
+                if deck_location is not None:
+                    self._deck_owner[deck_location] = name
 
     def _request(self, activity: _Activity) -> None:
-        name = activity.module.name
-        self._module_state(name)
-        self._queues[name].append(activity)
-        self._dispatch(name)
+        self._module_state(activity.module)
+        self._locate(activity)
+        self._queues[activity.module.name].append(activity)
+        self._dispatch(activity.module.name)
 
     def _dispatch(self, name: str) -> None:
         if self._busy[name]:
             return
         queue = self._queues[name]
         while queue:
-            activity = queue[0]
-            if self._blocked_by_location(activity):
-                queue.popleft()
-                self._parked.append(activity)
-                continue
-            queue.popleft()
-            self._start(activity)
-            return
+            activity = queue.popleft()
+            wait = self._blocked_by_location(activity)
+            if wait is None:
+                self._start(activity)
+                return
+            self._parked.setdefault(wait, []).append((next(self._park_sequence), activity))
 
-    def _location_unavailable(self, location: str) -> bool:
-        """A slot is unavailable while occupied *or* promised to an in-flight fill."""
-        return self.workcell.deck.is_occupied(location) or self._incoming.get(location, 0) > 0
-
-    def _fill_locations(self, activity: _Activity) -> List[str]:
-        """Deck locations ``activity`` will fill when it completes."""
+    def _locate(self, activity: _Activity) -> None:
+        """Set the deck locations ``activity`` fills and empties, and its waits."""
         module = activity.module
-        if module.module_type == "pf400" and activity.action == "transfer":
-            target = activity.args.get("target")
+        kind = module.module_type
+        if kind == "pf400" and activity.action == "transfer":
             deck = self.workcell.deck
+            target = activity.args.get("target")
             if isinstance(target, str) and deck.has_location(target) and target != deck.trash_location:
-                return [target]
-        if module.module_type == "sciclops" and activity.action == "get_plate":
+                activity.fills = (target,)
+            source = activity.args.get("source")
+            if isinstance(source, str) and deck.has_location(source):
+                activity.vacates = source
+            waits = [("vacant", location) for location in activity.fills]
+            if activity.vacates in self._deck_owner:
+                waits.append(("idle", activity.vacates))
+            activity.waits = tuple(waits)
+        elif kind == "sciclops" and activity.action == "get_plate":
             exchange = getattr(module.device, "exchange_location", None)
             if exchange is not None:
-                return [exchange]
-        return []
+                activity.fills = (exchange,)
+                activity.waits = (("vacant", exchange),)
+        elif kind == "ot2" and activity.action == "run_protocol":
+            deck_location = getattr(module.device, "deck_location", None)
+            if deck_location is not None:
+                activity.waits = (("plate", deck_location), ("kept", deck_location))
 
-    def _blocked_by_location(self, activity: _Activity) -> bool:
+    def _holds(self, wait: _Wait) -> bool:
+        """True while ``wait`` still keeps its activities from starting.
+
+        ``vacant``
+            the single-plate nest is occupied, or promised to an in-flight
+            fill;
+        ``idle``
+            the OT-2 that mixes on this deck is running an action;
+        ``plate``
+            no plate sits on this OT-2 deck to mix into;
+        ``kept``
+            an in-flight transfer is carrying this deck's plate away.
+        """
+        condition, location = wait
+        if condition == "vacant":
+            return self.workcell.deck.is_occupied(location) or self._incoming.get(location, 0) > 0
+        if condition == "idle":
+            return self._busy[self._deck_owner[location]]
+        if condition == "plate":
+            return not self.workcell.deck.is_occupied(location)
+        return self._outgoing.get(location, 0) > 0
+
+    def _blocked_by_location(self, activity: _Activity) -> Optional[_Wait]:
         """Physical admission control for single-plate deck locations.
 
-        A transfer cannot start while another task's plate occupies the
-        target nest -- or is on its way there from an in-flight action -- and
-        the sciclops cannot stage a plate onto an occupied (or promised)
-        exchange.  The locations an activity would fill come from
-        :meth:`_fill_locations`, the same source the in-flight reservation
-        counter uses, so admission and reservation can never diverge.
-        Blocked activities are parked (without holding their module) and
-        re-admitted when a completion frees the slot.
+        Returns the first of ``activity``'s waits that holds, or None when
+        it may start.  A transfer cannot start while another task's plate
+        occupies the target nest -- or is on its way there from an in-flight
+        action -- and the sciclops cannot stage a plate onto an occupied (or
+        promised) exchange; the locations an activity fills are the ones the
+        in-flight reservation counter counts, so admission and reservation
+        can never diverge.  An OT-2's plate stays put while that OT-2 runs an
+        action (a transfer out of its deck waits), and ``run_protocol``
+        waits for a plate on its deck that no in-flight transfer is carrying
+        off.  Blocked activities are parked (without holding their module)
+        under the wait that held them, and re-examined when a completion
+        clears it.
         """
-        module = activity.module
-        if any(self._location_unavailable(location) for location in self._fill_locations(activity)):
-            return True
-        if module.module_type == "ot2" and activity.action == "run_protocol":
-            deck_location = getattr(module.device, "deck_location", None)
-            if deck_location is not None and not self.workcell.deck.is_occupied(deck_location):
-                return True
-        return False
+        for wait in activity.waits:
+            if self._holds(wait):
+                return wait
+        return None
 
     def _start(self, activity: _Activity) -> None:
         """Phase one: submit the action at its start event.
@@ -880,8 +936,10 @@ class ConcurrentWorkflowEngine:
             end = local.now()
             self.timelines[name].reserve(start, end - start)
             if submission is not None:
-                for location in self._fill_locations(activity):
+                for location in activity.fills:
                     self._incoming[location] = self._incoming.get(location, 0) + 1
+                if activity.vacates is not None:
+                    self._outgoing[activity.vacates] = self._outgoing.get(activity.vacates, 0) + 1
             ticket: Optional[TransportTicket] = None
             driver = self.drivers.driver_for(activity.module) if self.drivers is not None else None
             if driver is not None:
@@ -940,12 +998,15 @@ class ConcurrentWorkflowEngine:
                 # failure instead of mutating state on bad information.
                 submission = None
                 last_error = f"transport error: {completion.error}"
-        self._busy[activity.module.name] = False
+        name = activity.module.name
+        self._busy[name] = False
         if reserved:
-            # Release the fill reservations just before the mutation lands:
-            # from here the deck itself shows the occupancy.
-            for location in self._fill_locations(activity):
+            # Release the reservations just before the mutation lands: from
+            # here the deck itself shows the occupancy.
+            for location in activity.fills:
                 self._incoming[location] -= 1
+            if activity.vacates is not None:
+                self._outgoing[activity.vacates] -= 1
         invocation = submission.complete() if submission is not None else None
         outcome = _ActivityOutcome(
             invocation=invocation,
@@ -957,10 +1018,14 @@ class ConcurrentWorkflowEngine:
         self._record_action_span(
             activity, ticket, end, status="ok" if invocation is not None else "error"
         )
-        self._unpark()
+        # Only this module and the ones _unpark queued for can be idle with
+        # work waiting (the continuation dispatches what it requests), so
+        # they are the ones to dispatch, in name order as always.
+        ready = self._unpark()
+        ready.add(name)
         activity.continuation(outcome)
-        for name in sorted(self._queues):
-            self._dispatch(name)
+        for ready_name in sorted(ready):
+            self._dispatch(ready_name)
 
     def _record_action_span(
         self,
@@ -992,14 +1057,24 @@ class ConcurrentWorkflowEngine:
         )
         activity.span_id = None
 
-    def _unpark(self) -> None:
-        if not self._parked:
-            return
-        still_blocked: Deque[_Activity] = deque()
-        for activity in self._parked:
-            if self._blocked_by_location(activity):
-                still_blocked.append(activity)
-            else:
-                self._module_state(activity.module.name)
-                self._queues[activity.module.name].append(activity)
-        self._parked = still_blocked
+    def _unpark(self) -> Set[str]:
+        """Queue every parked activity that may start now, in parking order.
+
+        Only the waiters of waits that no longer hold are re-examined; one
+        still blocked by another of its waits is re-parked under that wait,
+        keeping its place in the parking order.  Returns the names of the
+        modules whose queues grew.
+        """
+        admitted: List[Tuple[int, _Activity]] = []
+        for wait in [wait for wait in self._parked if not self._holds(wait)]:
+            for entry in self._parked.pop(wait):
+                blocked = self._blocked_by_location(entry[1])
+                if blocked is None:
+                    admitted.append(entry)
+                else:
+                    bisect.insort(self._parked.setdefault(blocked, []), entry)
+        ready: Set[str] = set()
+        for _, activity in sorted(admitted):
+            self._queues[activity.module.name].append(activity)
+            ready.add(activity.module.name)
+        return ready

@@ -142,6 +142,10 @@ class Module:
                 not in ("SimulatedDevice",)
             }
         self.actions: Dict[str, Callable[..., Any]] = dict(actions)
+        #: Each action's device ``submit_<action>`` (None: runs synchronously).
+        self._submitters: Dict[str, Optional[Callable[..., ActionHandle]]] = {
+            action: self._two_phase_impl(action) for action in self.actions
+        }
 
     @property
     def module_type(self) -> str:
@@ -163,7 +167,7 @@ class Module:
         custom callables registered under an action name execute
         synchronously at submission and complete as a no-op.
         """
-        return [action for action in self.action_names() if self._two_phase_impl(action) is not None]
+        return [action for action in self.action_names() if self._submitters[action] is not None]
 
     def bind_driver(self, driver: Optional[Any]) -> None:
         """Record the transport driver backing this module (``None`` unbinds)."""
@@ -203,7 +207,7 @@ class Module:
                 f"module {self.name!r} has no action {action!r}; available: {self.action_names()}"
             )
         log_start = len(self.device.action_log)
-        impl = self._two_phase_impl(action)
+        impl = self._submitters[action]
         if impl is not None:
             handle = impl(**kwargs)
             records = list(self.device.action_log[log_start:])

@@ -12,8 +12,9 @@ protocol into its mixing workflow.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List
 
 from repro.utils import yamlite
 

@@ -334,3 +334,48 @@ class TestStreamingElasticCampaign:
         # carries the lane that executed it.
         lane = ShardAssignment(job_index=0, shard=0, workcell="workcell-0", lane=("ot2", "barty"))
         assert seen == [(0, lane), (1, replace(lane, job_index=1))]
+
+
+class TestSeededCampaignIsProcessIndependent:
+    def test_same_seed_publishes_the_same_records_twice_in_one_process(self):
+        def published():
+            campaign = run_campaign(2, 2, seed=7)
+            records = campaign.portal.search(experiment_id=campaign.experiment_id)
+            return [record.to_dict() for record in records]
+
+        first, second = published(), published()
+        barcodes = [sample["plate_barcode"] for record in first for sample in record["samples"]]
+        assert barcodes == ["sciclops-t0-0001"] * 2 + ["sciclops-t0-0002"] * 2
+        # Barcodes included: each plate tower counts its own plates.
+        assert second == first
+
+
+class TestFleetDirectPin:
+    """The ``fleet_direct`` benchmark shape, pinned bit for bit.
+
+    Four work-stealing workcells run 24 runs of 4 samples in batches of 2,
+    direct measurement, seed 816 (``perfbench/workloads.py``).  Engine and
+    labware bookkeeping must not move the science or a single timestamp.
+    """
+
+    DIGEST = "d95268998e097c7e"
+    MAKESPAN_S = 5826.826884711815
+
+    def test_fingerprint_and_makespan(self):
+        fleet = MultiWorkcellCoordinator.build_color_picker_fleet(
+            4, seed=816, plates_per_tower=24, bulk_capacity_ul=1e9
+        )
+        campaign = run_campaign(
+            24,
+            4,
+            experiment_id="bench-fleet_direct",
+            batch_size=2,
+            solver="evolutionary",
+            measurement="direct",
+            seed=816,
+            portal=DataPortal(),
+            coordinator=fleet,
+        )
+        blob = json.dumps(campaign_fingerprint(campaign), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16] == self.DIGEST
+        assert campaign.makespan_s == self.MAKESPAN_S

@@ -179,3 +179,67 @@ class TestExecutedLaneScheduleInvariants:
                 assert mix.end_time <= transfer_in.start_time + 1e-9
                 assert transfer_in.end_time <= imaging.start_time + 1e-9
                 assert imaging.end_time <= transfer_out.start_time + 1e-9
+
+
+def execute_free_batches(batch_sizes, n_ot2, seed=0):
+    """Submit every batch at once as its own workflow, round-robin over OT-2s.
+
+    No lane program orders the batches: all of them are in flight together
+    (``engine.run_all``), so deck admission alone keeps each OT-2's plate
+    from being mixed while it is away or carried off while it is mixed.
+    Returns the engine and, per OT-2, its workflows' results.
+    """
+    workcell = build_color_picker_workcell(seed=seed, n_ot2=n_ot2)
+    lanes = [ot2 for ot2, _ in workcell.ot2_barty_pairs()]
+    dye_names = workcell.chemistry.dyes.names
+    well_names = Plate(barcode="well-names").empty_wells
+    for ot2 in lanes:
+        device = workcell.module(ot2).device
+        workcell.deck.place(Plate(barcode=f"plate-{ot2}"), device.deck_location)
+        for reservoir in device.reservoirs.values():
+            reservoir.fill()
+
+    specs, payloads, owners = [], [], []
+    wells_used = {ot2: 0 for ot2 in lanes}
+    for index, batch_size in enumerate(batch_sizes):
+        ot2 = lanes[index % n_ot2]
+        start = wells_used[ot2]
+        wells_used[ot2] += batch_size
+        protocol = build_mix_protocol(
+            name=f"batch_{index:02d}",
+            wells=well_names[start : start + batch_size],
+            ratios=[[0.25, 0.25, 0.25, 0.25]] * batch_size,
+            dye_names=dye_names,
+            max_component_volume_ul=40.0,
+        )
+        specs.append(mix_batch_spec(ot2))
+        payloads.append({"protocol": protocol})
+        owners.append(ot2)
+
+    engine = ConcurrentWorkflowEngine(workcell)
+    results = engine.run_all(specs, payloads)
+    assert all(result.success for result in results)
+    runs = {ot2: [] for ot2 in lanes}
+    for ot2, result in zip(owners, results):
+        runs[ot2].append(result)
+    return engine, runs
+
+
+class TestFreeSubmittedDeckAdmission:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_ot2", [1, 2, 3])
+    def test_no_mix_while_the_plate_is_away_or_moving(self, seed, n_ot2):
+        rng = np.random.default_rng(300 + seed)
+        batch_sizes = [int(v) for v in rng.integers(1, 8, size=3 * n_ot2 + 2)]
+        _, runs = execute_free_batches(batch_sizes, n_ot2, seed=seed)
+        for lane_runs in runs.values():
+            mixes = [run.steps[0] for run in lane_runs]
+            # From the start of the carry to the camera to the end of the
+            # carry back, the plate is off its deck (or on the arm).
+            away = [(run.steps[1].start_time, run.steps[3].end_time) for run in lane_runs]
+            for mix in mixes:
+                for start, end in away:
+                    assert mix.end_time <= start + 1e-9 or mix.start_time >= end - 1e-9, (
+                        f"mix [{mix.start_time}, {mix.end_time}] overlaps the plate's "
+                        f"trip [{start}, {end}]"
+                    )
