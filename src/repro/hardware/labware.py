@@ -105,7 +105,7 @@ class Well:
                 f"({volume:.1f}/{self.capacity_ul:.1f} µl)"
             )
         self.contents[liquid] = self.contents.get(liquid, 0.0) + float(volume_ul)
-        if volume <= 0.0 and self._plate is not None and not self.is_empty:
+        if volume <= 0.0 < volume_ul and self._plate is not None:
             self._plate._occupy(self._index)
 
     def dye_volumes(self, dye_names: Sequence[str]) -> np.ndarray:

@@ -24,7 +24,7 @@ runs interleave over shared devices:
   sits at the exchange, is parked until a later completion frees the slot
   (the physical workcell has single-plate nests, so two concurrent plates
   must take turns at the camera stage and the exchange); an OT-2's plate is
-  not carried off while the OT-2 runs, and the OT-2 does not mix while its
+  not carried off while the OT-2 mixes, and the OT-2 does not mix while its
   plate is away (see :meth:`ConcurrentWorkflowEngine._blocked_by_location`);
 * per-step retries of recoverable command failures go through
   :func:`~repro.wei.engine.attempt_submission`.
@@ -67,8 +67,6 @@ rather than hanging the event loop.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import threading
 import time
 from collections import deque
@@ -229,11 +227,6 @@ class ConcurrencyError(RuntimeError):
     """Raised when concurrent execution can no longer make progress."""
 
 
-#: One admission condition on one deck location, ``(condition, location)``;
-#: see :meth:`ConcurrentWorkflowEngine._holds` for the conditions.
-_Wait = Tuple[str, str]
-
-
 @dataclass(slots=True)
 class _ActivityOutcome:
     """What happened when one module activity executed (incl. retries)."""
@@ -259,12 +252,12 @@ class _Activity:
     max_retries: int
     continuation: Callable[[_ActivityOutcome], None]
     label: str = ""
-    #: Deck locations the activity fills at completion, the location it
-    #: empties (a transfer's source), and the admission waits that can hold
-    #: it back; set once when it is requested (:meth:`_locate`).
+    #: Deck locations the activity fills at completion, the OT-2 deck a
+    #: transfer carries its plate off, and the OT-2 deck ``run_protocol``
+    #: mixes on; set once when it is requested (:meth:`_locate`).
     fills: Tuple[str, ...] = ()
     vacates: Optional[str] = None
-    waits: Tuple[_Wait, ...] = ()
+    mixes: Optional[str] = None
     #: Tracing state for the two-phase ``"action"`` span: the id is
     #: pre-allocated at the start event (so submit/deliver children can
     #: parent to it) and the span is recorded whole at the completion event.
@@ -370,18 +363,16 @@ class ConcurrentWorkflowEngine:
         self.runs_failed = 0
         self._queues: Dict[str, Deque[_Activity]] = {}
         self._busy: Dict[str, bool] = {}
-        #: Parked activities by the wait that holds them back, each list in
-        #: parking order: ``(sequence number, activity)``.
-        self._parked: Dict[_Wait, List[Tuple[int, _Activity]]] = {}
-        self._park_sequence = itertools.count()
+        self._parked: Deque[_Activity] = deque()
         #: Deck locations that in-flight actions will fill at completion.
         #: With completion-time mutations the deck alone cannot show them,
         #: so admission control counts these reservations as occupancy.
         self._incoming: Dict[str, int] = {}
-        #: Deck locations in-flight transfers will empty at completion.
+        #: OT-2 deck locations, those in-flight transfers will empty at
+        #: completion, and those whose OT-2 is running ``run_protocol``.
+        self._ot2_decks: Set[str] = set()
         self._outgoing: Dict[str, int] = {}
-        #: OT-2 deck location -> the OT-2 module that mixes on it.
-        self._deck_owner: Dict[str, str] = {}
+        self._mixing: Set[str] = set()
         self._workflows: List[ConcurrentRun] = []
         self._programs: List[ProgramHandle] = []
         self._generators: Dict[int, Generator] = {}
@@ -576,8 +567,7 @@ class ConcurrentWorkflowEngine:
         self.engine_thread_id = threading.get_ident()
         while self.scheduler.step() is not None:
             pass
-        parked = sorted(entry for waiters in self._parked.values() for entry in waiters)
-        blocked = [activity.label for _, activity in parked]
+        blocked = [activity.label for activity in self._parked]
         blocked += [activity.label for queue in self._queues.values() for activity in queue]
         if blocked:
             raise ConcurrencyError(
@@ -799,7 +789,7 @@ class ConcurrentWorkflowEngine:
             if module.module_type == "ot2":
                 deck_location = getattr(module.device, "deck_location", None)
                 if deck_location is not None:
-                    self._deck_owner[deck_location] = name
+                    self._ot2_decks.add(deck_location)
 
     def _request(self, activity: _Activity) -> None:
         self._module_state(activity.module)
@@ -813,14 +803,14 @@ class ConcurrentWorkflowEngine:
         queue = self._queues[name]
         while queue:
             activity = queue.popleft()
-            wait = self._blocked_by_location(activity)
-            if wait is None:
-                self._start(activity)
-                return
-            self._parked.setdefault(wait, []).append((next(self._park_sequence), activity))
+            if self._blocked_by_location(activity):
+                self._parked.append(activity)
+                continue
+            self._start(activity)
+            return
 
     def _locate(self, activity: _Activity) -> None:
-        """Set the deck locations ``activity`` fills and empties, and its waits."""
+        """Set the deck locations ``activity`` fills, vacates and mixes on."""
         module = activity.module
         kind = module.module_type
         if kind == "pf400" and activity.action == "transfer":
@@ -829,64 +819,39 @@ class ConcurrentWorkflowEngine:
             if isinstance(target, str) and deck.has_location(target) and target != deck.trash_location:
                 activity.fills = (target,)
             source = activity.args.get("source")
-            if isinstance(source, str) and deck.has_location(source):
+            if isinstance(source, str) and source in self._ot2_decks:
                 activity.vacates = source
-            waits = [("vacant", location) for location in activity.fills]
-            if activity.vacates in self._deck_owner:
-                waits.append(("idle", activity.vacates))
-            activity.waits = tuple(waits)
         elif kind == "sciclops" and activity.action == "get_plate":
             exchange = getattr(module.device, "exchange_location", None)
             if exchange is not None:
                 activity.fills = (exchange,)
-                activity.waits = (("vacant", exchange),)
         elif kind == "ot2" and activity.action == "run_protocol":
-            deck_location = getattr(module.device, "deck_location", None)
-            if deck_location is not None:
-                activity.waits = (("plate", deck_location), ("kept", deck_location))
+            activity.mixes = getattr(module.device, "deck_location", None)
 
-    def _holds(self, wait: _Wait) -> bool:
-        """True while ``wait`` still keeps its activities from starting.
-
-        ``vacant``
-            the single-plate nest is occupied, or promised to an in-flight
-            fill;
-        ``idle``
-            the OT-2 that mixes on this deck is running an action;
-        ``plate``
-            no plate sits on this OT-2 deck to mix into;
-        ``kept``
-            an in-flight transfer is carrying this deck's plate away.
-        """
-        condition, location = wait
-        if condition == "vacant":
-            return self.workcell.deck.is_occupied(location) or self._incoming.get(location, 0) > 0
-        if condition == "idle":
-            return self._busy[self._deck_owner[location]]
-        if condition == "plate":
-            return not self.workcell.deck.is_occupied(location)
-        return self._outgoing.get(location, 0) > 0
-
-    def _blocked_by_location(self, activity: _Activity) -> Optional[_Wait]:
+    def _blocked_by_location(self, activity: _Activity) -> bool:
         """Physical admission control for single-plate deck locations.
 
-        Returns the first of ``activity``'s waits that holds, or None when
-        it may start.  A transfer cannot start while another task's plate
-        occupies the target nest -- or is on its way there from an in-flight
-        action -- and the sciclops cannot stage a plate onto an occupied (or
-        promised) exchange; the locations an activity fills are the ones the
-        in-flight reservation counter counts, so admission and reservation
-        can never diverge.  An OT-2's plate stays put while that OT-2 runs an
-        action (a transfer out of its deck waits), and ``run_protocol``
-        waits for a plate on its deck that no in-flight transfer is carrying
-        off.  Blocked activities are parked (without holding their module)
-        under the wait that held them, and re-examined when a completion
-        clears it.
+        A transfer cannot start while another task's plate occupies the
+        target nest -- or is on its way there from an in-flight action -- and
+        the sciclops cannot stage a plate onto an occupied (or promised)
+        exchange; the locations an activity fills are the ones the in-flight
+        reservation counter counts, so admission and reservation can never
+        diverge.  An OT-2's plate stays put while that OT-2 runs
+        ``run_protocol`` (a transfer out of its deck waits), and
+        ``run_protocol`` waits for a plate on its deck that no in-flight
+        transfer is carrying off.  Blocked activities are parked (without
+        holding their module) and re-admitted when a completion frees them.
         """
-        for wait in activity.waits:
-            if self._holds(wait):
-                return wait
-        return None
+        deck = self.workcell.deck
+        for location in activity.fills:
+            if deck.is_occupied(location) or self._incoming.get(location, 0) > 0:
+                return True
+        if activity.vacates in self._mixing:
+            return True
+        location = activity.mixes
+        return location is not None and (
+            not deck.is_occupied(location) or self._outgoing.get(location, 0) > 0
+        )
 
     def _start(self, activity: _Activity) -> None:
         """Phase one: submit the action at its start event.
@@ -906,6 +871,8 @@ class ConcurrentWorkflowEngine:
         """
         name = activity.module.name
         self._busy[name] = True
+        if activity.mixes is not None:
+            self._mixing.add(activity.mixes)
         start = self.clock.now()
         tracer = obs_tracer.active()
         if tracer is not None:
@@ -1000,6 +967,7 @@ class ConcurrentWorkflowEngine:
                 last_error = f"transport error: {completion.error}"
         name = activity.module.name
         self._busy[name] = False
+        self._mixing.discard(activity.mixes)
         if reserved:
             # Release the reservations just before the mutation lands: from
             # here the deck itself shows the occupancy.
@@ -1060,21 +1028,17 @@ class ConcurrentWorkflowEngine:
     def _unpark(self) -> Set[str]:
         """Queue every parked activity that may start now, in parking order.
 
-        Only the waiters of waits that no longer hold are re-examined; one
-        still blocked by another of its waits is re-parked under that wait,
-        keeping its place in the parking order.  Returns the names of the
-        modules whose queues grew.
+        Returns the names of the modules whose queues grew.
         """
-        admitted: List[Tuple[int, _Activity]] = []
-        for wait in [wait for wait in self._parked if not self._holds(wait)]:
-            for entry in self._parked.pop(wait):
-                blocked = self._blocked_by_location(entry[1])
-                if blocked is None:
-                    admitted.append(entry)
-                else:
-                    bisect.insort(self._parked.setdefault(blocked, []), entry)
         ready: Set[str] = set()
-        for _, activity in sorted(admitted):
-            self._queues[activity.module.name].append(activity)
-            ready.add(activity.module.name)
+        if not self._parked:
+            return ready
+        still_blocked: Deque[_Activity] = deque()
+        for activity in self._parked:
+            if self._blocked_by_location(activity):
+                still_blocked.append(activity)
+            else:
+                self._queues[activity.module.name].append(activity)
+                ready.add(activity.module.name)
+        self._parked = still_blocked
         return ready

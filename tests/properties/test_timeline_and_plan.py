@@ -243,3 +243,18 @@ class TestFreeSubmittedDeckAdmission:
                         f"mix [{mix.start_time}, {mix.end_time}] overlaps the plate's "
                         f"trip [{start}, {end}]"
                     )
+
+    def test_tip_replacement_does_not_hold_the_plate(self):
+        # Only mixing keeps an OT-2's plate on its deck: replace_tips does
+        # not touch the plate, so a transfer off the deck runs alongside it.
+        workcell = build_color_picker_workcell(seed=0)
+        ot2 = workcell.ot2_barty_pairs()[0][0]
+        deck_location = workcell.module(ot2).device.deck_location
+        workcell.deck.place(Plate(barcode="plate"), deck_location)
+        tips = WorkflowSpec(name="tips")
+        tips.add_step(ot2, "replace_tips")
+        carry = WorkflowSpec(name="carry")
+        carry.add_step("pf400", "transfer", source=deck_location, target="camera.stage")
+        tips_result, carry_result = ConcurrentWorkflowEngine(workcell).run_all([tips, carry])
+        assert carry_result.success and tips_result.success
+        assert carry_result.steps[0].start_time < tips_result.steps[0].end_time
