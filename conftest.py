@@ -2,11 +2,10 @@
 
 Makes the ``src`` layout importable even when the package has not been
 installed (useful on offline machines where ``pip install -e .`` cannot fetch
-build dependencies; see README "Installation" for details), registers the
-repo's custom markers, and hosts the workcell/fleet factory fixtures shared
-by ``tests/`` and ``benchmarks/`` -- the one place engine construction is
-spelled out, so tests and benchmarks cannot drift apart on how a workcell or
-fleet is built.
+build dependencies; see README "Installation" for details) and hosts the
+workcell/fleet factory fixtures shared by ``tests/`` and ``benchmarks/`` --
+the one place engine construction is spelled out, so tests and benchmarks
+cannot drift apart on how a workcell or fleet is built.
 """
 
 import os
@@ -20,14 +19,6 @@ import pytest
 _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "soak: chaos soak tests (seeded wire-protocol fault matrices); also run "
-        "standalone by the dedicated non-blocking CI soak job via '-m soak'",
-    )
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ artefact and renders it as plain text (the benchmark harness captures these):
 **Concurrency analysis** -- the machine-checked concurrency contract
 (``docs/concurrency_contract.md``):
 
-* :mod:`repro.analysis.lint` -- AST rules RPR001-RPR006 behind
+* :mod:`repro.analysis.lint` -- AST rules RPR001-RPR007 behind
   ``python -m repro lint``,
 * :mod:`repro.analysis.runtime` -- opt-in lock-order (ABBA) detection and
   thread-ownership checking for the driver stack.

@@ -7,11 +7,15 @@ are deliberately dependency-free (no matplotlib).
 
 from __future__ import annotations
 
+import string
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["format_table", "ascii_scatter"]
+
+#: Markers a series falls back to, in order, when its first character is taken.
+_MARKERS = string.digits + string.ascii_letters + string.punctuation
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], *, title: str = "") -> str:
@@ -44,8 +48,9 @@ def ascii_scatter(
 ) -> str:
     """Render named (x, y) series as an ASCII scatter plot.
 
-    Each series is drawn with a distinct single-character marker (its name's
-    first character when unambiguous, otherwise digits).
+    Each series is drawn with a distinct single-character marker: its name's
+    first character when still free, otherwise the first unused digit,
+    letter or punctuation mark.
     """
     if not series:
         raise ValueError("at least one series is required")
@@ -61,10 +66,12 @@ def ascii_scatter(
     grid = [[" "] * width for _ in range(height)]
     markers: List[str] = []
     used = set()
-    for index, name in enumerate(series):
+    for name in series:
         marker = str(name)[0]
         if marker in used:
-            marker = str(index % 10)
+            marker = next((char for char in _MARKERS if char not in used), None)
+            if marker is None:
+                raise ValueError(f"at most {len(_MARKERS)} series can get distinct markers")
         used.add(marker)
         markers.append(marker)
 

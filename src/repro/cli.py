@@ -7,8 +7,6 @@ Provides the operations a user of the released system would reach for first:
 * ``campaign``     -- the Figure 3 multi-run campaign and its portal views,
 * ``fleet-status`` -- an elastic fleet campaign with live per-shard status
   snapshots (optionally attaching / draining workcells mid-flight),
-* ``soak``         -- the chaos soak matrix: wire-protocol campaigns under
-  seeded fault schedules, verified bit-identical to the sim baseline,
 * ``lint``         -- the concurrency-contract linter (AST rules
   RPR001-RPR007 over ``src/``; see ``docs/concurrency_contract.md``),
 * ``bench``        -- the pinned perf scenario matrix (``BENCH_<area>.json``
@@ -263,36 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_argument(campaign_parser)
 
-    soak_parser = subparsers.add_parser(
-        "soak",
-        help="run the chaos soak matrix: wire-protocol campaigns under seeded fault "
-        "schedules must reproduce the sim baseline bit-for-bit",
-    )
-    soak_parser.add_argument("--runs", type=_positive_int, default=3)
-    soak_parser.add_argument("--samples-per-run", type=_positive_int, default=4)
-    soak_parser.add_argument("--batch-size", type=_positive_int, default=2)
-    soak_parser.add_argument("--n-workcells", type=_positive_int, default=2)
-    soak_parser.add_argument("--n-ot2", type=_positive_int, default=1)
-    soak_parser.add_argument("--campaign-seed", type=int, default=816)
-    soak_parser.add_argument(
-        "--seeds",
-        default=None,
-        help="comma-separated chaos seeds (default: the built-in CI matrix)",
-    )
-    soak_parser.add_argument(
-        "--speedup",
-        type=_positive_float,
-        default=500_000.0,
-        help="wall-clock compression the wire device paces at (default 500000)",
-    )
-    soak_parser.add_argument(
-        "--log-dir",
-        default=None,
-        help="write per-seed frame/event logs and a summary.json here",
-    )
-    soak_parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    _add_trace_argument(soak_parser)
-
     fleet_parser = subparsers.add_parser(
         "fleet-status",
         help="run an elastic fleet campaign and print live per-shard status snapshots",
@@ -328,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the concurrency-contract linter (rules RPR001-RPR006) over "
+        help="run the concurrency-contract linter (rules RPR001-RPR007) over "
         "Python sources; exits 1 on non-baselined violations",
     )
     lint_parser.add_argument(
@@ -794,63 +762,6 @@ def _command_fleet_status(args) -> int:
     return 0
 
 
-def _command_soak(args) -> int:
-    from repro.wei.chaos.soak import DEFAULT_SEED_MATRIX, run_soak
-
-    if args.seeds is None:
-        seeds = list(DEFAULT_SEED_MATRIX)
-    else:
-        try:
-            seeds = [int(value) for value in args.seeds.split(",") if value.strip()]
-        except ValueError:
-            raise SystemExit(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-        if not seeds:
-            raise SystemExit("--seeds must name at least one chaos seed")
-
-    def progress(case) -> None:
-        if not args.json:
-            verdict = "ok" if case.ok else "INVARIANT BROKEN"
-            stats = case.transport_stats
-            print(
-                f"chaos seed {case.chaos_seed:>6}: {verdict:16s} "
-                f"retries {stats.get('retries', 0):3d} | resyncs {stats.get('resyncs', 0):2d} | "
-                f"crc errors {stats.get('crc_errors', 0):3d} | wall {case.wall_s:5.2f}s"
-            )
-
-    report = run_soak(
-        n_runs=args.runs,
-        samples_per_run=args.samples_per_run,
-        batch_size=args.batch_size,
-        n_workcells=args.n_workcells,
-        n_ot2=args.n_ot2,
-        campaign_seed=args.campaign_seed,
-        seeds=seeds,
-        speedup=args.speedup,
-        on_case=progress,
-        flight_dir=args.log_dir,
-    )
-    if args.log_dir:
-        written = report.write_logs(args.log_dir)
-        if not args.json:
-            print(f"\nFrame/event logs written to {args.log_dir} ({len(written)} files)")
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    print()
-    if report.ok:
-        print(
-            f"Soak invariant held for all {len(report.cases)} seed(s): chaos changed "
-            "wall time and retry counts, never scores, run counts or portal contents."
-        )
-        return 0
-    for case in report.failures:
-        print(f"chaos seed {case.chaos_seed} broke the invariant:")
-        for mismatch in case.mismatches:
-            print(f"  - {mismatch}")
-    print("\nReplay a failure exactly with: python -m repro soak --seeds <seed>")
-    return 1
-
-
 def _command_lint(args) -> int:
     from pathlib import Path
 
@@ -1118,7 +1029,6 @@ _COMMANDS = {
     "sweep": _command_sweep,
     "campaign": _command_campaign,
     "fleet-status": _command_fleet_status,
-    "soak": _command_soak,
     "lint": _command_lint,
     "bench": _command_bench,
     "metrics": _command_metrics,

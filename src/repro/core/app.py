@@ -32,7 +32,7 @@ import numpy as np
 from repro.color.distance import score_colors
 from repro.core.experiment import ExperimentConfig, ExperimentResult, SampleResult
 from repro.core.metrics import compute_metrics, metrics_from_step_results
-from repro.core.protocol import build_mix_protocol, ratios_to_volumes
+from repro.core.protocol import mix_protocol, ratios_to_volumes
 from repro.core.workflows import (
     STAGING_MODES,
     build_mix_colors_workflow,
@@ -355,12 +355,12 @@ class ColorPickerApp:
                 yield from self._charge_overhead("compute", "solver")
                 ratios = np.atleast_2d(self.solver.propose(batch_size))
                 wells = plate.next_empty_wells(batch_size)
-                protocol = build_mix_protocol(
+                volumes = ratios_to_volumes(ratios, config.max_component_volume_ul)
+                protocol = mix_protocol(
                     name=f"mix_colors_{iteration:04d}",
                     wells=wells,
-                    ratios=ratios,
+                    volumes=volumes,
                     dye_names=dye_names,
-                    max_component_volume_ul=config.max_component_volume_ul,
                 )
 
                 # Figure 2 "Check: Refill Color" -> cp_wf_replenish.
@@ -385,7 +385,6 @@ class ColorPickerApp:
                 pixels = image.pixels
 
             # Image processing + scoring.
-            volumes = ratios_to_volumes(ratios, config.max_component_volume_ul)
             measured = yield from self._measure_wells(pixels, wells, volumes)
             scores = np.atleast_1d(score_colors(measured, target_rgb, config.distance_metric))
 

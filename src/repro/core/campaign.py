@@ -448,9 +448,9 @@ def run_campaign(
         into a ``transport="wire"`` campaign's frames (shared across every
         workcell's transport).  The protocol recovers every injected fault,
         so scores and portal contents still match the sim baseline -- the
-        invariant ``python -m repro soak`` asserts across a whole seed
-        matrix.  Rejected for ``transport="sim"`` and with an explicit
-        ``coordinator``.
+        invariant ``tests/properties/test_execution_oracle.py`` asserts
+        across seeded execution configurations.  Rejected for
+        ``transport="sim"`` and with an explicit ``coordinator``.
 
     Without a ``coordinator`` the fleet is built by
     :meth:`MultiWorkcellCoordinator.build_color_picker_fleet` (shards named

@@ -14,7 +14,7 @@ import numpy as np
 from repro.hardware.ot2 import PipettingProtocol, ProtocolStep
 from repro.utils.validation import check_positive
 
-__all__ = ["ratios_to_volumes", "build_mix_protocol"]
+__all__ = ["ratios_to_volumes", "build_mix_protocol", "mix_protocol"]
 
 #: Volumes smaller than this are not worth a pipetting operation and are
 #: rounded down to zero (a real OT-2 cannot accurately dispense < 1 µl).
@@ -61,16 +61,27 @@ def build_mix_protocol(
     mix_cycles:
         Number of aspirate/dispense mixing cycles after dispensing.
     """
-    ratios_arr = np.atleast_2d(np.asarray(ratios, dtype=np.float64))
-    if ratios_arr.shape[0] != len(wells):
+    volumes = ratios_to_volumes(np.atleast_2d(ratios), max_component_volume_ul)
+    return mix_protocol(name, wells, volumes, dye_names, mix_cycles)
+
+
+def mix_protocol(
+    name: str,
+    wells: Sequence[str],
+    volumes: np.ndarray,
+    dye_names: Sequence[str],
+    mix_cycles: int = 3,
+) -> PipettingProtocol:
+    """The protocol of :func:`build_mix_protocol` from volumes already
+    converted by :func:`ratios_to_volumes` (one µl row per well)."""
+    if volumes.shape[0] != len(wells):
         raise ValueError(
-            f"{len(wells)} destination wells but {ratios_arr.shape[0]} ratio rows"
+            f"{len(wells)} destination wells but {volumes.shape[0]} ratio rows"
         )
-    if ratios_arr.shape[1] != len(dye_names):
+    if volumes.shape[1] != len(dye_names):
         raise ValueError(
-            f"{len(dye_names)} dyes but ratio rows have {ratios_arr.shape[1]} components"
+            f"{len(dye_names)} dyes but ratio rows have {volumes.shape[1]} components"
         )
-    volumes = ratios_to_volumes(ratios_arr, max_component_volume_ul)
     steps: List[ProtocolStep] = []
     for well, row in zip(wells, volumes):
         step_volumes: Dict[str, float] = {

@@ -10,8 +10,8 @@ Three cooperating pieces (full model in ``docs/observability.md``):
   layers' ad-hoc counters are re-homed onto (their public accessors stay
   as thin views).  Always on; mutation rides the owning component's lock.
 * :mod:`repro.obs.recorder` -- the flight recorder: a bounded ring of
-  recent spans/events dumped as a JSON artifact on ``CompletionTimeout``,
-  soak invariant breaks, and failing tests.
+  recent spans/events dumped as a JSON artifact on ``CompletionTimeout``
+  and failing tests.
 
 :func:`observed` is the one-call switch the CLI's ``--trace`` flag and
 the bench harness use::

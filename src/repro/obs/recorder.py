@@ -1,8 +1,8 @@
 """The flight recorder: a bounded ring of recent spans and events.
 
 When something dies -- a :class:`~repro.wei.drivers.base.CompletionTimeout`,
-a soak invariant break, a failing test -- the question is always "what was
-happening just before?".  The recorder answers it: while observability is
+a failing test -- the question is always "what was happening just
+before?".  The recorder answers it: while observability is
 installed, every finished span (fed by the tracer) and every explicit
 :meth:`FlightRecorder.note` lands in a fixed-capacity ring, and
 :func:`flight_dump` snapshots the ring to a JSON artifact at the moment of
@@ -12,8 +12,6 @@ Dump triggers (the protocol, see ``docs/observability.md``):
 
 * ``CompletionTimeout`` -- the completion bridge calls :func:`flight_dump`
   at the raise site;
-* soak invariant breaks -- :func:`repro.wei.chaos.soak.run_soak` dumps per
-  broken seed into its log directory;
 * failing tests -- the root ``conftest.py`` extends the
   ``REPRO_PORTAL_ARTIFACTS`` hook to copy the active recorder's dump next
   to the failing test's portal stores.

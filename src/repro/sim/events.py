@@ -92,13 +92,8 @@ class EventScheduler:
         self._processed = 0
 
     @property
-    def pending(self) -> int:
-        """Number of events still waiting to run (excluding cancelled ones)."""
-        return len(self._queue) - self._cancelled
-
-    @property
     def active(self) -> int:
-        """Number of live (non-cancelled) events in the queue.
+        """Number of events still waiting to run (excluding cancelled ones).
 
         Merge loops poll every shard's scheduler each iteration; checking
         ``active`` first lets a coordinator skip a shard whose queue holds

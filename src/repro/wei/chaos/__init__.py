@@ -2,15 +2,15 @@
 
 :mod:`repro.wei.chaos.schedule` provides :class:`ChaosSchedule` -- a seeded,
 exactly-replayable per-frame fault schedule (drop / corrupt / duplicate /
-delay / disconnect) for the framed wire protocol -- and
-:mod:`repro.wei.chaos.soak` the soak harness that runs multi-workcell
-campaigns through it and asserts the paper's invariant: chaos may change
-wall time and retry counts, never the science.
+delay / disconnect) for the framed wire protocol.  A ``transport="wire"``
+campaign takes one through ``run_campaign(chaos=...)``;
+:mod:`repro.wei.chaos.soak` holds :func:`~repro.wei.chaos.soak.campaign_fingerprint`,
+the science-only fingerprint that must not change under chaos (or any other
+execution configuration).
 
-``soak`` is intentionally *not* imported here: it sits above
-:mod:`repro.core.campaign` in the layering, while the schedule itself is
-imported *by* the campaign layer (``transport="wire"``).  Import the harness
-explicitly: ``from repro.wei.chaos.soak import run_soak``.
+``soak`` is intentionally *not* imported here: the campaign layer imports
+the schedule, and the fingerprint reads campaign results.  Import it
+explicitly: ``from repro.wei.chaos.soak import campaign_fingerprint``.
 """
 
 from repro.wei.chaos.schedule import ChaosDecision, ChaosSchedule

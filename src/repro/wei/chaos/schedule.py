@@ -1,7 +1,8 @@
 """Seeded chaos schedules for the framed wire protocol.
 
-A :class:`ChaosSchedule` is the adversary the soak harness runs campaigns
-against: it decides, for every frame transmission on a
+A :class:`ChaosSchedule` is the adversary a ``transport="wire"`` campaign
+runs against (``run_campaign(chaos=...)``): it decides, for every frame
+transmission on a
 :class:`~repro.wei.drivers.protocol.WireProtocolTransport`'s pipe, whether
 that transmission is dropped, corrupted, duplicated, delayed, or whether the
 link is severed outright.  Two properties make it a *schedule* rather than
@@ -17,8 +18,8 @@ sequence number and ``attempt`` counts its retransmissions.  The mapping
 uses :func:`zlib.crc32` (stable across
 processes and Python versions, unlike ``hash``), so the same seed perturbs
 the same logical frames in the same way on every run, no matter how the
-threads interleave.  A failing soak seed is therefore a complete repro
-recipe.
+threads interleave.  A failing chaos seed is therefore a complete repro
+recipe: ``python -m repro campaign --transport wire --chaos-seed <seed>``.
 
 **Guaranteed liveness.**  Without care, a schedule could starve a frame
 forever (drop every retransmission) and turn "chaos" into "hang".  Two
@@ -29,8 +30,8 @@ transmission is always delivered untouched -- so every retry loop terminates
 never cost an action.
 
 Every injected fault is recorded in :attr:`ChaosSchedule.events` (a bounded,
-thread-safe log) so the soak harness can dump exactly what was done to the
-wire alongside a failure report.
+thread-safe log), so a failure report can show exactly what was done to the
+wire.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.obs import tracer as obs_tracer
 
 __all__ = ["ChaosDecision", "ChaosSchedule"]
 
-#: Keep at most this many chaos events in the in-memory log; soak campaigns
+#: Keep at most this many chaos events in the in-memory log; long campaigns
 #: inject thousands of faults and only the log's tail matters for debugging.
 MAX_EVENTS = 10_000
 
@@ -93,7 +94,7 @@ class ChaosSchedule:
     determines every decision; see the module docstring for the replay and
     liveness guarantees.
 
-    One schedule may be shared by several transports (the soak harness
+    One schedule may be shared by several transports (``run_campaign``
     shares one across every workcell of a fleet): decisions are keyed by the
     transport-qualified ``direction`` string, so sharing changes nothing
     about determinism, and the disconnect cap applies fleet-wide.
@@ -232,7 +233,7 @@ class ChaosSchedule:
             return int(self._m_disconnects.value)
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-serialisable configuration + counters (for soak logs)."""
+        """JSON-serialisable configuration + counters (for failure reports)."""
         with self._lock:
             return {
                 "seed": self.seed,

@@ -54,8 +54,8 @@ Fault injection plugs in between the two ends: a
 frame is dropped, corrupted, duplicated, delayed or the link severed -- see
 :mod:`repro.wei.chaos`.  Because every loss is recovered by retry/resync, a
 chaos-ridden run produces the *same science* as a clean one; only wall time
-and the retry counters differ, which is the invariant the soak harness
-asserts.
+and the retry counters differ, which is the invariant the execution oracle
+(``tests/properties/test_execution_oracle.py``) asserts.
 """
 
 from __future__ import annotations
@@ -817,7 +817,7 @@ class WireStats:
     disconnects: int
 
     def to_dict(self) -> Dict[str, int]:
-        """JSON-serialisable form (soak logs / portal / CLI reporting)."""
+        """JSON-serialisable form (portal / CLI reporting)."""
         return {
             "frames_sent": self.frames_sent,
             "frames_received": self.frames_received,

@@ -51,3 +51,11 @@ class TestAsciiScatter:
         }
         text = ascii_scatter(series)
         assert "alpha" in text and "alps" in text
+
+    def test_fallback_markers_never_reuse_a_taken_marker(self):
+        # Figure 4's batch sizes: 16, 32 and 64 collide with 1, and the old
+        # index-digit fallback gave 16 the marker 4, already taken by B = 4.
+        sizes = (1, 2, 4, 8, 16, 32, 64)
+        series = {str(size): (np.array([float(size)]), np.array([1.0])) for size in sizes}
+        legend = ascii_scatter(series).splitlines()[-1]
+        assert legend == " legend: 1=1, 2=2, 4=4, 8=8, 0=16, 3=32, 6=64"

@@ -174,27 +174,11 @@ class TestPredictorParity:
 
 
 class TestHeterogeneousCampaign:
-    """``module_speeds``: per-workcell speed profiles with unchanged science."""
+    """``module_speeds`` and an explicit coordinator: what is rejected.
 
-    SPEEDS = [{"ot2": 1.0}, {"ot2": 2.0, "pf400": 2.0}]
-
-    @staticmethod
-    def fingerprint(campaign):
-        return hashlib.sha256(
-            json.dumps(campaign_fingerprint(campaign), sort_keys=True).encode()
-        ).hexdigest()
-
-    def test_mixed_speed_fleet_is_bit_identical_to_sequential(self):
-        kwargs = dict(n_runs=4, samples_per_run=4, seed=21, experiment_id="hetero")
-        sequential = run_campaign(**kwargs)
-        lookahead = run_campaign(
-            n_workcells=2, assignment="lookahead", module_speeds=self.SPEEDS, **kwargs
-        )
-        lpt = run_campaign(
-            n_workcells=2, assignment="stealing-lpt", module_speeds=self.SPEEDS, **kwargs
-        )
-        assert self.fingerprint(sequential) == self.fingerprint(lookahead)
-        assert self.fingerprint(sequential) == self.fingerprint(lpt)
+    That per-workcell speed profiles leave the science unchanged is
+    ``tests/properties/test_execution_oracle.py``'s job.
+    """
 
     def test_unknown_module_rejected(self):
         with pytest.raises(ValueError, match="unknown module"):

@@ -460,52 +460,3 @@ class TestMetricsCommand:
         assert "bridge_delivered_total{" in out
         assert "wire_frames_sent_total{" in out
         assert "wire_retries_total{" in out
-
-
-class TestSoakCommand:
-    SMALL = [
-        "soak",
-        "--runs", "1",
-        "--samples-per-run", "2",
-        "--batch-size", "2",
-        "--n-workcells", "1",
-        "--speedup", "1000000",
-    ]
-
-    def test_soak_invariant_holds_and_reports_per_seed(self, capsys):
-        exit_code = main(self.SMALL + ["--seeds", "101,202"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "chaos seed    101: ok" in out
-        assert "chaos seed    202: ok" in out
-        assert "Soak invariant held for all 2 seed(s)" in out
-
-    def test_soak_writes_frame_event_logs(self, capsys, tmp_path):
-        log_dir = tmp_path / "soak-logs"
-        exit_code = main(self.SMALL + ["--seeds", "101", "--log-dir", str(log_dir)])
-        assert exit_code == 0
-        assert (log_dir / "soak-seed-101.json").exists()
-        summary = json.loads((log_dir / "summary.json").read_text())
-        assert summary["ok"] is True
-        assert "retries" in summary["cases"][0]["transport_stats"]
-
-    def test_soak_json_output(self, capsys):
-        exit_code = main(self.SMALL + ["--seeds", "303", "--json"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
-        assert payload["ok"] is True
-        assert payload["cases"][0]["chaos_seed"] == 303
-
-    def test_soak_rejects_malformed_seeds(self):
-        with pytest.raises(SystemExit):
-            main(["soak", "--seeds", "one,two"])
-        with pytest.raises(SystemExit):
-            main(["soak", "--seeds", ","])
-
-    def test_soak_defaults_to_builtin_matrix(self):
-        from repro.wei.chaos.soak import DEFAULT_SEED_MATRIX
-
-        args = build_parser().parse_args(["soak"])
-        assert args.seeds is None  # resolved to DEFAULT_SEED_MATRIX at run time
-        assert len(DEFAULT_SEED_MATRIX) >= 3

@@ -1,15 +1,15 @@
 """Tracing under chaos: the telemetry layer may observe, never perturb.
 
-For every default chaos seed the soak CI matrix runs, an instrumented
-wire campaign must
+For each of three chaos seeds, an instrumented wire campaign must
 
 * balance its spans (every start has an end, nothing leaks open),
 * record exactly one delivered-completion (``bridge.deliver``) span per
   submitted action,
 * surface the wire's recovery work — retries and resyncs — as spans whose
-  counts match the transport's own recovery counters, and
-* produce a science fingerprint bit-identical to the uninstrumented sim
-  baseline (the soak invariant, now with tracing on).
+  counts match the transport's own recovery counters.
+
+That tracing leaves the science unchanged is checked by
+``tests/properties/test_execution_oracle.py``.
 """
 
 import pytest
@@ -18,9 +18,8 @@ from repro import obs
 from repro.core.campaign import run_campaign
 from repro.publish.portal import DataPortal
 from repro.wei.chaos.schedule import ChaosSchedule
-from repro.wei.chaos.soak import DEFAULT_SEED_MATRIX, campaign_fingerprint
 
-#: Same shape as the CI soak matrix (small enough for tier-1).
+#: The chaos soak shape (small enough for tier-1).
 CAMPAIGN = dict(
     n_runs=3,
     samples_per_run=4,
@@ -33,20 +32,12 @@ CAMPAIGN = dict(
 SPEEDUP = 500_000.0
 
 
-@pytest.fixture(scope="module")
-def sim_baseline():
-    """The uninstrumented sim-transport fingerprint every seed must match."""
-    campaign = run_campaign(portal=DataPortal(), **CAMPAIGN)
-    return campaign_fingerprint(campaign)
-
-
-@pytest.fixture(scope="class", params=DEFAULT_SEED_MATRIX)
+@pytest.fixture(scope="class", params=(101, 202, 303))
 def chaos_seed(request):
     """Class-scoped seed parametrisation: one campaign per seed, not per test."""
     return request.param
 
 
-@pytest.mark.soak
 class TestTracedChaosCampaign:
     @pytest.fixture(scope="class")
     def traced(self, chaos_seed):
@@ -111,10 +102,6 @@ class TestTracedChaosCampaign:
         }
         # Injections fire inside the transmitting thread's open frame span.
         assert parents <= {"wire.frame"}
-
-    def test_science_fingerprint_is_bit_identical_to_sim(self, traced, sim_baseline, chaos_seed):
-        _, campaign, _ = traced
-        assert campaign_fingerprint(campaign) == sim_baseline
 
     def test_causal_tree_reaches_the_campaign_root(self, traced, chaos_seed):
         _, _, by_name = traced

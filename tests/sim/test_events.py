@@ -80,7 +80,7 @@ class TestControl:
         executed = scheduler.run(until=5.0)
         assert executed == 1
         assert fired == [1]
-        assert scheduler.pending == 1
+        assert scheduler.active == 1
         assert scheduler.clock.now() == pytest.approx(1.0)
 
     def test_run_until_idles_clock_when_queue_empty(self):
@@ -94,7 +94,7 @@ class TestControl:
         for t in range(5):
             scheduler.schedule_at(float(t), lambda: None)
         assert scheduler.run(max_events=3) == 3
-        assert scheduler.pending == 2
+        assert scheduler.active == 2
 
     def test_step_returns_none_when_empty(self):
         assert EventScheduler().step() is None
@@ -108,15 +108,14 @@ class TestControl:
 
 
 class TestCancelledAccounting:
-    """``pending``/``active`` exclude lazily-deleted events (the old
-    ``pending`` counted them, so an all-cancelled queue looked busy)."""
+    """``active`` excludes lazily-deleted events, so an all-cancelled queue
+    does not look busy."""
 
     def test_pending_excludes_cancelled(self):
         scheduler = EventScheduler()
         events = [scheduler.schedule_at(float(t + 1), lambda: None) for t in range(4)]
         events[0].cancel()
         events[2].cancel()
-        assert scheduler.pending == 2
         assert scheduler.active == 2
         assert scheduler.queue_size == 4  # husks still on the heap
 
@@ -126,14 +125,13 @@ class TestCancelledAccounting:
         scheduler.schedule_at(2.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert scheduler.pending == 1
+        assert scheduler.active == 1
 
     def test_all_cancelled_queue_reports_idle(self):
         scheduler = EventScheduler()
         events = [scheduler.schedule_at(float(t + 1), lambda: None) for t in range(10)]
         for event in events:
             event.cancel()
-        assert scheduler.pending == 0
         assert scheduler.active == 0
         assert scheduler.next_time() is None
         assert scheduler.step() is None
@@ -174,8 +172,8 @@ class TestCancelledAccounting:
             event.cancel()
         # Cancelled entries dominated, so the heap was rebuilt without most
         # of them; at most a sub-threshold tail of husks may remain.
-        assert scheduler.pending == len(keep)
-        assert scheduler.queue_size - scheduler.pending < 64
+        assert scheduler.active == len(keep)
+        assert scheduler.queue_size - scheduler.active < 64
         assert scheduler.next_time() == 1000.0
 
     def test_cancelled_event_popped_then_compaction_still_consistent(self):
@@ -184,6 +182,6 @@ class TestCancelledAccounting:
         scheduler.schedule_at(2.0, lambda: None)
         first.cancel()
         assert scheduler.next_time() == 2.0  # peek pops the cancelled head
-        assert scheduler.pending == 1
+        assert scheduler.active == 1
         assert scheduler.queue_size == 1
         assert scheduler.run() == 1

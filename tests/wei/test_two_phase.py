@@ -190,7 +190,7 @@ class TestEngineCompletionTiming:
         handle = engine.submit(spec)
         # submit() dispatched the step: the transfer is in flight, its
         # completion event pending -- and the deck is still untouched.
-        assert engine.scheduler.pending == 1
+        assert engine.scheduler.active == 1
         assert deck.is_occupied("ot2.deck")
         assert not deck.is_occupied("camera.stage")
 
