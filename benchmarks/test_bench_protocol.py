@@ -99,6 +99,8 @@ def test_chaotic_wire_campaign_matches_sim_and_reports_recovery(benchmark, repor
                 ("CRC-rejected frames", stats.crc_errors),
                 ("wire duplicates dropped", stats.duplicates_dropped),
                 ("completions retransmitted", stats.completions_retransmitted),
+                ("REJs sent on damaged frames", stats.rejs_sent),
+                ("polls for overdue completions", stats.polls_sent),
                 ("real elapsed", f"{stats.wall_elapsed_s:.2f} s"),
             ],
         ),

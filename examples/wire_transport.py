@@ -50,7 +50,8 @@ def main() -> int:
     print(
         f"Recovered: {stats.retries} submit retries, {stats.resyncs} resyncs, "
         f"{stats.crc_errors} CRC errors, {stats.duplicates_dropped} duplicates dropped, "
-        f"{stats.completions_retransmitted} completions retransmitted"
+        f"{stats.completions_retransmitted} completions retransmitted, "
+        f"{stats.rejs_sent} REJs, {stats.polls_sent} polls"
     )
     return 0
 

@@ -600,7 +600,8 @@ def _command_campaign(args) -> int:
         print(
             f"Wire recovery: {stats.retries} retries, {stats.resyncs} resyncs, "
             f"{stats.crc_errors} CRC errors, "
-            f"{stats.completions_retransmitted} completions retransmitted"
+            f"{stats.completions_retransmitted} completions retransmitted, "
+            f"{stats.rejs_sent} REJs, {stats.polls_sent} polls"
             + (f" (chaos seed {args.chaos_seed})" if chaos is not None else "")
         )
     if args.n_workcells > 1:

@@ -50,7 +50,7 @@ from repro.obs import tracer as obs_tracer
 from repro.publish.portal import DataPortal, PortalBackend
 from repro.publish.records import RunRecord, SampleRecord
 from repro.sim.durations import DurationTable, ModuleSpeedProfile, paper_calibrated_durations
-from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.concurrent import ConcurrentWorkflowEngine, TransportRetryStats
 from repro.wei.coordinator import MultiWorkcellCoordinator, RunCompletion, ShardAssignment
 from repro.wei.drivers.registry import DriverRegistry
 
@@ -101,6 +101,8 @@ class TransportReport:
     crc_errors: int = 0
     duplicates_dropped: int = 0
     completions_retransmitted: int = 0
+    rejs_sent: int = 0
+    polls_sent: int = 0
     #: Whether the campaign had a transport at all (``False`` for sim).
     present: bool = False
 
@@ -133,7 +135,8 @@ class CampaignResult:
     workcell_makespans: List[float] = field(default_factory=list)
     #: Which shard/lane executed each run, in run order.
     assignments: List[Optional[ShardAssignment]] = field(default_factory=list)
-    #: Execution mode the campaign ran under (``"sim"`` or ``"wire"``).
+    #: Execution mode the campaign ran under (``"sim"`` or ``"wire"``),
+    #: read off the fleet's engines: ``"wire"`` if any drives a transport.
     transport: str = "sim"
     #: Transport-layer report for transport campaigns: completion counts,
     #: the real wall seconds the campaign took, delivery-latency summary
@@ -575,6 +578,10 @@ def run_campaign(
                         module_speeds=speed_profiles,
                         **workcell_stock(configs),
                     )
+                # An explicit coordinator's engines keep their own drivers,
+                # so the label comes from the fleet, not the argument.
+                campaign.transport = _transport_mode(coordinator)
+                campaign_span.set(transport=campaign.transport)
                 lanes = [
                     engine.workcell.ot2_barty_pairs()[:n_ot2] for engine in coordinator.engines
                 ]
@@ -607,6 +614,14 @@ def run_campaign(
             obs_tracer.unbind("campaign")
 
 
+def _transport_mode(coordinator: MultiWorkcellCoordinator) -> str:
+    """``"wire"`` when any engine of the fleet drives its actions through
+    transport drivers, ``"sim"`` when every engine completes them inline."""
+    if any(engine.drivers is not None for engine in coordinator.engines):
+        return "wire"
+    return "sim"
+
+
 def _transport_report(
     coordinator: MultiWorkcellCoordinator, wall_elapsed_s: float
 ) -> TransportReport:
@@ -615,19 +630,14 @@ def _transport_report(
     Besides the completion-bridge view (delivered / rejected / timed out /
     latency), the report sums each engine's wire-level recovery counters
     (:meth:`~repro.wei.concurrent.ConcurrentWorkflowEngine.transport_retry_stats`):
-    ``retries``, ``resyncs``, ``crc_errors``, ``duplicates_dropped`` and
-    ``completions_retransmitted``.  Each per-engine snapshot is
-    taken atomically under that component's own lock; this only sums them.
+    ``retries``, ``resyncs``, ``crc_errors``, ``duplicates_dropped``,
+    ``completions_retransmitted``, ``rejs_sent`` and ``polls_sent``.  Each
+    per-engine snapshot is taken atomically under that component's own
+    lock; this only sums them.
     """
     latencies: List[float] = []
     delivered = rejected_duplicate = rejected_late = timed_out = 0
-    recovery = {
-        "retries": 0,
-        "resyncs": 0,
-        "crc_errors": 0,
-        "duplicates_dropped": 0,
-        "completions_retransmitted": 0,
-    }
+    recovery = TransportRetryStats().to_dict()
     any_transport = False
     for engine in coordinator.engines:
         stats = engine.transport_stats()

@@ -115,6 +115,8 @@ class TransportRetryStats:
     crc_errors: int = 0
     duplicates_dropped: int = 0
     completions_retransmitted: int = 0
+    rejs_sent: int = 0
+    polls_sent: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serialisable form."""
@@ -454,20 +456,16 @@ class ConcurrentWorkflowEngine:
         unconditionally: ``retries`` (command retransmissions), ``resyncs``
         (reconnect handshakes), ``crc_errors`` (frames discarded as
         corrupt), ``duplicates_dropped`` (repeat completions deduplicated on
-        the wire) and ``completions_retransmitted`` (device-side re-sends).
+        the wire), ``completions_retransmitted`` (device-side re-sends),
+        ``rejs_sent`` (damaged frames answered with REJ at either end) and
+        ``polls_sent`` (polls for overdue completions).
         Returns a typed :class:`TransportRetryStats` snapshot (each driver's
         counters are read atomically under that driver's own lock by its
         ``stats()``).
         """
-        totals = {
-            "retries": 0,
-            "resyncs": 0,
-            "crc_errors": 0,
-            "duplicates_dropped": 0,
-            "completions_retransmitted": 0,
-        }
         if self.drivers is None:
             return TransportRetryStats()
+        totals = TransportRetryStats().to_dict()
         for driver in self.drivers.drivers():
             stats_fn = getattr(driver, "stats", None)
             if stats_fn is None:

@@ -29,6 +29,19 @@ reordered deliveries, dead links) exists and must be survived:
   device -- into a retransmission timeout between :data:`MIN_RTO_S` and the
   configured timeout.  Karn's rule applies: a frame that was retransmitted
   gives no sample, because its ACK may answer any of the copies.
+* **Recovery on the receiver's signal**: the timers are only the liveness
+  fallback.  An end whose decoder rejects a frame (a CRC failure or an
+  absurd length) sends ``REJ``, and the peer at once retransmits every
+  frame it has not had ACKed (as HDLC's REJ, ISO/IEC 13239).  A ticket whose
+  SUBMIT was ACKed but whose COMPLETE is overdue by :data:`POLL_AFTER_SRTTS`
+  smoothed round trips makes the transport send ``POLL`` naming the submit,
+  and the device resends that COMPLETE if it is still unACKed.  Both kinds
+  are sent once: when one is lost, the timers recover.
+* **A measured first RTO**: at construction each end sends ``HELLO`` once
+  and samples the round trip to the peer's ``HELLO_ACK`` (as TCP samples
+  its SYN, RFC 6298 section 2), so a loss early in a run waits out a
+  measured timeout rather than the configured ceiling.  The transport's
+  HELLO triggers the device's.  A lost HELLO leaves that end at the ceiling.
 * **Reconnect-with-resync**: when the link drops (a chaos-injected
   disconnect, or :meth:`BytePipe.disconnect`), the transport's reader thread
   reconnects the pipe and sends ``SYNC``; the device answers ``SYNC_ACK`` and
@@ -66,7 +79,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type, TypeVar
 
 from repro.analysis.runtime import make_condition
@@ -82,6 +95,7 @@ __all__ = [
     "encode_frame",
     "FrameDecoder",
     "MIN_RTO_S",
+    "POLL_AFTER_SRTTS",
     "RttEstimator",
     "PipeClosedError",
     "BytePipe",
@@ -101,7 +115,24 @@ MAGIC = b"\xa5\x5a"
 #: Frame kinds on the wire.  SUBMIT/ACK/NACK carry the command channel
 #: (transport -> device), COMPLETE rides the completion channel (device ->
 #: transport, ACKed back), SYNC/SYNC_ACK perform the reconnect handshake.
-FRAME_KINDS = ("SUBMIT", "ACK", "NACK", "COMPLETE", "SYNC", "SYNC_ACK")
+#: REJ (either way) asks the peer to resend its unACKed frames, POLL
+#: (transport -> device) asks for one overdue COMPLETE, and HELLO/HELLO_ACK
+#: (either way) measure each end's first round trip.  The later kinds are
+#: appended so every earlier kind keeps its code, and each numbers its
+#: frames from its own counter, so the SUBMIT and COMPLETE numbering is
+#: untouched.
+FRAME_KINDS = (
+    "SUBMIT",
+    "ACK",
+    "NACK",
+    "COMPLETE",
+    "SYNC",
+    "SYNC_ACK",
+    "REJ",
+    "POLL",
+    "HELLO",
+    "HELLO_ACK",
+)
 
 _KIND_CODES = {kind: index for index, kind in enumerate(FRAME_KINDS)}
 _CODE_KINDS = {index: kind for index, kind in enumerate(FRAME_KINDS)}
@@ -489,6 +520,11 @@ MIN_RTO_S = 0.002
 #: expires (RFC 6298, section 5.5), up to its ``retransmit_s``.
 DEVICE_BACKOFF = 2.0
 
+#: The transport polls for a COMPLETE once it is this many smoothed round
+#: trips, and at least :data:`MIN_RTO_S`, past its ticket's due time; on a
+#: healthy wire it lands about one round trip after.
+POLL_AFTER_SRTTS = 2.0
+
 
 class RttEstimator:
     """Smoothed round-trip time and retransmission timeout (RFC 6298).
@@ -610,8 +646,14 @@ class ProtocolDevice:
       current RTO of :attr:`rtt` (measured COMPLETE->ACK round trips, Karn's
       rule: a retransmitted completion gives no sample), and backs off by
       :data:`DEVICE_BACKOFF` each time it expires.  A ``SYNC`` announcing
-      that the transport reconnected resends every unACKed completion at
-      once.
+      that the transport reconnected, or a ``REJ`` saying it received a
+      damaged frame, resends every unACKed completion at once; a ``POLL``
+      resends the one completion of the submit it names;
+    * a command frame that fails its CRC is answered with ``REJ``, which
+      makes the transport resend its unACKed submits;
+    * the transport's ``HELLO`` is answered with ``HELLO_ACK`` and, the
+      first time, with the device's own ``HELLO``, whose ``HELLO_ACK`` gives
+      :attr:`rtt` its first sample before any completion is sent.
 
     ``retransmit_s`` is the RTO used before the first sample and the ceiling
     of every completion timer, backed off or not.
@@ -645,6 +687,11 @@ class ProtocolDevice:
         self.completions_retransmitted = 0
         self.acks_resent = 0
         self.nacks_sent = 0
+        self.rejs_sent = 0
+        #: When the device's HELLO went out; ``None`` before it is sent and
+        #: once its HELLO_ACK has been sampled.
+        self._hello_sent_at: Optional[float] = None
+        self._hello_sent = False
         self._decoder = FrameDecoder()
         self._reader = threading.Thread(target=self._read_loop, name=f"{name}-reader", daemon=True)
         self._worker = threading.Thread(target=self._work_loop, name=f"{name}-worker", daemon=True)
@@ -693,8 +740,23 @@ class ProtocolDevice:
                 continue
             if not data:
                 continue
-            for frame in self._decoder.feed(data):
+            crc_errors = self._decoder.crc_errors
+            frames = self._decoder.feed(data)
+            if self._decoder.crc_errors != crc_errors:
+                with self._cond:
+                    self._send(Frame(kind="REJ", seq=self.rejs_sent))
+                    self.rejs_sent += 1
+            for frame in frames:
                 self._handle(frame)
+
+    def _resend_unacked(self) -> None:
+        """Resend every unACKed completion at once (callers hold ``self._cond``)."""
+        now = time.monotonic()
+        for seq in sorted(self._unacked):
+            pending = self._unacked[seq]
+            pending.rearm(now)
+            self._retransmit(pending)
+        self._cond.notify_all()
 
     def _handle(self, frame: Frame) -> None:
         if frame.kind == "SUBMIT":
@@ -718,12 +780,31 @@ class ProtocolDevice:
                 self._send(Frame(kind="SYNC_ACK", seq=frame.seq))
                 # The transport lost everything in flight; re-send every
                 # completion it has not ACKed, right now.
-                now = time.monotonic()
-                for seq in sorted(self._unacked):
-                    pending = self._unacked[seq]
-                    pending.rearm(now)
-                    self._retransmit(pending)
-                self._cond.notify_all()
+                self._resend_unacked()
+        elif frame.kind == "REJ":
+            with self._cond:
+                self._resend_unacked()
+        elif frame.kind == "POLL":
+            submit_seq = frame.payload.get("submit_seq")
+            with self._cond:
+                # Few completions are unACKed at once, so a scan is cheap.
+                for pending in self._unacked.values():
+                    if pending.frame.payload["submit_seq"] == submit_seq:
+                        pending.rearm(time.monotonic())
+                        self._retransmit(pending)
+                        break
+        elif frame.kind == "HELLO":
+            with self._cond:
+                self._send(Frame(kind="HELLO_ACK", seq=frame.seq))
+                if not self._hello_sent:
+                    self._hello_sent = True
+                    self._hello_sent_at = time.monotonic()
+                    self._send(Frame(kind="HELLO", seq=0))
+        elif frame.kind == "HELLO_ACK":
+            with self._cond:
+                if self._hello_sent_at is not None:
+                    self.rtt.sample(time.monotonic() - self._hello_sent_at)
+                    self._hello_sent_at = None
         else:
             # COMPLETE/NACK/SYNC_ACK are transport-bound kinds; a conforming
             # transport never sends them.  NACK the nonsense so a human
@@ -781,7 +862,10 @@ class ProtocolDevice:
                         pending.expire(now, DEVICE_BACKOFF, self.retransmit_s)
                         self._retransmit(pending)
                     wait_s = min(wait_s, pending.deadline - now)
-                self._cond.wait(max(wait_s, 0.001))
+                # The floor only stops a spin on a zero wait.  It must stay
+                # well under one round trip (~0.3 ms on a clean pipe): a
+                # COMPLETE due sooner than the floor leaves that much late.
+                self._cond.wait(max(wait_s, 0.0001))
 
     # -- lifecycle ------------------------------------------------------
     def pending(self) -> int:
@@ -815,19 +899,14 @@ class WireStats:
     duplicates_dropped: int
     completions_retransmitted: int
     disconnects: int
+    #: REJs sent by both ends, one per batch of bytes holding a damaged frame.
+    rejs_sent: int
+    #: POLLs the transport sent for overdue completions.
+    polls_sent: int
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serialisable form (portal / CLI reporting)."""
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "crc_errors": self.crc_errors,
-            "retries": self.retries,
-            "resyncs": self.resyncs,
-            "duplicates_dropped": self.duplicates_dropped,
-            "completions_retransmitted": self.completions_retransmitted,
-            "disconnects": self.disconnects,
-        }
+        return asdict(self)
 
 
 class WireProtocolTransport:
@@ -849,6 +928,14 @@ class WireProtocolTransport:
     the engine raises it when it waits for that ticket.  Completions are
     decoded by the transport's reader thread and posted to the registered
     callbacks strictly out-of-band.
+
+    The timers are the fallback; a loss the transport can see is recovered
+    at once.  A ``REJ`` from the device (it received a damaged frame)
+    resends every unACKed submit; a damaged frame received here is answered
+    with ``REJ``; and the retransmit thread polls for the COMPLETE of an
+    ACKed ticket :data:`POLL_AFTER_SRTTS` smoothed round trips past its due
+    time.  The ``HELLO`` sent at construction gives :attr:`rtt` its first
+    sample without blocking the constructor.
 
     Parameters
     ----------
@@ -916,8 +1003,15 @@ class WireProtocolTransport:
         self._tickets: Dict[str, TransportTicket] = {}
         #: Tickets whose completion was delivered or whose submit failed.
         self._resolved_ticket_ids: Set[str] = set()
+        #: ACKed tickets awaiting their COMPLETE, as ``(poll_at, submit seq,
+        #: ticket_id)``; a resolved ticket is dropped when it reaches the top.
+        self._polls: List[Tuple[float, int, str]] = []
         self._seen_completion_seqs: Set[int] = set()
         self._attempts: Dict[Tuple[str, int], int] = {}
+        self._next_rej_seq = 0
+        self._next_poll_seq = 0
+        #: When the HELLO went out; ``None`` once its HELLO_ACK was sampled.
+        self._hello_sent_at: Optional[float] = None
         self.rtt = RttEstimator(ack_timeout_s)
         # Counters live on the metrics registry (docs/observability.md);
         # WireStats stays their thin view.  Mutation happens under
@@ -928,12 +1022,19 @@ class WireProtocolTransport:
         self._m_retries = registry.counter("wire_retries_total", labels)
         self._m_resyncs = registry.counter("wire_resyncs_total", labels)
         self._m_duplicates_dropped = registry.counter("wire_duplicates_dropped_total", labels)
+        self._m_rejs_sent = registry.counter("wire_rejs_sent_total", labels)
+        self._m_polls_sent = registry.counter("wire_polls_sent_total", labels)
         self._reader = threading.Thread(target=self._read_loop, name=f"{name}-reader", daemon=True)
         self._retransmitter = threading.Thread(
             target=self._retransmit_loop, name=f"{name}-retransmit", daemon=True
         )
         self._reader.start()
         self._retransmitter.start()
+        # The handshake: its HELLO_ACK, read on the reader thread, is the
+        # first round-trip sample.  Sent once; a lost one leaves the ceiling.
+        with self._cond:
+            self._hello_sent_at = time.monotonic()
+        self._send(Frame(kind="HELLO", seq=0))
 
     # -- wire helpers ---------------------------------------------------
     def _send(self, frame: Frame, parent_id: Optional[int] = None) -> None:
@@ -1078,7 +1179,8 @@ class WireProtocolTransport:
 
     # -- retransmit thread ----------------------------------------------
     def _retransmit_loop(self) -> None:
-        """Resend every submit whose timer expired; fail those out of retries.
+        """Resend every submit whose timer expired; fail those out of retries;
+        poll for overdue completions.
 
         Frames are sent and failures posted outside the transport lock.  On
         close, every submit still unACKed fails with the closed error.
@@ -1086,6 +1188,7 @@ class WireProtocolTransport:
         while True:
             due: List[_UnackedSubmit] = []
             failures: List[Tuple[_UnackedSubmit, Exception]] = []
+            polls: List[Tuple[Frame, str]] = []
             with self._cond:
                 running = self._running
                 if not running:
@@ -1107,19 +1210,72 @@ class WireProtocolTransport:
                         else:
                             entry.expire(now, self.backoff, self.max_backoff_s)
                             due.append(entry)
-                    if not due and not failures:
+                    polls = self._overdue_polls(now)
+                    if not due and not failures and not polls:
                         self._wake_at = min(
                             (entry.deadline for entry in self._unacked.values()),
                             default=now + 0.5,
                         )
+                        if self._polls:
+                            self._wake_at = min(self._wake_at, self._polls[0][0])
                         self._cond.wait(max(self._wake_at - now, 0.001))
                         continue
             for entry in due:
                 self._ensure_connected()
                 self._send(entry.frame, parent_id=entry.span_id)
+            for frame, ticket_id in polls:
+                self._send(frame, parent_id=obs_tracer.bound(ticket_id))
             self._post_failures(failures)
             if not running:
                 return
+
+    def _watch(self, ticket: TransportTicket, seq: int) -> None:
+        """Schedule the poll for ACKed submit ``seq``'s COMPLETE.
+
+        Callers hold ``self._cond``.  Without a measured round trip there
+        is no threshold, and the device's timer alone recovers a loss.
+        """
+        if self.rtt.srtt_s is None:
+            return
+        poll_at = ticket.due_monotonic + max(POLL_AFTER_SRTTS * self.rtt.srtt_s, MIN_RTO_S)
+        heapq.heappush(self._polls, (poll_at, seq, ticket.ticket_id))
+        if poll_at < self._wake_at:
+            self._cond.notify_all()
+
+    def _overdue_polls(self, now: float) -> List[Tuple[Frame, str]]:
+        """A POLL for each watched ticket past its poll time and unresolved.
+
+        Callers hold ``self._cond``.  Each ticket is polled at most once:
+        a lost POLL or a lost resend is recovered by the device's timer.
+        """
+        polls: List[Tuple[Frame, str]] = []
+        while self._polls and self._polls[0][0] <= now:
+            _, seq, ticket_id = heapq.heappop(self._polls)
+            if ticket_id in self._resolved_ticket_ids:
+                continue
+            frame = Frame(kind="POLL", seq=self._next_poll_seq, payload={"submit_seq": seq})
+            self._next_poll_seq += 1
+            self._m_polls_sent.inc()
+            polls.append((frame, ticket_id))
+        return polls
+
+    def _resend_unacked(self) -> None:
+        """The device received a damaged frame: resend every unACKed submit."""
+        with self._cond:
+            now = time.monotonic()
+            entries = [self._unacked[seq] for seq in sorted(self._unacked)]
+            for entry in entries:
+                entry.rearm(now)
+        for entry in entries:
+            self._send(entry.frame, parent_id=entry.span_id)
+
+    def _reject(self) -> None:
+        """Answer a damaged frame with REJ: the device resends its unACKed completions."""
+        with self._cond:
+            seq = self._next_rej_seq
+            self._next_rej_seq += 1
+            self._m_rejs_sent.inc()
+        self._send(Frame(kind="REJ", seq=seq))
 
     # -- reader thread --------------------------------------------------
     def _read_loop(self) -> None:
@@ -1136,7 +1292,11 @@ class WireProtocolTransport:
                 continue
             if not data:
                 continue
-            for frame in self._decoder.feed(data):
+            crc_errors = self._decoder.crc_errors
+            frames = self._decoder.feed(data)
+            if self._decoder.crc_errors != crc_errors:
+                self._reject()
+            for frame in frames:
                 self._dispatch(frame)
 
     def _dispatch(self, frame: Frame) -> None:
@@ -1145,6 +1305,7 @@ class WireProtocolTransport:
                 entry = self._unacked.pop(frame.seq, None)
                 if entry is not None:
                     entry.acked(self.rtt, time.monotonic())
+                    self._watch(entry.ticket, frame.seq)
         elif frame.kind == "NACK":
             reason = str(frame.payload.get("error", "unspecified"))
             with self._cond:
@@ -1156,10 +1317,19 @@ class WireProtocolTransport:
             self._post_failures([failure])
         elif frame.kind == "COMPLETE":
             self._handle_complete(frame)
+        elif frame.kind == "REJ":
+            self._resend_unacked()
+        elif frame.kind == "HELLO":
+            self._send(Frame(kind="HELLO_ACK", seq=frame.seq))
+        elif frame.kind == "HELLO_ACK":
+            with self._cond:
+                if self._hello_sent_at is not None:
+                    self.rtt.sample(time.monotonic() - self._hello_sent_at)
+                    self._hello_sent_at = None
         # SYNC_ACK needs no action: the resync handshake is fire-and-forget
         # (see _ensure_connected) -- receiving it at all proves the link is
         # back, and the retransmissions it triggered arrive as COMPLETEs.
-        # SUBMIT/SYNC are device-bound; a conforming device never sends them.
+        # SUBMIT/SYNC/POLL are device-bound; a conforming device never sends them.
 
     def _handle_complete(self, frame: Frame) -> None:
         # Always ACK, even for repeats -- the device retransmits until it
@@ -1244,4 +1414,6 @@ class WireProtocolTransport:
                 duplicates_dropped=int(self._m_duplicates_dropped.value),
                 completions_retransmitted=self.device.completions_retransmitted,
                 disconnects=self.pipe.disconnects,
+                rejs_sent=int(self._m_rejs_sent.value) + self.device.rejs_sent,
+                polls_sent=int(self._m_polls_sent.value),
             )

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core.campaign import run_campaign
 from repro.sim.clock import WallClock
 from repro.wei.concurrent import ConcurrentWorkflowEngine
@@ -488,6 +489,47 @@ class TestWireCampaignRegression:
         # (The registries are internal, so assert through the stats instead:
         # an in-band post would have raised InBandCompletionError.)
         assert campaign.portal.n_runs == 2
+
+    def test_explicit_wire_fleet_reports_the_wire(self):
+        """A campaign on an explicit coordinator takes its transport label
+        from the engines' drivers, not from the ``transport`` argument."""
+        registries = []
+
+        def wire_engine(workcell):
+            registry = DriverRegistry.wire(
+                workcell, speedup=100_000.0, name=f"wire[{workcell.name}]"
+            )
+            registries.append(registry)
+            return ConcurrentWorkflowEngine(workcell, drivers=registry)
+
+        coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(
+            2, seed=9, engine_factory=wire_engine
+        )
+        try:
+            with obs.observed() as session:
+                campaign = run_campaign(
+                    n_runs=2,
+                    samples_per_run=2,
+                    batch_size=2,
+                    seed=9,
+                    experiment_id="wire-label",
+                    coordinator=coordinator,
+                )
+        finally:
+            for registry in registries:
+                registry.close()
+        assert campaign.transport == "wire"
+        assert campaign.transport_stats.delivered > 0
+        (campaign_span,) = [span for span in session.spans if span.name == "campaign"]
+        assert campaign_span.attrs["transport"] == "wire"
+
+    def test_explicit_sim_fleet_reports_sim(self):
+        coordinator = MultiWorkcellCoordinator.build_color_picker_fleet(2, seed=9)
+        campaign = run_campaign(
+            n_runs=2, samples_per_run=2, batch_size=2, seed=9, coordinator=coordinator
+        )
+        assert campaign.transport == "sim"
+        assert not campaign.transport_stats.present
 
 
 class TestWallClockSpeedup:

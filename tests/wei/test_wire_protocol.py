@@ -34,6 +34,7 @@ from tests.wei.wire_stubs import (
     DeadWire,
     EatDeviceAcks,
     EatFirstAttempt,
+    FaultFirst,
     SlowAcks,
     wait_until,
 )
@@ -273,9 +274,12 @@ class TestWireTransport:
         wire = DeadWire(dead=False)
         transport = fast_transport(chaos=wire, max_retries=3)
         bridge = bridged(transport)
+        assert wait_until(lambda: transport.rtt.samples == 1)  # the handshake's
         for i in range(5):
             transport.submit(f"warmup{i}", module="m", duration_s=1.0)
-        assert wait_until(lambda: transport.rtt.samples == 5)
+        # Once every warmup has completed no ACK can add a sample: the RTO
+        # the schedule below is computed from is final.
+        assert wait_until(lambda: transport.pending() == 0)
         rto_s = transport.rtt.rto_s
         assert MIN_RTO_S <= rto_s < transport.ack_timeout_s
         retries_before = transport.stats().retries
@@ -353,13 +357,14 @@ class TestWireTransport:
         retransmissions stop and no round trip is sampled."""
         transport = fast_transport(chaos=EatDeviceAcks(), ack_timeout_s=0.02, backoff=1.0)
         received, _ = collect_completions(transport)
+        assert wait_until(lambda: transport.rtt.samples == 1)  # the handshake's
         transport.submit("get_plate", module="sciclops", duration_s=1.0)
         assert wait_until(lambda: len(received) == 1)
         retries = transport.stats().retries
         time.sleep(0.2)  # ten more timer periods
         assert transport.stats().retries == retries
         assert received[0].failure is None
-        assert transport.rtt.samples == 0
+        assert transport.rtt.samples == 1  # the submit gave none
         transport.close()
 
     def test_stats_snapshot_shape(self):
@@ -374,6 +379,8 @@ class TestWireTransport:
             "duplicates_dropped",
             "completions_retransmitted",
             "disconnects",
+            "rejs_sent",
+            "polls_sent",
         }
         transport.close()
 
@@ -383,7 +390,13 @@ class TestRttEstimator:
         estimator = RttEstimator(0.05)
         assert estimator.srtt_s is None and estimator.samples == 0
         assert estimator.rto_s == 0.05
-        transport = fast_transport(ack_timeout_s=0.07, device_retransmit_s=0.03)
+        # A lost handshake leaves both ends at their configured timeouts.
+        transport = fast_transport(
+            ack_timeout_s=0.07,
+            device_retransmit_s=0.03,
+            chaos=FaultFirst(quiet=("transport", "device")),
+        )
+        time.sleep(0.05)  # a handshake sample would land in this window
         assert transport.rtt.rto_s == 0.07
         assert transport.device.rtt.rto_s == 0.03
         transport.close()
@@ -417,7 +430,9 @@ class TestRttEstimator:
         assert slow.rto_s == 0.05
 
     def test_clean_submits_shrink_the_timeout(self):
-        transport = fast_transport()
+        # With the handshake muted every submit goes out under the ceiling,
+        # so none is retransmitted and each ACK gives a sample.
+        transport = fast_transport(chaos=FaultFirst(quiet=("transport", "device")))
         received, _ = collect_completions(transport)
         for i in range(5):
             transport.submit(f"act{i}", module="m", duration_s=1.0)
@@ -428,7 +443,10 @@ class TestRttEstimator:
         transport.close()
 
     def test_retransmitted_submit_gives_no_sample(self):
-        """Karn's rule: an ACK after a retransmission may answer either copy."""
+        """Karn's rule: an ACK after a retransmission may answer either copy.
+
+        The stub eats the HELLO's only transmission too, so the handshake
+        gives no sample either."""
         transport = fast_transport(chaos=EatFirstAttempt())
         received, _ = collect_completions(transport)
         transport.submit("transfer", module="pf400", duration_s=10.0)
@@ -448,6 +466,7 @@ class TestRttEstimator:
             ack_timeout_s=0.05, chaos=SlowAcks(2 * 0.05), wall_clock=WallClock(speedup=5.0)
         )
         received, lock = collect_completions(transport)
+        assert wait_until(lambda: transport.rtt.samples == 1)  # the handshake's
         tickets = [transport.submit(f"act{i}", module="m", duration_s=1.0) for i in range(3)]
         assert wait_until(lambda: len(received) == 3)
         time.sleep(0.1)  # a duplicate would land in this window
@@ -458,7 +477,7 @@ class TestRttEstimator:
         with lock:
             delivered = [completion.ticket_id for completion in received]
         assert sorted(delivered) == sorted(t.ticket_id for t in tickets)
-        assert transport.rtt.samples == 0
+        assert transport.rtt.samples == 1  # no submit gave a sample
         transport.close()
 
 
@@ -541,6 +560,8 @@ class TestWireBackedEngine:
             "crc_errors",
             "duplicates_dropped",
             "completions_retransmitted",
+            "rejs_sent",
+            "polls_sent",
         }
         # Chaos seed 11 deterministically injects faults into this workload
         # (decisions are pure functions of the frame identity), so the
@@ -586,4 +607,6 @@ class TestWireBackedEngine:
             "crc_errors": 0,
             "duplicates_dropped": 0,
             "completions_retransmitted": 0,
+            "rejs_sent": 0,
+            "polls_sent": 0,
         }

@@ -4,7 +4,7 @@ Each stub stands in for a :class:`~repro.wei.chaos.ChaosSchedule`: the
 transport and the device ask it, per frame transmission, what to do with
 that frame.  Transport->device frames travel in the ``"<name>:tx"``
 direction, device->transport frames in ``"<name>-device:rx"``.  Unlike a
-seeded schedule, each stub injects exactly one kind of fault, so a test can
+seeded schedule, each stub injects only the faults it names, so a test can
 assert the exact outcome.
 """
 
@@ -98,3 +98,38 @@ class DuplicateFirstComplete(_Stub):
     def decide(self, direction, seq, attempt, kind=""):
         first = kind == "COMPLETE" and seq == 0 and attempt == 0 and _from_device(direction)
         return ChaosDecision(duplicate=first)
+
+
+def _side(direction):
+    return "device" if _from_device(direction) else "transport"
+
+
+class FaultFirst(_Stub):
+    """Hit the first transmission of chosen frames, and mute chosen signals.
+
+    ``faults`` maps ``(side, kind)`` -- side ``"transport"`` or ``"device"``
+    -- to ``"drop"`` or ``"corrupt"``, applied to the first transmission of
+    that side's frame 0 of that kind.  ``quiet`` names the ends whose
+    ``HELLO`` is dropped, so their retransmission timers stay at the
+    configured ceiling.  Every frame whose kind is in ``eat`` is dropped.
+    ``first_sent[kind]`` lists the sequence numbers of each kind's first
+    transmissions, in order: a COMPLETE's first transmission is one run of
+    an action.
+    """
+
+    def __init__(self, faults=None, quiet=(), eat=()):
+        self.faults = dict(faults or {})
+        self.quiet = tuple(quiet)
+        self.eat = tuple(eat)
+        self.first_sent = {}
+
+    def decide(self, direction, seq, attempt, kind=""):
+        side = _side(direction)
+        if attempt == 0:
+            self.first_sent.setdefault(kind, []).append(seq)
+        if kind in self.eat or (kind == "HELLO" and side in self.quiet):
+            return ChaosDecision(drop=True)
+        fault = self.faults.get((side, kind))
+        if fault is not None and seq == 0 and attempt == 0:
+            return ChaosDecision(**{fault: True})
+        return ChaosDecision()
