@@ -210,11 +210,6 @@ class CompletionBridge:
         with self._cond:
             return len(self._outstanding)
 
-    def is_resolved(self, ticket_id: str) -> bool:
-        """True once ``ticket_id`` was consumed by the engine or timed out."""
-        with self._cond:
-            return ticket_id in self._consumed or ticket_id in self._timed_out
-
     # ------------------------------------------------------------------
     # Driver side
     # ------------------------------------------------------------------

@@ -20,15 +20,16 @@ reordered deliveries, dead links) exists and must be survived:
   sequence number so retries are idempotent (the action runs once however
   many copies of the command arrive).  ``COMPLETE`` frames are ACKed by the
   transport; the device retains and retransmits unACKed completions, and
-  the transport deduplicates them before posting to the
-  :class:`~repro.wei.drivers.bridge.CompletionBridge` (which dedupes again by
-  ticket as the last line of defence).
+  the transport delivers a COMPLETE only while its ticket is open, before
+  posting to the :class:`~repro.wei.drivers.bridge.CompletionBridge` (which
+  dedupes again by ticket as the last line of defence).
 * **Retransmission timers** come from measured round trips
   (:class:`RttEstimator`, after RFC 6298): each end smooths the round trips
   of its own frames -- SUBMIT->ACK at the transport, COMPLETE->ACK at the
-  device -- into a retransmission timeout between :data:`MIN_RTO_S` and the
-  configured timeout.  Karn's rule applies: a frame that was retransmitted
-  gives no sample, because its ACK may answer any of the copies.
+  device -- into a retransmission timeout between :data:`MIN_RTO_S` and
+  :data:`ACK_TIMEOUT_S` (transport) or :data:`DEVICE_RETRANSMIT_S`
+  (device).  Karn's rule applies: a frame that was retransmitted gives no
+  sample, because its ACK may answer any of the copies.
 * **Recovery on the receiver's signal**: the timers are only the liveness
   fallback.  An end whose decoder rejects a frame (a CRC failure or an
   absurd length) sends ``REJ``, and the peer at once retransmits every
@@ -40,14 +41,16 @@ reordered deliveries, dead links) exists and must be survived:
 * **A measured first RTO**: at construction each end sends ``HELLO`` once
   and samples the round trip to the peer's ``HELLO_ACK`` (as TCP samples
   its SYN, RFC 6298 section 2), so a loss early in a run waits out a
-  measured timeout rather than the configured ceiling.  The transport's
-  HELLO triggers the device's.  A lost HELLO leaves that end at the ceiling.
-* **Reconnect-with-resync**: when the link drops (a chaos-injected
-  disconnect, or :meth:`BytePipe.disconnect`), the transport's reader thread
-  reconnects the pipe and sends ``SYNC``; the device answers ``SYNC_ACK`` and
-  immediately retransmits every unACKed completion, so nothing in flight at
-  the moment the cable was yanked is lost.  Each cycle increments the
-  transport's ``resyncs`` counter.
+  measured timeout rather than the ceiling.  The transport's HELLO
+  triggers the device's.  A lost HELLO leaves that end at the ceiling.
+* **A reconnect is a REJ**: when the link drops (a chaos-injected
+  disconnect, or :meth:`BytePipe.disconnect`), both directions lost their
+  bytes in transit, as if each had received a damaged frame.  The
+  transport's reader thread -- the only thread that reconnects, since every
+  disconnect wakes it -- reconnects the pipe, sends ``REJ`` and resends its
+  own unACKed submits; the device answers the ``REJ`` by resending its
+  unACKed completions.  Nothing in flight when the cable was yanked is
+  lost, and each cycle increments the transport's ``resyncs`` counter.
 
 :class:`WireProtocolTransport` implements the
 :class:`~repro.wei.drivers.base.DeviceDriver` protocol on top of all this:
@@ -113,21 +116,18 @@ __all__ = [
 MAGIC = b"\xa5\x5a"
 
 #: Frame kinds on the wire.  SUBMIT/ACK/NACK carry the command channel
-#: (transport -> device), COMPLETE rides the completion channel (device ->
-#: transport, ACKed back), SYNC/SYNC_ACK perform the reconnect handshake.
-#: REJ (either way) asks the peer to resend its unACKed frames, POLL
-#: (transport -> device) asks for one overdue COMPLETE, and HELLO/HELLO_ACK
-#: (either way) measure each end's first round trip.  The later kinds are
-#: appended so every earlier kind keeps its code, and each numbers its
-#: frames from its own counter, so the SUBMIT and COMPLETE numbering is
-#: untouched.
+#: (transport -> device) and COMPLETE rides the completion channel (device ->
+#: transport, ACKed back).  REJ (either way) asks the peer to resend its
+#: unACKed frames, after a damaged frame or a reconnect; POLL (transport ->
+#: device) asks for one overdue COMPLETE; and HELLO/HELLO_ACK (either way)
+#: measure each end's first round trip.  Each of the later kinds numbers
+#: its frames from its own counter, so the SUBMIT and COMPLETE numbering is
+#: untouched by them.
 FRAME_KINDS = (
     "SUBMIT",
     "ACK",
     "NACK",
     "COMPLETE",
-    "SYNC",
-    "SYNC_ACK",
     "REJ",
     "POLL",
     "HELLO",
@@ -283,7 +283,7 @@ class FrameDecoder:
             try:
                 kind_code, seq = unpack_prefix(body)
                 raw = body[prefix_size:]
-                # ACK/SYNC traffic (half the frames on a healthy wire) carries
+                # ACK traffic (half the frames on a healthy wire) carries
                 # an empty payload; skip the JSON parse for it.
                 payload = {} if raw == b"{}" else loads(raw.decode("utf-8"))
                 frame = make_frame(code_kinds[kind_code], seq, payload)
@@ -468,7 +468,8 @@ def _send_frame(
     pipe: Optional[BytePipe] = None,
 ) -> None:
     """Encode and transmit ``frame``, applying the chaos decision for this
-    ``(direction, seq, attempt)`` transmission, if a schedule is installed.
+    ``(direction, kind, seq, attempt)`` transmission, if a schedule is
+    installed.
 
     ``drop`` discards the frame, ``corrupt`` flips a body byte (the receiver
     will CRC-reject it), ``duplicate`` writes it twice, ``delay_s`` hands the
@@ -516,8 +517,25 @@ def _send_frame(
 #: samples from arming a timer shorter than one thread wake-up.
 MIN_RTO_S = 0.002
 
+#: The transport's retransmission timeout before its first round-trip
+#: sample, and the ceiling of its measured one.
+ACK_TIMEOUT_S = 0.05
+
+#: Retransmissions of one SUBMIT before its ticket fails.  The default
+#: survives the default chaos rates with margin.
+MAX_RETRIES = 40
+
+#: Factor by which one SUBMIT's timer backs off each time it expires, up
+#: to :data:`MAX_BACKOFF_S`.
+BACKOFF = 1.5
+MAX_BACKOFF_S = 0.5
+
+#: The device's retransmission timeout before its first round-trip sample,
+#: and the ceiling of every completion timer, backed off or not.
+DEVICE_RETRANSMIT_S = 0.05
+
 #: Factor by which the device backs off one completion's timer each time it
-#: expires (RFC 6298, section 5.5), up to its ``retransmit_s``.
+#: expires (RFC 6298, section 5.5), up to :data:`DEVICE_RETRANSMIT_S`.
 DEVICE_BACKOFF = 2.0
 
 #: The transport polls for a COMPLETE once it is this many smoothed round
@@ -645,18 +663,15 @@ class ProtocolDevice:
       has its own retransmit deadline, armed from its send time and the
       current RTO of :attr:`rtt` (measured COMPLETE->ACK round trips, Karn's
       rule: a retransmitted completion gives no sample), and backs off by
-      :data:`DEVICE_BACKOFF` each time it expires.  A ``SYNC`` announcing
-      that the transport reconnected, or a ``REJ`` saying it received a
-      damaged frame, resends every unACKed completion at once; a ``POLL``
-      resends the one completion of the submit it names;
+      :data:`DEVICE_BACKOFF` each time it expires.  A ``REJ`` saying the
+      transport received a damaged frame or reconnected the link resends
+      every unACKed completion at once; a ``POLL`` resends the one
+      completion of the submit it names;
     * a command frame that fails its CRC is answered with ``REJ``, which
       makes the transport resend its unACKed submits;
     * the transport's ``HELLO`` is answered with ``HELLO_ACK`` and, the
       first time, with the device's own ``HELLO``, whose ``HELLO_ACK`` gives
       :attr:`rtt` its first sample before any completion is sent.
-
-    ``retransmit_s`` is the RTO used before the first sample and the ceiling
-    of every completion timer, backed off or not.
     """
 
     def __init__(
@@ -667,23 +682,24 @@ class ProtocolDevice:
         speedup: float = 1000.0,
         wall_clock: Optional[WallClock] = None,
         chaos: Optional[Any] = None,
-        retransmit_s: float = 0.05,
     ) -> None:
-        if retransmit_s <= 0:
-            raise ValueError(f"retransmit_s must be > 0, got {retransmit_s}")
         self.name = name
         self.pipe = pipe
         self.clock = wall_clock if wall_clock is not None else WallClock(speedup=speedup)
         self.chaos = chaos
-        self.retransmit_s = retransmit_s
         self._cond = make_condition("protocol-device")
         self._running = True
-        self._seen_submits: Dict[int, Frame] = {}  # submit seq -> ACK frame
+        self._seen_submits: Set[int] = set()
         self._due: List[_DueCompletion] = []
         self._unacked: Dict[int, _Unacked] = {}  # by completion seq
+        #: Transmissions so far of each ``(kind, seq)``: a re-sent frame
+        #: needs a fresh chaos key, or a frame dropped once (say, the ACK of
+        #: a repeated submit) would be dropped every time.  This and
+        #: ``_seen_submits`` are the only per-frame state that grows for
+        #: the device's whole life.
         self._attempts: Dict[Tuple[str, int], int] = {}
         self._next_tx_seq = 0
-        self.rtt = RttEstimator(retransmit_s)
+        self.rtt = RttEstimator(DEVICE_RETRANSMIT_S)
         self.completions_retransmitted = 0
         self.acks_resent = 0
         self.nacks_sent = 0
@@ -731,8 +747,9 @@ class ProtocolDevice:
                     return
             data = self.pipe.read_b(timeout_s=0.5)
             if data is None:
-                # Link down: park until the transport reconnects (it owns
-                # the resync handshake) or the pipe is closed for good.
+                # Link down: park until the transport reconnects (its REJ
+                # then brings the lost completions back) or the pipe is
+                # closed for good.
                 if self.pipe.closed or not self.pipe.wait_connected(timeout_s=0.5):
                     with self._cond:
                         if not self._running or self.pipe.closed:
@@ -761,26 +778,17 @@ class ProtocolDevice:
     def _handle(self, frame: Frame) -> None:
         if frame.kind == "SUBMIT":
             with self._cond:
-                known = self._seen_submits.get(frame.seq)
-                if known is not None:
+                if frame.seq in self._seen_submits:
                     self.acks_resent += 1
-                    ack = known
                 else:
-                    ack = Frame(kind="ACK", seq=frame.seq)
-                    self._seen_submits[frame.seq] = ack
+                    self._seen_submits.add(frame.seq)
                     self._schedule_completion(frame)
-                self._send(ack)
+                self._send(Frame(kind="ACK", seq=frame.seq))
         elif frame.kind == "ACK":
             with self._cond:
                 pending = self._unacked.pop(frame.seq, None)
                 if pending is not None:
                     pending.acked(self.rtt, time.monotonic())
-        elif frame.kind == "SYNC":
-            with self._cond:
-                self._send(Frame(kind="SYNC_ACK", seq=frame.seq))
-                # The transport lost everything in flight; re-send every
-                # completion it has not ACKed, right now.
-                self._resend_unacked()
         elif frame.kind == "REJ":
             with self._cond:
                 self._resend_unacked()
@@ -806,7 +814,7 @@ class ProtocolDevice:
                     self.rtt.sample(time.monotonic() - self._hello_sent_at)
                     self._hello_sent_at = None
         else:
-            # COMPLETE/NACK/SYNC_ACK are transport-bound kinds; a conforming
+            # COMPLETE/NACK are transport-bound kinds; a conforming
             # transport never sends them.  NACK the nonsense so a human
             # watching the wire sees the protocol violation.
             with self._cond:
@@ -859,7 +867,7 @@ class ProtocolDevice:
                 # Retransmit each completion whose own timer expired.
                 for pending in self._unacked.values():
                     if pending.deadline <= now:
-                        pending.expire(now, DEVICE_BACKOFF, self.retransmit_s)
+                        pending.expire(now, DEVICE_BACKOFF, DEVICE_RETRANSMIT_S)
                         self._retransmit(pending)
                     wait_s = min(wait_s, pending.deadline - now)
                 # The floor only stops a spin on a zero wait.  It must stay
@@ -899,7 +907,8 @@ class WireStats:
     duplicates_dropped: int
     completions_retransmitted: int
     disconnects: int
-    #: REJs sent by both ends, one per batch of bytes holding a damaged frame.
+    #: REJs sent by both ends: one per batch of bytes holding a damaged
+    #: frame, and one by the transport per reconnect.
     rejs_sent: int
     #: POLLs the transport sent for overdue completions.
     polls_sent: int
@@ -931,11 +940,14 @@ class WireProtocolTransport:
 
     The timers are the fallback; a loss the transport can see is recovered
     at once.  A ``REJ`` from the device (it received a damaged frame)
-    resends every unACKed submit; a damaged frame received here is answered
-    with ``REJ``; and the retransmit thread polls for the COMPLETE of an
+    resends every unACKed submit; a damaged frame received here, or a
+    reconnected link, is answered with ``REJ`` (and, after a reconnect, the
+    same resend); and the retransmit thread polls for the COMPLETE of an
     ACKed ticket :data:`POLL_AFTER_SRTTS` smoothed round trips past its due
     time.  The ``HELLO`` sent at construction gives :attr:`rtt` its first
-    sample without blocking the constructor.
+    sample without blocking the constructor.  The timer settings are the
+    module constants :data:`ACK_TIMEOUT_S`, :data:`MAX_RETRIES`,
+    :data:`BACKOFF`, :data:`MAX_BACKOFF_S` and :data:`DEVICE_RETRANSMIT_S`.
 
     Parameters
     ----------
@@ -945,16 +957,6 @@ class WireProtocolTransport:
     chaos:
         Optional :class:`~repro.wei.chaos.ChaosSchedule` applied to **every
         frame in both directions**.
-    ack_timeout_s:
-        Real seconds to wait for a submit ACK before the first round trip is
-        measured, and the ceiling of the measured RTO.
-    max_retries / backoff / max_backoff_s:
-        How many retransmissions of one submit to attempt, the multiplicative
-        backoff of its timer between them, and the cap of that backed-off
-        timer.  The defaults survive the default chaos rates with margin.
-    device_retransmit_s:
-        The device's initial RTO and ceiling for unACKed completions (see
-        :class:`ProtocolDevice`).
     """
 
     def __init__(
@@ -964,24 +966,9 @@ class WireProtocolTransport:
         speedup: float = 1000.0,
         wall_clock: Optional[WallClock] = None,
         chaos: Optional[Any] = None,
-        ack_timeout_s: float = 0.05,
-        max_retries: int = 40,
-        backoff: float = 1.5,
-        max_backoff_s: float = 0.5,
-        device_retransmit_s: float = 0.05,
     ) -> None:
-        if ack_timeout_s <= 0:
-            raise ValueError(f"ack_timeout_s must be > 0, got {ack_timeout_s}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {backoff}")
         self.name = name
         self.chaos = chaos
-        self.ack_timeout_s = ack_timeout_s
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.max_backoff_s = max_backoff_s
         self.pipe = BytePipe()
         self.device = ProtocolDevice(
             self.pipe,
@@ -989,7 +976,6 @@ class WireProtocolTransport:
             speedup=speedup,
             wall_clock=wall_clock,
             chaos=chaos,
-            retransmit_s=device_retransmit_s,
         )
         self._cond = make_condition("wire-transport")
         self._running = True
@@ -1000,19 +986,22 @@ class WireProtocolTransport:
         #: When the retransmit thread wakes next; a submit whose timer runs
         #: out sooner wakes it early.
         self._wake_at = 0.0
-        self._tickets: Dict[str, TransportTicket] = {}
-        #: Tickets whose completion was delivered or whose submit failed.
-        self._resolved_ticket_ids: Set[str] = set()
+        #: Open tickets: submitted, neither delivered nor failed.  A COMPLETE
+        #: for a ticket not in here is a duplicate.
+        self._open: Dict[str, TransportTicket] = {}
         #: ACKed tickets awaiting their COMPLETE, as ``(poll_at, submit seq,
-        #: ticket_id)``; a resolved ticket is dropped when it reaches the top.
+        #: ticket_id)``; a closed ticket is dropped when it reaches the top.
         self._polls: List[Tuple[float, int, str]] = []
-        self._seen_completion_seqs: Set[int] = set()
+        #: Transmissions so far of each ``(kind, seq)``: a re-sent frame
+        #: needs a fresh chaos key, or a frame dropped once (say, the ACK of
+        #: a repeated COMPLETE) would be dropped every time.  This is the
+        #: only per-frame state that grows for the transport's whole life.
         self._attempts: Dict[Tuple[str, int], int] = {}
         self._next_rej_seq = 0
         self._next_poll_seq = 0
         #: When the HELLO went out; ``None`` once its HELLO_ACK was sampled.
         self._hello_sent_at: Optional[float] = None
-        self.rtt = RttEstimator(ack_timeout_s)
+        self.rtt = RttEstimator(ACK_TIMEOUT_S)
         # Counters live on the metrics registry (docs/observability.md);
         # WireStats stays their thin view.  Mutation happens under
         # self._cond, exactly like the plain ints they replaced.
@@ -1077,7 +1066,6 @@ class WireProtocolTransport:
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
         with obs_tracer.span("wire.submit", module=module, action=action) as submit_span:
-            self._ensure_connected()
             with self._cond:
                 if not self._running:
                     raise self._closed_error()
@@ -1106,7 +1094,7 @@ class WireProtocolTransport:
                         "duration_s": float(duration_s),
                     },
                 )
-                self._tickets[ticket.ticket_id] = ticket
+                self._open[ticket.ticket_id] = ticket
                 entry = self._unacked[seq] = _UnackedSubmit.sent(
                     frame,
                     time.monotonic(),
@@ -1124,13 +1112,13 @@ class WireProtocolTransport:
         return RuntimeError(f"transport {self.name!r} is closed")
 
     def _give_up(self, seq: int, error: Exception) -> Tuple[_UnackedSubmit, Exception]:
-        """Drop unACKed submit ``seq`` from the table and resolve its ticket.
+        """Drop unACKed submit ``seq`` and close its ticket.
 
         Callers hold ``self._cond`` and post the returned failure with
         :meth:`_post_failures` once they released it.
         """
         entry = self._unacked.pop(seq)
-        self._resolved_ticket_ids.add(entry.ticket.ticket_id)
+        self._open.pop(entry.ticket.ticket_id, None)
         return entry, error
 
     def _post_failures(self, failures: List[Tuple[_UnackedSubmit, Exception]]) -> None:
@@ -1156,10 +1144,10 @@ class WireProtocolTransport:
         """Accepted actions whose completion has not been delivered yet.
 
         A submit that failed (retries exhausted, NACKed, or cut off by
-        :meth:`close`) no longer counts: its ticket is resolved.
+        :meth:`close`) no longer counts: its ticket is closed.
         """
         with self._cond:
-            return len(self._tickets) - len(self._resolved_ticket_ids)
+            return len(self._open)
 
     def close(self) -> None:
         """Stop both ends and the transport's threads; the pipe closes for good.
@@ -1200,7 +1188,7 @@ class WireProtocolTransport:
                     for seq, entry in sorted(self._unacked.items()):
                         if entry.deadline > now:
                             continue
-                        if entry.transmissions > self.max_retries:
+                        if entry.transmissions > MAX_RETRIES:
                             ticket = entry.ticket
                             error = DriverError(
                                 f"device never ACKed {ticket.module}.{ticket.action} (seq {seq}) "
@@ -1208,7 +1196,7 @@ class WireProtocolTransport:
                             )
                             failures.append(self._give_up(seq, error))
                         else:
-                            entry.expire(now, self.backoff, self.max_backoff_s)
+                            entry.expire(now, BACKOFF, MAX_BACKOFF_S)
                             due.append(entry)
                     polls = self._overdue_polls(now)
                     if not due and not failures and not polls:
@@ -1221,7 +1209,6 @@ class WireProtocolTransport:
                         self._cond.wait(max(self._wake_at - now, 0.001))
                         continue
             for entry in due:
-                self._ensure_connected()
                 self._send(entry.frame, parent_id=entry.span_id)
             for frame, ticket_id in polls:
                 self._send(frame, parent_id=obs_tracer.bound(ticket_id))
@@ -1243,7 +1230,7 @@ class WireProtocolTransport:
             self._cond.notify_all()
 
     def _overdue_polls(self, now: float) -> List[Tuple[Frame, str]]:
-        """A POLL for each watched ticket past its poll time and unresolved.
+        """A POLL for each watched ticket past its poll time and still open.
 
         Callers hold ``self._cond``.  Each ticket is polled at most once:
         a lost POLL or a lost resend is recovered by the device's timer.
@@ -1251,7 +1238,7 @@ class WireProtocolTransport:
         polls: List[Tuple[Frame, str]] = []
         while self._polls and self._polls[0][0] <= now:
             _, seq, ticket_id = heapq.heappop(self._polls)
-            if ticket_id in self._resolved_ticket_ids:
+            if ticket_id not in self._open:
                 continue
             frame = Frame(kind="POLL", seq=self._next_poll_seq, payload={"submit_seq": seq})
             self._next_poll_seq += 1
@@ -1260,7 +1247,7 @@ class WireProtocolTransport:
         return polls
 
     def _resend_unacked(self) -> None:
-        """The device received a damaged frame: resend every unACKed submit."""
+        """Resend every unACKed submit (a REJ arrived, or the link was reconnected)."""
         with self._cond:
             now = time.monotonic()
             entries = [self._unacked[seq] for seq in sorted(self._unacked)]
@@ -1270,7 +1257,7 @@ class WireProtocolTransport:
             self._send(entry.frame, parent_id=entry.span_id)
 
     def _reject(self) -> None:
-        """Answer a damaged frame with REJ: the device resends its unACKed completions."""
+        """Send REJ (a damaged frame or a reconnect): the device resends its unACKed completions."""
         with self._cond:
             seq = self._next_rej_seq
             self._next_rej_seq += 1
@@ -1287,7 +1274,7 @@ class WireProtocolTransport:
             if data is None:
                 if self.pipe.closed:
                     return
-                # Link down: the transport owns recovery.
+                # Link down: this thread alone reconnects.
                 self._ensure_connected()
                 continue
             if not data:
@@ -1326,10 +1313,7 @@ class WireProtocolTransport:
                 if self._hello_sent_at is not None:
                     self.rtt.sample(time.monotonic() - self._hello_sent_at)
                     self._hello_sent_at = None
-        # SYNC_ACK needs no action: the resync handshake is fire-and-forget
-        # (see _ensure_connected) -- receiving it at all proves the link is
-        # back, and the retransmissions it triggered arrive as COMPLETEs.
-        # SUBMIT/SYNC/POLL are device-bound; a conforming device never sends them.
+        # SUBMIT/POLL are device-bound; a conforming device never sends them.
 
     def _handle_complete(self, frame: Frame) -> None:
         # Always ACK, even for repeats -- the device retransmits until it
@@ -1348,52 +1332,45 @@ class WireProtocolTransport:
                 # COMPLETE is the submit's ACK too; as with a retransmitted
                 # submit's ACK, it gives no round-trip sample.
                 self._unacked.pop(frame.payload.get("submit_seq", -1), None)
-                if frame.seq in self._seen_completion_seqs:
+                ticket = self._open.pop(ticket_id, None)
+                if ticket is None:
+                    # A repeat of a delivered completion, or one for a
+                    # command we never issued or whose submit already
+                    # failed: drop it loudly in the counters rather than
+                    # inventing or reviving a ticket.
                     self._m_duplicates_dropped.inc()
                     complete_span.set(duplicate=True)
                     return
-                self._seen_completion_seqs.add(frame.seq)
-                ticket = self._tickets.get(ticket_id)
-                if ticket is None or ticket_id in self._resolved_ticket_ids:
-                    # A completion for a command we never issued, or whose
-                    # submit already failed: drop it loudly in the counters
-                    # rather than inventing or reviving a ticket.
-                    self._m_duplicates_dropped.inc()
-                    complete_span.set(duplicate=True)
-                    return
-                self._resolved_ticket_ids.add(ticket_id)
                 callbacks = list(self._callbacks)
             error = frame.payload.get("error")
             completion = TransportCompletion.for_ticket(ticket, error=error)
             for callback in callbacks:
                 callback(completion)
 
-    # -- reconnect-with-resync ------------------------------------------
+    # -- reconnect ------------------------------------------------------
     def _ensure_connected(self) -> None:
-        """Reconnect a severed link and announce the resync to the device.
+        """Reconnect a severed link and recover it as a damaged frame.
 
-        Runs on whichever thread notices the dead link first: the reader on
-        EOF, the engine thread before a submit's first transmission, or the
-        retransmit thread before a resend.  Reconnecting and
-        sending ``SYNC`` makes the device retransmit every unACKed
-        completion immediately; the handshake is deliberately non-blocking --
-        the ``SYNC_ACK`` comes back through the normal read loop, and even a
-        chaos-eaten ``SYNC`` is covered by the device's per-completion
-        retransmit timers.  A resync therefore never loses work; it only
-        costs wall time, which the ``resyncs`` counter accounts for.
+        Runs on the reader thread, which every disconnect wakes with EOF; a
+        frame another thread writes to the dead link meanwhile is swallowed
+        and covered by the resend here.  Both directions lost their bytes in
+        transit, so the transport sends ``REJ`` (the device resends every
+        unACKed completion) and resends every unACKed submit, exactly as on
+        a received ``REJ``.  A lost ``REJ`` or resend is covered by the
+        timers, so a resync never loses work; it only costs wall time, which
+        the ``resyncs`` counter accounts for.
         """
         with self._cond:
-            if not self._running or self.pipe.closed or self.pipe.connected:
+            if not self._running or self.pipe.connected:
                 return
             try:
                 self.pipe.reconnect()
             except PipeClosedError:
                 return
             self._m_resyncs.inc()
-            seq = self._next_seq
-            self._next_seq += 1
-        with obs_tracer.span("wire.resync", transport=self.name, seq=seq):
-            self._send(Frame(kind="SYNC", seq=seq))
+        with obs_tracer.span("wire.resync", transport=self.name):
+            self._reject()
+            self._resend_unacked()
 
     # -- introspection --------------------------------------------------
     def stats(self) -> WireStats:

@@ -12,12 +12,13 @@ time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.wei.drivers.base import DeviceDriver
 from repro.wei.drivers.bridge import CompletionBridge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.sim.clock import WallClock
     from repro.wei.module import Module
     from repro.wei.workcell import Workcell
 
@@ -86,14 +87,6 @@ class DriverRegistry:
                 unique.append(driver)
         return unique
 
-    def describe(self) -> Dict[str, str]:
-        """``{binding: driver_name}`` for every registered binding."""
-        described = {name: driver.name for name, driver in self._by_name.items()}
-        described.update(
-            {f"type:{module_type}": driver.name for module_type, driver in self._by_type.items()}
-        )
-        return described
-
     def close(self) -> None:
         """Close every bound driver (stops their worker threads)."""
         for driver in self.drivers():
@@ -103,37 +96,32 @@ class DriverRegistry:
     # Convenience constructors
     # ------------------------------------------------------------------
     @classmethod
-    def for_transport(cls, workcell: "Workcell", transport: DeviceDriver) -> "DriverRegistry":
-        """Back every module type in ``workcell`` with one ``transport``.
-
-        The registry is attached so ``Module.describe()`` reports the
-        binding; :meth:`wire` is a thin wrapper over this.
-        """
-        registry = cls(bridge=CompletionBridge(name=f"{transport.name}-bridge"))
-        for module_type in sorted({m.module_type for m in workcell.modules.values()}):
-            registry.bind_type(module_type, transport)
-        registry.attach(workcell)
-        return registry
-
-    @classmethod
     def wire(
         cls,
         workcell: "Workcell",
         *,
-        speedup: float = 1000.0,
         name: str = "wire",
-        **transport_kwargs,
+        speedup: float = 1000.0,
+        wall_clock: Optional["WallClock"] = None,
+        chaos: Optional[Any] = None,
     ) -> "DriverRegistry":
-        """One :class:`~repro.wei.drivers.protocol.WireProtocolTransport` per workcell.
+        """Back every module type in ``workcell`` with one
+        :class:`~repro.wei.drivers.protocol.WireProtocolTransport`.
 
         The framed-protocol configuration: every module's actions travel as
         length-prefixed CRC frames over an in-process byte pipe, with
-        ACK/retry and reconnect-with-resync.  ``transport_kwargs`` reach the
-        transport constructor -- most importantly ``chaos=`` for a seeded
-        :class:`~repro.wei.chaos.ChaosSchedule`.
+        ACK/retry and loss recovery.  The parameters reach the transport
+        constructor -- ``chaos=`` takes a seeded
+        :class:`~repro.wei.chaos.ChaosSchedule`.  The registry is attached,
+        so ``Module.describe()`` reports the binding.
         """
         from repro.wei.drivers.protocol import WireProtocolTransport
 
-        return cls.for_transport(
-            workcell, WireProtocolTransport(name=name, speedup=speedup, **transport_kwargs)
+        transport = WireProtocolTransport(
+            name=name, speedup=speedup, wall_clock=wall_clock, chaos=chaos
         )
+        registry = cls(bridge=CompletionBridge(name=f"{name}-bridge"))
+        for module_type in sorted({m.module_type for m in workcell.modules.values()}):
+            registry.bind_type(module_type, transport)
+        registry.attach(workcell)
+        return registry

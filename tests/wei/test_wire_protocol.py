@@ -16,7 +16,7 @@ import pytest
 
 from repro.sim.clock import WallClock
 from repro.wei.chaos import ChaosDecision
-from repro.wei.drivers import CompletionBridge, DriverRegistry
+from repro.wei.drivers import CompletionBridge, DriverRegistry, protocol
 from repro.wei.drivers.base import DriverError
 from repro.wei.drivers.protocol import (
     MIN_RTO_S,
@@ -36,15 +36,27 @@ from tests.wei.wire_stubs import (
     EatFirstAttempt,
     FaultFirst,
     SlowAcks,
+    set_timers,
     wait_until,
 )
 
 
-def fast_transport(**kwargs):
-    kwargs.setdefault("wall_clock", WallClock(sleep=False, speedup=FAST))
-    kwargs.setdefault("ack_timeout_s", 0.05)
-    kwargs.setdefault("device_retransmit_s", 0.02)
-    return WireProtocolTransport(name=kwargs.pop("name", "wire-test"), **kwargs)
+@pytest.fixture
+def fast_transport(monkeypatch):
+    """Factory: a transport on a no-sleep clock.  Upper-case keywords set
+    the wire's timer constants for the test (see ``set_timers``); the
+    device's ceiling defaults to 20 ms."""
+
+    def _make(chaos=None, wall_clock=None, **timers):
+        timers.setdefault("DEVICE_RETRANSMIT_S", 0.02)
+        set_timers(monkeypatch, **timers)
+        return WireProtocolTransport(
+            name="wire-test",
+            wall_clock=wall_clock or WallClock(sleep=False, speedup=FAST),
+            chaos=chaos,
+        )
+
+    return _make
 
 
 def collect_completions(transport):
@@ -93,7 +105,7 @@ class TestFrameCodec:
         assert decoder.crc_errors == 1
 
     def test_garbage_between_frames_is_tolerated(self):
-        frame = Frame(kind="SYNC", seq=0)
+        frame = Frame(kind="REJ", seq=0)
         decoder = FrameDecoder()
         decoded = decoder.feed(b"\x00noise\xff" + encode_frame(frame) + b"tail")
         assert decoded == [frame]
@@ -148,7 +160,7 @@ class TestBytePipe:
 
 
 class TestWireTransport:
-    def test_submit_completes_out_of_band(self):
+    def test_submit_completes_out_of_band(self, fast_transport):
         transport = fast_transport()
         received, lock = collect_completions(transport)
         ticket = transport.submit("get_plate", module="sciclops", duration_s=40.0)
@@ -161,7 +173,7 @@ class TestWireTransport:
         assert stats.retries == 0 and stats.resyncs == 0 and stats.crc_errors == 0
         transport.close()
 
-    def test_many_submissions_each_complete_exactly_once(self):
+    def test_many_submissions_each_complete_exactly_once(self, fast_transport):
         transport = fast_transport()
         received, lock = collect_completions(transport)
         tickets = [transport.submit(f"act{i}", module="m", duration_s=5.0) for i in range(25)]
@@ -174,13 +186,13 @@ class TestWireTransport:
         assert transport.pending() == 0
         transport.close()
 
-    def test_submit_after_close_raises(self):
+    def test_submit_after_close_raises(self, fast_transport):
         transport = fast_transport()
         transport.close()
         with pytest.raises(RuntimeError):
             transport.submit("a", module="m", duration_s=1.0)
 
-    def test_close_wakes_the_device_reader_at_once(self):
+    def test_close_wakes_the_device_reader_at_once(self, fast_transport):
         """close() shuts the pipe before the device, so the device's reader
         sees EOF at once instead of waiting out its 0.5 s read timeout."""
         transport = fast_transport()
@@ -194,13 +206,13 @@ class TestWireTransport:
         assert not transport.device._reader.is_alive()
         assert elapsed < 0.25, f"close() took {elapsed:.3f} s"
 
-    def test_negative_duration_rejected(self):
+    def test_negative_duration_rejected(self, fast_transport):
         transport = fast_transport()
         with pytest.raises(ValueError):
             transport.submit("a", module="m", duration_s=-1.0)
         transport.close()
 
-    def test_submit_retry_is_idempotent_when_acks_are_eaten(self):
+    def test_submit_retry_is_idempotent_when_acks_are_eaten(self, fast_transport):
         """Drop the first transmission of every command frame: the transport
         must retransmit under the same sequence number and the device must
         run the action exactly once."""
@@ -216,7 +228,7 @@ class TestWireTransport:
         assert stats.retries >= 2
         transport.close()
 
-    def test_lost_completion_is_retransmitted_until_acked(self):
+    def test_lost_completion_is_retransmitted_until_acked(self, fast_transport):
         """Drop the first transmission of every completion frame: the device
         must retransmit it until the transport ACKs."""
 
@@ -234,7 +246,7 @@ class TestWireTransport:
         assert transport.stats().completions_retransmitted >= 1
         transport.close()
 
-    def test_disconnect_triggers_resync_and_nothing_is_lost(self):
+    def test_disconnect_triggers_resync_and_nothing_is_lost(self, fast_transport):
         transport = fast_transport()
         received, lock = collect_completions(transport)
         transport.submit("get_plate", module="sciclops", duration_s=30.0)
@@ -252,11 +264,11 @@ class TestWireTransport:
         assert len(ids) == len(set(ids))
         transport.close()
 
-    def test_close_during_retries_stops_retransmitting(self):
+    def test_close_during_retries_stops_retransmitting(self, fast_transport):
         """Closing the transport mid-retry fails the unACKed submit's ticket
         with the closed-transport error instead of burning every remaining
         retry."""
-        transport = fast_transport(chaos=DeadWire(), ack_timeout_s=0.1, backoff=1.0)
+        transport = fast_transport(chaos=DeadWire(), ACK_TIMEOUT_S=0.1, BACKOFF=1.0)
         bridge = bridged(transport)
         ticket = bridge.register(transport.submit("get_plate", module="sciclops", duration_s=1.0))
         assert wait_until(lambda: transport.stats().retries >= 2)
@@ -267,12 +279,12 @@ class TestWireTransport:
         assert excinfo.type is RuntimeError and "closed" in str(excinfo.value)
         assert transport.stats().retries == retries_at_close
 
-    def test_dead_wire_gives_up_after_every_retry(self):
-        """A device that never ACKs is declared dead after max_retries + 1
+    def test_dead_wire_gives_up_after_every_retry(self, fast_transport):
+        """A device that never ACKs is declared dead after MAX_RETRIES + 1
         transmissions, and never sooner than the backoff schedule allows;
         the error surfaces where the ticket is awaited."""
         wire = DeadWire(dead=False)
-        transport = fast_transport(chaos=wire, max_retries=3)
+        transport = fast_transport(chaos=wire, MAX_RETRIES=3)
         bridge = bridged(transport)
         assert wait_until(lambda: transport.rtt.samples == 1)  # the handshake's
         for i in range(5):
@@ -281,7 +293,7 @@ class TestWireTransport:
         # the schedule below is computed from is final.
         assert wait_until(lambda: transport.pending() == 0)
         rto_s = transport.rtt.rto_s
-        assert MIN_RTO_S <= rto_s < transport.ack_timeout_s
+        assert MIN_RTO_S <= rto_s < protocol.ACK_TIMEOUT_S
         retries_before = transport.stats().retries
         wire.dead = True
         started = time.monotonic()
@@ -290,16 +302,16 @@ class TestWireTransport:
             bridge.wait_for(ticket, timeout_s=10.0)
         elapsed = time.monotonic() - started
         schedule_s = sum(
-            min(rto_s * transport.backoff**k, transport.max_backoff_s) for k in range(4)
+            min(rto_s * protocol.BACKOFF**k, protocol.MAX_BACKOFF_S) for k in range(4)
         )
         assert elapsed >= schedule_s
         assert transport.stats().retries - retries_before == 3
         transport.close()
 
-    def test_given_up_submit_is_no_longer_pending(self):
+    def test_given_up_submit_is_no_longer_pending(self, fast_transport):
         """A submit that exhausted its retries resolves its ticket, so it does
         not count as in flight forever."""
-        transport = fast_transport(chaos=DeadWire(), max_retries=1)
+        transport = fast_transport(chaos=DeadWire(), MAX_RETRIES=1)
         received, lock = collect_completions(transport)
         ticket = transport.submit("get_plate", module="sciclops", duration_s=1.0)
         assert wait_until(lambda: len(received) == 1)
@@ -311,7 +323,7 @@ class TestWireTransport:
         assert transport.pending() == 0
         transport.close()
 
-    def test_close_resolves_unacked_submits(self):
+    def test_close_resolves_unacked_submits(self, fast_transport):
         transport = fast_transport(chaos=DeadWire())
         received, lock = collect_completions(transport)
         transport.submit("get_plate", module="sciclops", duration_s=1.0)
@@ -322,7 +334,7 @@ class TestWireTransport:
         with lock:
             assert [type(c.failure) for c in received] == [RuntimeError, RuntimeError]
 
-    def test_submits_return_before_their_acks(self):
+    def test_submits_return_before_their_acks(self, fast_transport):
         """Under ACKs delayed by ``d``, five submits return in well under
         ``d``; each action still runs once and each completion arrives once."""
         delay_s = 1.0
@@ -352,10 +364,10 @@ class TestWireTransport:
         assert transport.pending() == 0
         transport.close()
 
-    def test_complete_ends_retransmission_of_its_submit(self):
+    def test_complete_ends_retransmission_of_its_submit(self, fast_transport):
         """With every device ACK lost, the COMPLETE is the submit's ACK: the
         retransmissions stop and no round trip is sampled."""
-        transport = fast_transport(chaos=EatDeviceAcks(), ack_timeout_s=0.02, backoff=1.0)
+        transport = fast_transport(chaos=EatDeviceAcks(), ACK_TIMEOUT_S=0.02, BACKOFF=1.0)
         received, _ = collect_completions(transport)
         assert wait_until(lambda: transport.rtt.samples == 1)  # the handshake's
         transport.submit("get_plate", module="sciclops", duration_s=1.0)
@@ -367,7 +379,7 @@ class TestWireTransport:
         assert transport.rtt.samples == 1  # the submit gave none
         transport.close()
 
-    def test_stats_snapshot_shape(self):
+    def test_stats_snapshot_shape(self, fast_transport):
         transport = fast_transport()
         stats = transport.stats().to_dict()
         assert set(stats) == {
@@ -386,14 +398,14 @@ class TestWireTransport:
 
 
 class TestRttEstimator:
-    def test_timeout_before_any_sample_is_the_configured_one(self):
+    def test_timeout_before_any_sample_is_the_configured_one(self, fast_transport):
         estimator = RttEstimator(0.05)
         assert estimator.srtt_s is None and estimator.samples == 0
         assert estimator.rto_s == 0.05
         # A lost handshake leaves both ends at their configured timeouts.
         transport = fast_transport(
-            ack_timeout_s=0.07,
-            device_retransmit_s=0.03,
+            ACK_TIMEOUT_S=0.07,
+            DEVICE_RETRANSMIT_S=0.03,
             chaos=FaultFirst(quiet=("transport", "device")),
         )
         time.sleep(0.05)  # a handshake sample would land in this window
@@ -429,7 +441,7 @@ class TestRttEstimator:
         slow.sample(0.04)  # 0.04 + 4 * 0.02 exceeds the ceiling
         assert slow.rto_s == 0.05
 
-    def test_clean_submits_shrink_the_timeout(self):
+    def test_clean_submits_shrink_the_timeout(self, fast_transport):
         # With the handshake muted every submit goes out under the ceiling,
         # so none is retransmitted and each ACK gives a sample.
         transport = fast_transport(chaos=FaultFirst(quiet=("transport", "device")))
@@ -437,12 +449,12 @@ class TestRttEstimator:
         for i in range(5):
             transport.submit(f"act{i}", module="m", duration_s=1.0)
         assert wait_until(lambda: transport.rtt.samples == 5)
-        assert transport.rtt.rto_s < transport.ack_timeout_s
+        assert transport.rtt.rto_s < protocol.ACK_TIMEOUT_S
         assert wait_until(lambda: len(received) == 5)
         assert wait_until(lambda: transport.device.rtt.samples >= 1)
         transport.close()
 
-    def test_retransmitted_submit_gives_no_sample(self):
+    def test_retransmitted_submit_gives_no_sample(self, fast_transport):
         """Karn's rule: an ACK after a retransmission may answer either copy.
 
         The stub eats the HELLO's only transmission too, so the handshake
@@ -453,17 +465,17 @@ class TestRttEstimator:
         assert wait_until(lambda: len(received) == 1)
         assert transport.stats().retries >= 1
         assert transport.rtt.samples == 0 and transport.rtt.srtt_s is None
-        assert transport.rtt.rto_s == transport.ack_timeout_s
+        assert transport.rtt.rto_s == protocol.ACK_TIMEOUT_S
         transport.close()
 
-    def test_acks_slower_than_the_ceiling_retransmit_safely(self):
+    def test_acks_slower_than_the_ceiling_retransmit_safely(self, fast_transport):
         """ACKs later than the RTO ceiling force spurious retransmissions;
         each action still runs once and each completion arrives once.
 
         The actions are paced to finish after the delayed ACKs: a COMPLETE
         would end its submit's retransmissions as an implicit ACK."""
         transport = fast_transport(
-            ack_timeout_s=0.05, chaos=SlowAcks(2 * 0.05), wall_clock=WallClock(speedup=5.0)
+            ACK_TIMEOUT_S=0.05, chaos=SlowAcks(2 * 0.05), wall_clock=WallClock(speedup=5.0)
         )
         received, lock = collect_completions(transport)
         assert wait_until(lambda: transport.rtt.samples == 1)  # the handshake's
@@ -534,17 +546,16 @@ class TestWireBackedEngine:
         assert wire_engine.transport_name == "wire"
         assert wire_engine.transport_stats().delivered == 2
 
-    def test_engine_surfaces_wire_recovery_counters(self, make_workcell):
+    def test_engine_surfaces_wire_recovery_counters(self, make_workcell, monkeypatch):
         from repro.wei.chaos import ChaosSchedule
         from repro.wei.concurrent import ConcurrentWorkflowEngine
 
         workcell = make_workcell(seed=3)
+        set_timers(monkeypatch, ACK_TIMEOUT_S=0.02, DEVICE_RETRANSMIT_S=0.02)
         registry = DriverRegistry.wire(
             workcell,
             wall_clock=WallClock(sleep=False, speedup=FAST),
             chaos=ChaosSchedule(11, disconnect_rate=0.0),
-            ack_timeout_s=0.02,
-            device_retransmit_s=0.02,
         )
         try:
             engine = ConcurrentWorkflowEngine(
@@ -570,18 +581,17 @@ class TestWireBackedEngine:
         # observable.
         assert sum(recovery.values()) > 0
 
-    def test_dead_wire_fails_the_run_before_the_completion_timeout(self, make_workcell):
+    def test_dead_wire_fails_the_run_before_the_completion_timeout(
+        self, make_workcell, monkeypatch
+    ):
         """The exhausted submit's DriverError comes out of run_until_complete
         as soon as the retries run out, not after completion_timeout_s."""
         from repro.wei.concurrent import ConcurrentWorkflowEngine
 
         workcell = make_workcell(seed=7)
+        set_timers(monkeypatch, ACK_TIMEOUT_S=0.02, MAX_RETRIES=2)
         registry = DriverRegistry.wire(
-            workcell,
-            wall_clock=WallClock(sleep=False, speedup=FAST),
-            chaos=DeadWire(),
-            ack_timeout_s=0.02,
-            max_retries=2,
+            workcell, wall_clock=WallClock(sleep=False, speedup=FAST), chaos=DeadWire()
         )
         try:
             engine = ConcurrentWorkflowEngine(

@@ -1,12 +1,12 @@
 """Loss recovery on the receiver's signal (`repro.wei.drivers.protocol`).
 
-A damaged frame is answered with ``REJ`` and the peer resends its unACKed
-frames; an ACKed ticket whose COMPLETE is overdue is polled for; and a
-``HELLO`` handshake gives each end its first round-trip sample.  Each
-test that times a recovery configures both retransmission ceilings at
-:data:`CEILING_S` and mutes the ``HELLO`` of every end whose timer must not
-fire, so a timer cannot recover the loss inside the :data:`RECOVERY_S`
-window: only the signal can.
+A damaged frame, or a reconnected link, is answered with ``REJ`` and the
+peer resends its unACKed frames; an ACKed ticket whose COMPLETE is overdue
+is polled for; and a ``HELLO`` handshake gives each end its first
+round-trip sample.  Each test that times a recovery sets both
+retransmission ceilings to :data:`CEILING_S` and mutes the ``HELLO`` of
+every end whose timer must not fire, so a timer cannot recover the loss
+inside the :data:`RECOVERY_S` window: only the signal can.
 """
 
 import sys
@@ -16,7 +16,7 @@ import time
 from repro.sim.clock import WallClock
 from repro.wei.chaos import ChaosSchedule
 from repro.wei.drivers.protocol import WireProtocolTransport
-from tests.wei.wire_stubs import FAST, FaultFirst, wait_until
+from tests.wei.wire_stubs import FAST, FaultFirst, set_timers, wait_until
 
 #: Both ends' retransmission ceilings: far outside the assertion window.
 CEILING_S = 5.0
@@ -24,13 +24,10 @@ CEILING_S = 5.0
 RECOVERY_S = 0.5
 
 
-def transport_under(chaos, ceiling_s=CEILING_S):
+def transport_under(monkeypatch, chaos, ceiling_s=CEILING_S):
+    set_timers(monkeypatch, ACK_TIMEOUT_S=ceiling_s, DEVICE_RETRANSMIT_S=ceiling_s)
     return WireProtocolTransport(
-        name="wire-recovery",
-        wall_clock=WallClock(sleep=False, speedup=FAST),
-        chaos=chaos,
-        ack_timeout_s=ceiling_s,
-        device_retransmit_s=ceiling_s,
+        name="wire-recovery", wall_clock=WallClock(sleep=False, speedup=FAST), chaos=chaos
     )
 
 
@@ -53,9 +50,9 @@ def assert_ran_once(chaos, received):
 
 
 class TestRejOnDamage:
-    def test_corrupt_first_submit_is_resent_on_rej(self):
+    def test_corrupt_first_submit_is_resent_on_rej(self, monkeypatch):
         chaos = FaultFirst({("transport", "SUBMIT"): "corrupt"}, quiet=("transport", "device"))
-        transport = transport_under(chaos)
+        transport = transport_under(monkeypatch, chaos)
         try:
             received, elapsed = run_one(transport, RECOVERY_S)
             stats = transport.stats()
@@ -66,9 +63,9 @@ class TestRejOnDamage:
         assert stats.rejs_sent >= 1 and stats.retries == 1
         assert transport.rtt.samples == 0  # Karn: the resent submit gave no sample
 
-    def test_corrupt_first_complete_is_resent_on_rej(self):
+    def test_corrupt_first_complete_is_resent_on_rej(self, monkeypatch):
         chaos = FaultFirst({("device", "COMPLETE"): "corrupt"}, quiet=("transport", "device"))
-        transport = transport_under(chaos)
+        transport = transport_under(monkeypatch, chaos)
         try:
             received, elapsed = run_one(transport, RECOVERY_S)
             stats = transport.stats()
@@ -82,12 +79,12 @@ class TestRejOnDamage:
 
 
 class TestPollForOverdueCompletion:
-    def test_dropped_first_complete_is_resent_on_poll(self):
+    def test_dropped_first_complete_is_resent_on_poll(self, monkeypatch):
         # The submit's ACK measures the round trip that sets the poll
         # threshold; the device's HELLO is muted, so its timer stays at the
         # ceiling.
         chaos = FaultFirst({("device", "COMPLETE"): "drop"}, quiet=("device",))
-        transport = transport_under(chaos)
+        transport = transport_under(monkeypatch, chaos)
         try:
             received, elapsed = run_one(transport, RECOVERY_S)
             stats = transport.stats()
@@ -97,8 +94,8 @@ class TestPollForOverdueCompletion:
         assert_ran_once(chaos, received)
         assert stats.polls_sent == 1 and stats.completions_retransmitted == 1
 
-    def test_resolved_tickets_leave_the_poll_queue(self):
-        transport = transport_under(None)
+    def test_resolved_tickets_leave_the_poll_queue(self, monkeypatch):
+        transport = transport_under(monkeypatch, None)
         received = []
         transport.on_completion(received.append)
         try:
@@ -112,15 +109,73 @@ class TestPollForOverdueCompletion:
             transport.close()
 
 
+class TestReconnectIsARej:
+    """A severed link is recovered as a damaged frame: the transport's reader
+    reconnects, sends ``REJ`` and resends its unACKed submits."""
+
+    def test_submit_lost_with_the_link_is_resent_on_reconnect(self, monkeypatch):
+        """The resend recovers the SUBMIT, and the reconnect takes no SUBMIT
+        sequence number: the next submit is seq 1."""
+        chaos = FaultFirst(
+            {("transport", "SUBMIT"): "disconnect"}, quiet=("transport", "device")
+        )
+        transport = transport_under(monkeypatch, chaos)
+        try:
+            received, elapsed = run_one(transport, RECOVERY_S)
+            stats = transport.stats()
+            ticket = transport.submit("transfer", module="pf400", duration_s=20.0)
+            assert wait_until(lambda: len(received) == 2, timeout_s=RECOVERY_S)
+        finally:
+            transport.close()
+        assert elapsed < RECOVERY_S
+        assert received[0].failure is None
+        assert chaos.first_sent["COMPLETE"] == [0, 1]  # each action ran once
+        assert stats.resyncs == 1 and stats.retries == 1
+        assert chaos.first_sent["REJ"] == [0]
+        assert ticket.ticket_id == "wire-recovery:1"
+        assert chaos.first_sent["SUBMIT"] == [0, 1]
+
+    def test_complete_lost_with_the_link_is_resent_on_rej(self, monkeypatch):
+        chaos = FaultFirst(
+            {("device", "COMPLETE"): "disconnect"}, quiet=("transport", "device")
+        )
+        transport = transport_under(monkeypatch, chaos)
+        try:
+            received, elapsed = run_one(transport, RECOVERY_S)
+            stats = transport.stats()
+        finally:
+            transport.close()
+        assert elapsed < RECOVERY_S
+        assert_ran_once(chaos, received)
+        assert stats.resyncs == 1 and stats.completions_retransmitted >= 1
+
+
+class TestOpenTickets:
+    def test_no_per_ticket_entry_outlives_its_ticket(self, monkeypatch):
+        transport = transport_under(monkeypatch, None)
+        received = []
+        transport.on_completion(received.append)
+        try:
+            for i in range(200):
+                transport.submit(f"act{i}", module="m", duration_s=1.0)
+            assert wait_until(lambda: len(received) == 200)
+            assert transport.pending() == 0
+            assert not transport._open and not transport._unacked
+            assert wait_until(lambda: not transport._polls, timeout_s=2.0)
+        finally:
+            transport.close()
+        assert len({completion.ticket_id for completion in received}) == 200
+
+
 class TestTimersStillRecover:
-    def test_lost_signals_fall_back_to_the_timers(self):
+    def test_lost_signals_fall_back_to_the_timers(self, monkeypatch):
         """Every REJ and POLL is eaten: the timers still recover a corrupt
         SUBMIT and a corrupt COMPLETE, and the action runs once."""
         chaos = FaultFirst(
             {("transport", "SUBMIT"): "corrupt", ("device", "COMPLETE"): "corrupt"},
             eat=("REJ", "POLL"),
         )
-        transport = transport_under(chaos, ceiling_s=0.05)
+        transport = transport_under(monkeypatch, chaos, ceiling_s=0.05)
         try:
             received, _ = run_one(transport, 5.0)
             stats = transport.stats()
@@ -132,8 +187,8 @@ class TestTimersStillRecover:
 
 
 class TestHandshake:
-    def test_each_end_takes_its_first_sample_from_the_handshake(self):
-        transport = transport_under(None)
+    def test_each_end_takes_its_first_sample_from_the_handshake(self, monkeypatch):
+        transport = transport_under(monkeypatch, None)
         try:
             assert wait_until(
                 lambda: transport.rtt.samples == 1 and transport.device.rtt.samples == 1
@@ -143,9 +198,9 @@ class TestHandshake:
         finally:
             transport.close()
 
-    def test_first_submit_keeps_seq_zero_after_the_handshake(self):
+    def test_first_submit_keeps_seq_zero_after_the_handshake(self, monkeypatch):
         chaos = FaultFirst()
-        transport = transport_under(chaos)
+        transport = transport_under(monkeypatch, chaos)
         try:
             assert wait_until(
                 lambda: transport.rtt.samples == 1 and transport.device.rtt.samples == 1

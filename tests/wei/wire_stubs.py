@@ -11,10 +11,21 @@ assert the exact outcome.
 import time
 
 from repro.wei.chaos import ChaosDecision
+from repro.wei.drivers import protocol
 
 #: Effectively-instant pacing that still runs the whole framed path
 #: (encode -> pipe -> device threads -> frames back -> callbacks).
 FAST = 1_000_000.0
+
+
+def set_timers(monkeypatch, **values):
+    """Set the wire's timer constants (``ACK_TIMEOUT_S=0.1``, ...) for one test.
+
+    Both ends read each constant where they use it, so a transport built
+    after this call runs on the given values.
+    """
+    for name, value in values.items():
+        monkeypatch.setattr(protocol, name, value)
 
 
 def wait_until(predicate, timeout_s=10.0):
@@ -108,8 +119,8 @@ class FaultFirst(_Stub):
     """Hit the first transmission of chosen frames, and mute chosen signals.
 
     ``faults`` maps ``(side, kind)`` -- side ``"transport"`` or ``"device"``
-    -- to ``"drop"`` or ``"corrupt"``, applied to the first transmission of
-    that side's frame 0 of that kind.  ``quiet`` names the ends whose
+    -- to ``"drop"``, ``"corrupt"`` or ``"disconnect"``, applied to the first
+    transmission of that side's frame 0 of that kind.  ``quiet`` names the ends whose
     ``HELLO`` is dropped, so their retransmission timers stay at the
     configured ceiling.  Every frame whose kind is in ``eat`` is dropped.
     ``first_sent[kind]`` lists the sequence numbers of each kind's first
