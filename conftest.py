@@ -117,7 +117,7 @@ def make_workcell():
 def make_engine(make_workcell):
     """Factory for a :class:`ConcurrentWorkflowEngine` over a fresh workcell.
 
-    ``make_engine(seed=7, n_ot2=2, name=..., drivers=..., max_retries=...)``:
+    ``make_engine(seed=7, n_ot2=2, name=..., drivers=..., completion_timeout_s=...)``:
     workcell-construction keywords go to :fixture:`make_workcell`,
     engine-construction keywords to the engine.
     """

@@ -53,7 +53,24 @@ from repro.wei.engine import StepResult, WorkflowError, robotic_command_count
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell, build_color_picker_workcell
 
-__all__ = ["ColorPickerApp"]
+__all__ = ["ColorPickerApp", "sample_records"]
+
+
+def sample_records(samples: List[SampleResult], proposed_by: str) -> List[SampleRecord]:
+    """The portal records of ``samples``, each credited to ``proposed_by``."""
+    return [
+        SampleRecord(
+            sample_index=sample.sample_index,
+            well=sample.well,
+            plate_barcode=sample.plate_barcode,
+            volumes_ul=sample.volumes_ul,
+            measured_rgb=list(sample.measured_rgb),
+            score=sample.score,
+            proposed_by=proposed_by,
+            timestamp=sample.elapsed_s,
+        )
+        for sample in samples
+    ]
 
 
 class ColorPickerApp:
@@ -202,11 +219,6 @@ class ColorPickerApp:
         yield ("sleep", duration)
         return duration
 
-    @property
-    def active_plate(self) -> Optional[Plate]:
-        """The plate currently in play (None before the first newplate workflow)."""
-        return self._active_plate
-
     # ------------------------------------------------------------------
     # Plate / reservoir management (the checks in Figure 2)
     # ------------------------------------------------------------------
@@ -294,19 +306,7 @@ class ColorPickerApp:
             target_rgb=list(config.target.rgb),
             solver=self.solver.name,
             metadata={"batch_size": config.batch_size, "seed": config.seed},
-            samples=[
-                SampleRecord(
-                    sample_index=sample.sample_index,
-                    well=sample.well,
-                    plate_barcode=sample.plate_barcode,
-                    volumes_ul=sample.volumes_ul,
-                    measured_rgb=list(sample.measured_rgb),
-                    score=sample.score,
-                    proposed_by=self.solver.name,
-                    timestamp=sample.elapsed_s,
-                )
-                for sample in samples
-            ],
+            samples=sample_records(samples, self.solver.name),
             timings={"elapsed_s": self.workcell.clock.now()},
         )
         receipt = self.flow.publish(record, image=pixels)

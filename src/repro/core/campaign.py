@@ -44,11 +44,11 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.app import ColorPickerApp
+from repro.core.app import ColorPickerApp, sample_records
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.obs import tracer as obs_tracer
 from repro.publish.portal import DataPortal, PortalBackend
-from repro.publish.records import RunRecord, SampleRecord
+from repro.publish.records import RunRecord
 from repro.sim.durations import DurationTable, ModuleSpeedProfile, paper_calibrated_durations
 from repro.wei.concurrent import ConcurrentWorkflowEngine, TransportRetryStats
 from repro.wei.coordinator import MultiWorkcellCoordinator, RunCompletion, ShardAssignment
@@ -332,19 +332,7 @@ def _campaign_record(
             "synthesis_s": result.metrics.synthesis_time_s if result.metrics else 0.0,
             "transfer_s": result.metrics.transfer_time_s if result.metrics else 0.0,
         },
-        samples=[
-            SampleRecord(
-                sample_index=sample.sample_index,
-                well=sample.well,
-                plate_barcode=sample.plate_barcode,
-                volumes_ul=sample.volumes_ul,
-                measured_rgb=list(sample.measured_rgb),
-                score=sample.score,
-                proposed_by=solver,
-                timestamp=sample.elapsed_s,
-            )
-            for sample in result.samples
-        ],
+        samples=sample_records(result.samples, solver),
     )
 
 

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.color.distance import DISTANCE_METRICS
-from repro.color.targets import TargetColor, get_target
+from repro.color.targets import get_target
 from repro.core.metrics import SdlMetrics
 from repro.utils.validation import check_positive, check_probability
 
@@ -89,11 +89,6 @@ class ExperimentConfig:
             self.experiment_id = f"colorpicker-N{self.n_samples}"
         if not self.run_id:
             self.run_id = f"{self.experiment_id}-B{self.batch_size}-seed{self.seed}"
-
-    @property
-    def target_color(self) -> TargetColor:
-        """The resolved target colour."""
-        return self.target
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form stored in run records."""

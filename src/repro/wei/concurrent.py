@@ -52,12 +52,12 @@ Transport-backed (real-time) execution
 With a :class:`~repro.wei.drivers.registry.DriverRegistry` the engine runs in
 *transport mode*: phase one still submits on the simulated clock (identical
 validation, fault draws and sampled durations, so the science is bit-for-bit
-the same as pure simulation), but the action is also handed to the module's
-:class:`~repro.wei.drivers.base.DeviceDriver`, and the scheduled end event
-**blocks on the registry's completion bridge** -- draining the queue the
-driver's callback threads fill -- instead of letting the simulated clock
-free-run.  Deck mutations still land on the engine thread at the completion
-event; only the *pace* is set by the transport (e.g. a
+the same as pure simulation), but the action is also handed to the
+registry's one :class:`~repro.wei.drivers.base.DeviceDriver`, and the
+scheduled end event **blocks on the registry's completion bridge** --
+draining the queue the driver's callback threads fill -- instead of letting
+the simulated clock free-run.  Deck mutations still land on the engine
+thread at the completion event; only the *pace* is set by the transport (e.g. a
 :class:`~repro.wei.drivers.protocol.WireProtocolTransport` whose device
 sleeps each duration / speedup).  A silent transport fails the run with
 :class:`~repro.wei.drivers.base.CompletionTimeout` once a completion is
@@ -70,7 +70,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Deque, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.obs import tracer as obs_tracer
@@ -99,14 +99,20 @@ __all__ = [
     "TransportRetryStats",
     "RunSpanHooks",
     "claim_jobs",
+    "MAX_STEP_RETRIES",
 ]
+
+#: Retries of a recoverable command failure per workflow step (a program's
+#: single ``"action"`` request gets none).  Read at each step, so tests can
+#: ``monkeypatch`` it.
+MAX_STEP_RETRIES = 2
 
 
 @dataclass(frozen=True)
 class TransportRetryStats:
-    """Wire-level recovery counters summed over one engine's drivers.
+    """Wire-level recovery counters of one engine's transport.
 
-    A typed snapshot, taken under each driver's own lock via its
+    A typed snapshot, taken under the transport's own lock via its
     ``stats()`` view; :meth:`to_dict` gives the JSON form.
     """
 
@@ -328,13 +334,10 @@ class ConcurrentWorkflowEngine:
         self,
         workcell: Workcell,
         *,
-        max_retries: int = 2,
         run_logger: Optional[RunLogger] = None,
         drivers: Optional[DriverRegistry] = None,
         completion_timeout_s: float = 60.0,
     ):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if completion_timeout_s <= 0:
             raise ValueError(f"completion_timeout_s must be > 0, got {completion_timeout_s}")
         if not hasattr(workcell.clock, "advance_to"):
@@ -343,9 +346,8 @@ class ConcurrentWorkflowEngine:
                 f"(got {type(workcell.clock).__name__})"
             )
         self.workcell = workcell
-        self.max_retries = max_retries
-        #: Transport bindings; ``None`` completes every action in pure
-        #: simulation exactly as before.
+        #: The transport every action rides; ``None`` completes every
+        #: action in pure simulation.
         self.drivers = drivers
         #: Grace period (real seconds) a transport completion may take past
         #: the time its paced action was due.
@@ -353,10 +355,6 @@ class ConcurrentWorkflowEngine:
         #: Thread driving the event loop, recorded at each completion event
         #: so transport audits can prove completions were posted elsewhere.
         self.engine_thread_id: Optional[int] = None
-        if drivers is not None:
-            # Record the bindings on the modules so describe()/fleet views
-            # show which actions ride a transport.
-            drivers.attach(workcell)
         self.run_logger = run_logger if run_logger is not None else RunLogger()
         self.scheduler = EventScheduler(clock=workcell.clock)
         #: Busy intervals per module, for utilisation analysis and benchmarks.
@@ -422,11 +420,10 @@ class ConcurrentWorkflowEngine:
 
     @property
     def transport_name(self) -> str:
-        """Display name of the execution mode: ``"sim"`` or the driver names."""
+        """Display name of the execution mode: ``"sim"`` or the transport's name."""
         if self.drivers is None:
             return "sim"
-        names = sorted({driver.name for driver in self.drivers.drivers()})
-        return "+".join(names) if names else "sim"
+        return self.drivers.transport.name
 
     def transport_idle(self) -> bool:
         """True when no transport completion is still owed to this engine.
@@ -446,35 +443,24 @@ class ConcurrentWorkflowEngine:
         return self.drivers.bridge.stats()
 
     def transport_retry_stats(self) -> TransportRetryStats:
-        """Wire-level recovery counters summed over this engine's drivers.
+        """Wire-level recovery counters of this engine's transport.
 
-        Drivers that speak a real protocol (the
-        :class:`~repro.wei.drivers.protocol.WireProtocolTransport`) expose a
-        ``stats()`` snapshot with retry/resync accounting; drivers without
-        one, and pure simulation, contribute zeros.  The fields
-        are always present, so fleet views can show the columns
-        unconditionally: ``retries`` (command retransmissions), ``resyncs``
-        (reconnect handshakes), ``crc_errors`` (frames discarded as
-        corrupt), ``duplicates_dropped`` (repeat completions deduplicated on
-        the wire), ``completions_retransmitted`` (device-side re-sends),
+        Read by field name from the transport's ``stats()`` snapshot (taken
+        atomically under the transport's own lock); pure simulation reads
+        zeros.  The fields are always present, so fleet views can show the
+        columns unconditionally: ``retries`` (command retransmissions),
+        ``resyncs`` (reconnect handshakes), ``crc_errors`` (frames discarded
+        as corrupt), ``duplicates_dropped`` (repeat completions deduplicated
+        on the wire), ``completions_retransmitted`` (device-side re-sends),
         ``rejs_sent`` (damaged frames answered with REJ at either end) and
         ``polls_sent`` (polls for overdue completions).
-        Returns a typed :class:`TransportRetryStats` snapshot (each driver's
-        counters are read atomically under that driver's own lock by its
-        ``stats()``).
         """
         if self.drivers is None:
             return TransportRetryStats()
-        totals = TransportRetryStats().to_dict()
-        for driver in self.drivers.drivers():
-            stats_fn = getattr(driver, "stats", None)
-            if stats_fn is None:
-                continue
-            snapshot = stats_fn()
-            counters = snapshot.to_dict() if hasattr(snapshot, "to_dict") else dict(snapshot)
-            for key in totals:
-                totals[key] += int(counters.get(key, 0))
-        return TransportRetryStats(**totals)
+        snapshot = self.drivers.transport.stats()
+        return TransportRetryStats(
+            **{field.name: getattr(snapshot, field.name) for field in fields(TransportRetryStats)}
+        )
 
     def completion_latencies(self) -> List[float]:
         """Real posted->consumed latencies of delivered completions (seconds)."""
@@ -608,7 +594,7 @@ class ConcurrentWorkflowEngine:
                 module=module,
                 action=step.action,
                 args=args,
-                max_retries=self.max_retries,
+                max_retries=MAX_STEP_RETRIES,
                 continuation=lambda outcome, t=task, s=step: self._step_finished(t, s, outcome),
                 label=f"{spec.name}.{task.index}:{step.module}.{step.action}",
                 parent_span_id=task.handle.span_id,
@@ -860,8 +846,8 @@ class ConcurrentWorkflowEngine:
         fault draws and retries -- and the deck/labware mutations stay
         pending until the completion event fires at the sampled end time.
 
-        In transport mode the action is also dispatched to the module's
-        driver, which will post its completion out-of-band; the scheduled
+        In transport mode the action is also dispatched to the transport,
+        which will post its completion out-of-band; the scheduled
         end event then waits for that ticket before applying the mutations.
         The simulated timestamps (and therefore every downstream sample and
         score) are identical either way -- the transport only decides how
@@ -906,12 +892,11 @@ class ConcurrentWorkflowEngine:
                 if activity.vacates is not None:
                     self._outgoing[activity.vacates] = self._outgoing.get(activity.vacates, 0) + 1
             ticket: Optional[TransportTicket] = None
-            driver = self.drivers.driver_for(activity.module) if self.drivers is not None else None
-            if driver is not None:
+            if self.drivers is not None:
                 # Failed submissions are dispatched too: the device spent real
                 # time rejecting the command, and the transport reports that
                 # outcome just like a success.
-                ticket = driver.submit(
+                ticket = self.drivers.transport.submit(
                     activity.action,
                     module=name,
                     duration_s=end - start,

@@ -165,13 +165,13 @@ class ShardStatus:
     completed: int
     utilisation: float
     makespan: float
-    #: Execution mode of the shard's engine: ``"sim"`` or its driver names
-    #: (a fleet may mix simulated and transport-backed workcells).
+    #: Execution mode of the shard's engine: ``"sim"`` or its transport's
+    #: name (a fleet may mix simulated and transport-backed workcells).
     transport: str = "sim"
-    #: Wire-level command retransmissions this shard's transports performed
+    #: Wire-level command retransmissions this shard's transport performed
     #: (0 for sim shards, which have no wire to lose frames on).
     retries: int = 0
-    #: Reconnect-with-resync cycles this shard's transports survived.
+    #: Reconnect-with-resync cycles this shard's transport survived.
     resyncs: int = 0
     #: Completion-delivery latency percentiles (real posted->consumed
     #: seconds) from the shard bridge's registry histogram; ``None`` for
@@ -350,6 +350,9 @@ class MultiWorkcellCoordinator:
         self._run_listeners: List[Callable[[RunCompletion], None]] = []
         self._campaign: Optional[_CampaignContext] = None
         self._frontier = 0.0
+        #: Shards in the ``draining`` state: only these can retire, so the
+        #: merged loop sweeps for quiescent ones only while this is non-zero.
+        self._n_draining = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -661,6 +664,7 @@ class MultiWorkcellCoordinator:
                     f"{len(context.queue)} job(s) are still unclaimed"
                 )
         shard.state = "draining"
+        self._n_draining += 1
         self._log_fleet_event("drain-requested", shard)
         if context is None or self._shard_quiescent(shard):
             self._retire(shard)
@@ -690,6 +694,7 @@ class MultiWorkcellCoordinator:
 
     def _retire(self, shard: _Shard) -> None:
         shard.state = "drained"
+        self._n_draining -= 1
         self._log_fleet_event(
             "workcell-retired", shard, jobs_completed=shard.completed
         )
@@ -1076,4 +1081,5 @@ class MultiWorkcellCoordinator:
                 return
             self._frontier = max(self._frontier, best_time)
             best_shard.engine.scheduler.step()
-            self._finalise_draining()
+            if self._n_draining:
+                self._finalise_draining()

@@ -38,7 +38,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Protocol, runtime_checkable
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.wei.drivers.protocol import WireStats
 
 __all__ = [
     "DriverError",
@@ -169,6 +172,10 @@ class DeviceDriver(Protocol):
 
     def pending(self) -> int:
         """Number of accepted actions whose completion has not been posted yet."""
+        ...
+
+    def stats(self) -> "WireStats":
+        """Recovery counters snapshot, read atomically under the driver's lock."""
         ...
 
     def close(self) -> None:

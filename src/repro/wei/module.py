@@ -123,7 +123,7 @@ class Module:
         self.name = name
         self.device = device
         #: The transport driver backing this module, if any (bound by a
-        #: :class:`~repro.wei.drivers.registry.DriverRegistry`); ``None``
+        #: :meth:`~repro.wei.drivers.registry.DriverRegistry.wire`); ``None``
         #: means actions complete in pure simulation.
         self.driver: Optional[Any] = None
         if actions is None:

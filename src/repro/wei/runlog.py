@@ -47,7 +47,7 @@ class RunLogger:
                 json.dump(run.to_dict(), handle, indent=2, default=str)
 
     # ------------------------------------------------------------------
-    # Queries used by the metrics module
+    # Queries over the recorded runs
     # ------------------------------------------------------------------
     @property
     def n_runs(self) -> int:

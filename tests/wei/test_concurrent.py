@@ -5,6 +5,7 @@ import pytest
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import Plate
 from repro.sim.faults import FaultPolicy
+from repro.wei import concurrent as concurrent_module
 from repro.wei.concurrent import ConcurrencyError, ConcurrentWorkflowEngine
 from repro.wei.engine import WorkflowError
 from repro.wei.workflow import WorkflowSpec
@@ -139,12 +140,13 @@ class TestConcurrentExecution:
 
 
 class TestFaultsAndFailures:
-    def test_recoverable_failures_are_retried(self, make_workcell):
+    def test_recoverable_failures_are_retried(self, make_workcell, monkeypatch):
+        monkeypatch.setattr(concurrent_module, "MAX_STEP_RETRIES", 25)
         workcell = make_workcell(
             seed=3,
             fault_policy=FaultPolicy(command_failure={"sciclops": 0.4}, unrecoverable_fraction=0.0),
         )
-        engine = ConcurrentWorkflowEngine(workcell, max_retries=25)
+        engine = ConcurrentWorkflowEngine(workcell)
         spec = WorkflowSpec(name="stubborn")
         for _ in range(6):
             spec.add_step("sciclops", "status")
@@ -152,12 +154,13 @@ class TestFaultsAndFailures:
         assert result.success
         assert sum(step.retries for step in result.steps) > 0
 
-    def test_exhausted_retries_fail_the_run_and_are_recorded(self, make_workcell):
+    def test_exhausted_retries_fail_the_run_and_are_recorded(self, make_workcell, monkeypatch):
+        monkeypatch.setattr(concurrent_module, "MAX_STEP_RETRIES", 1)
         workcell = make_workcell(
             seed=3,
             fault_policy=FaultPolicy(command_failure={"sciclops": 1.0}, unrecoverable_fraction=0.0),
         )
-        engine = ConcurrentWorkflowEngine(workcell, max_retries=1)
+        engine = ConcurrentWorkflowEngine(workcell)
         handle = engine.submit(WorkflowSpec(name="doomed").add_step("sciclops", "status"))
         with pytest.raises(WorkflowError):
             engine.run_until_complete()
@@ -197,12 +200,13 @@ class TestPrograms:
         assert handle.result == (True, "pf400")
         assert engine.makespan > 30.0
 
-    def test_workflow_failure_is_thrown_into_program(self, make_workcell):
+    def test_workflow_failure_is_thrown_into_program(self, make_workcell, monkeypatch):
+        monkeypatch.setattr(concurrent_module, "MAX_STEP_RETRIES", 0)
         workcell = make_workcell(
             seed=3,
             fault_policy=FaultPolicy(command_failure={"sciclops": 1.0}, unrecoverable_fraction=0.0),
         )
-        engine = ConcurrentWorkflowEngine(workcell, max_retries=0)
+        engine = ConcurrentWorkflowEngine(workcell)
 
         def program():
             spec = WorkflowSpec(name="doomed").add_step("sciclops", "status")
@@ -230,11 +234,6 @@ class TestPrograms:
 
 
 class TestValidation:
-    def test_negative_retries_rejected(self, make_workcell):
-        workcell = make_workcell(seed=1)
-        with pytest.raises(ValueError):
-            ConcurrentWorkflowEngine(workcell, max_retries=-1)
-
     def test_mismatched_payloads_rejected(self, make_workcell):
         workcell = make_workcell(seed=1)
         engine = ConcurrentWorkflowEngine(workcell)

@@ -262,7 +262,7 @@ class TestTransportBackedEngine:
         assert result.success
         # The wire drops the echo by completion sequence number, so the
         # bridge delivers each ticket once and never sees the copy.
-        assert registry.drivers()[0].stats().duplicates_dropped >= 1
+        assert registry.transport.stats().duplicates_dropped >= 1
         stats = registry.bridge.stats()
         assert stats.delivered == 2
         assert stats.rejected_duplicate == 0
@@ -351,39 +351,32 @@ class TestTransportBackedEngine:
                 pass
 
         workcell = make_workcell(seed=7)
-        registry = DriverRegistry()
-        driver = InBandDriver()
-        for module_type in ("sciclops", "pf400"):
-            registry.bind_type(module_type, driver)
-        engine = ConcurrentWorkflowEngine(workcell, drivers=registry)
+        engine = ConcurrentWorkflowEngine(workcell, drivers=DriverRegistry(InBandDriver()))
         with pytest.raises(InBandCompletionError):
             engine.run_all([newplate_spec()])
 
 
 class TestDriverRegistry:
-    def test_module_binding_wins_over_type_binding(self, make_workcell):
-        workcell = make_workcell(seed=1)
-        registry = DriverRegistry()
-        by_type = WireProtocolTransport(name="type-driver", speedup=FAST)
-        by_name = WireProtocolTransport(name="name-driver", speedup=FAST)
-        registry.bind_type("ot2", by_type)
-        registry.bind_module("ot2", by_name)
-        assert registry.driver_for(workcell.module("ot2")) is by_name
-        bound = registry.attach(workcell)
-        assert bound == {"ot2": "name-driver"}
-        assert workcell.module("ot2").describe()["driver"] == "name-driver"
-        assert workcell.module("pf400").describe()["driver"] is None
-        registry.close()
-
     def test_wire_constructor_covers_every_module(self, make_workcell):
         workcell = make_workcell(seed=1)
         registry = DriverRegistry.wire(workcell, speedup=FAST)
         assert all(
-            registry.driver_for(module) is not None
+            module.describe()["driver"] == "wire"
             for module in workcell.modules.values()
         )
-        assert len(registry.drivers()) == 1
         registry.close()
+
+    def test_every_action_registers_a_bridge_ticket(self, make_wire_engine):
+        engine, registry = make_wire_engine(seed=3)
+        try:
+            results = engine.run_all([fetch_and_trash_spec(), fetch_and_trash_spec()])
+        finally:
+            registry.close()
+        commands = sum(result.commands for result in results)
+        assert commands == 6
+        stats = registry.bridge.stats()
+        assert stats.registered == commands
+        assert stats.delivered == commands
 
 
 class TestWireFleet:

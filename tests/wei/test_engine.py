@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.faults import FaultPolicy
+from repro.wei import concurrent as concurrent_module
 from repro.wei import engine as engine_module
 from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.engine import WorkflowError
@@ -91,11 +92,12 @@ class TestStepValuesRepeatedSteps:
 
 
 class TestFailureHandling:
-    def test_recoverable_failures_are_retried(self):
+    def test_recoverable_failures_are_retried(self, monkeypatch):
+        monkeypatch.setattr(concurrent_module, "MAX_STEP_RETRIES", 25)
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"sciclops": 0.45}, unrecoverable_fraction=0.0)
         )
-        engine = ConcurrentWorkflowEngine(workcell, max_retries=25)
+        engine = ConcurrentWorkflowEngine(workcell)
         spec = WorkflowSpec(name="stubborn")
         for _ in range(5):
             spec.add_step("sciclops", "status")
@@ -107,7 +109,7 @@ class TestFailureHandling:
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"sciclops": 1.0}, unrecoverable_fraction=0.0)
         )
-        engine = ConcurrentWorkflowEngine(workcell, max_retries=2)
+        engine = ConcurrentWorkflowEngine(workcell)
         with pytest.raises(WorkflowError):
             engine.run_workflow(WorkflowSpec(name="doomed").add_step("sciclops", "status"))
         assert engine.runs_failed == 1
@@ -115,11 +117,12 @@ class TestFailureHandling:
         assert engine.run_logger.n_runs == 1
         assert not engine.run_logger.runs[0].success
 
-    def test_workflow_error_carries_partial_run_result(self):
+    def test_workflow_error_carries_partial_run_result(self, monkeypatch):
+        monkeypatch.setattr(concurrent_module, "MAX_STEP_RETRIES", 0)
         workcell = build_color_picker_workcell(
             seed=3, fault_policy=FaultPolicy(command_failure={"pf400": 1.0}, unrecoverable_fraction=0.0)
         )
-        engine = ConcurrentWorkflowEngine(workcell, max_retries=0)
+        engine = ConcurrentWorkflowEngine(workcell)
         spec = WorkflowSpec(name="partial")
         spec.add_step("sciclops", "status")
         spec.add_step("pf400", "move_home")
@@ -129,10 +132,6 @@ class TestFailureHandling:
         assert partial is not None and not partial.success
         # The successful prefix step is still accounted in the partial result.
         assert [step.success for step in partial.steps] == [True, False]
-
-    def test_negative_retries_rejected(self, workcell):
-        with pytest.raises(ValueError):
-            ConcurrentWorkflowEngine(workcell, max_retries=-1)
 
 
 class TestRunResultSerialisation:
