@@ -379,6 +379,35 @@ class TestElasticFleet(FactoryFixtures):
         assert retirement["jobs_completed"] == 1
         assert retirement["start_time"] >= 10.0
 
+    def test_drain_sweep_runs_only_while_a_shard_drains(self, monkeypatch):
+        coordinator = self.make_fleet(2, seed=7)
+        sweeps = []
+        sweep = coordinator._finalise_draining
+
+        def counting_sweep():
+            sweeps.append(coordinator.status().n_draining)
+            sweep()
+
+        monkeypatch.setattr(coordinator, "_finalise_draining", counting_sweep)
+        jobs = [10.0] * 6
+        coordinator.run_jobs(jobs, lambda d, _shard, _lane: sleeper(d))
+        # Without a drain only the one end-of-campaign sweep runs.
+        assert sweeps == [0]
+
+        sweeps.clear()
+
+        def drain_shard0(completion):
+            if completion.assignment.shard == 0 and completion.job_index == 0:
+                coordinator.drain_workcell(0)
+
+        coordinator.add_run_listener(drain_shard0)
+        assert coordinator.run_jobs(jobs, lambda d, _shard, _lane: sleeper(d)) == jobs
+        # Every in-loop sweep ran while shard 0 was draining; the campaign
+        # ends with it retired and nothing left to sweep.
+        assert sweeps[:-1] and all(n_draining == 1 for n_draining in sweeps[:-1])
+        assert coordinator.status().shards[0].state == "drained"
+        assert coordinator.status().n_draining == 0
+
     def test_drain_without_campaign_retires_immediately(self):
         coordinator = self.make_fleet(2, seed=3)
         coordinator.drain_workcell(1)

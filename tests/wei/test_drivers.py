@@ -9,6 +9,7 @@ drain-while-in-flight.
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -365,6 +366,57 @@ class TestDriverRegistry:
             for module in workcell.modules.values()
         )
         registry.close()
+
+    def test_completions_reach_the_bridge_and_close_closes_the_transport(self):
+        class RecordingTransport:
+            name = "recording"
+
+            def __init__(self):
+                self.callbacks = []
+                self.closed = 0
+
+            def on_completion(self, callback):
+                self.callbacks.append(callback)
+
+            def close(self):
+                self.closed += 1
+
+        transport = RecordingTransport()
+        registry = DriverRegistry(transport)
+        assert len(transport.callbacks) == 1
+        t = ticket()
+        registry.bridge.register(t)
+        transport.callbacks[0](completion_for(t, thread_id=1))
+        assert registry.bridge.wait_for(t, timeout_s=1.0).ticket_id == t.ticket_id
+        registry.close()
+        assert transport.closed == 1
+
+    def test_retry_stats_are_read_from_the_transport_by_field_name(self, make_workcell):
+        counters = dict(
+            retries=1,
+            resyncs=2,
+            crc_errors=3,
+            duplicates_dropped=4,
+            completions_retransmitted=5,
+            rejs_sent=6,
+            polls_sent=7,
+        )
+
+        class CountingTransport:
+            name = "counting"
+
+            def on_completion(self, callback):
+                pass
+
+            def stats(self):
+                # Carries a field the engine does not report, as WireStats does.
+                return SimpleNamespace(frames_sent=99, **counters)
+
+        engine = ConcurrentWorkflowEngine(
+            make_workcell(seed=1), drivers=DriverRegistry(CountingTransport())
+        )
+        assert engine.transport_name == "counting"
+        assert engine.transport_retry_stats().to_dict() == counters
 
     def test_every_action_registers_a_bridge_ticket(self, make_wire_engine):
         engine, registry = make_wire_engine(seed=3)
