@@ -8,7 +8,7 @@ its timing breakdown and a pointer to the raw plate image.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -17,8 +17,13 @@ __all__ = ["SampleRecord", "RunRecord", "ExperimentRecord"]
 
 
 def _listify(values) -> List[float]:
-    """Convert arrays/sequences of numbers into plain lists of floats."""
-    return [float(v) for v in np.asarray(values).ravel()]
+    """Convert arrays/sequences of numbers into plain lists of floats.
+
+    ``tolist()`` yields Python scalars in one call, cheaper than ``float``
+    on one numpy scalar per element.  No ``dtype=float`` on purpose: that
+    would turn a ``None`` into ``nan``; here it reaches ``float`` and raises.
+    """
+    return [float(v) for v in np.asarray(values).ravel().tolist()]
 
 
 @dataclass
@@ -40,8 +45,22 @@ class SampleRecord:
         self.score = float(self.score)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form."""
-        return asdict(self)
+        """JSON-serialisable form: the fields in declaration order.
+
+        Written out rather than ``dataclasses.asdict``, whose per-value
+        deep copy dominated portal ingest: only the two containers are
+        copied, every other field is an immutable scalar.
+        """
+        return {
+            "sample_index": self.sample_index,
+            "well": self.well,
+            "plate_barcode": self.plate_barcode,
+            "volumes_ul": dict(self.volumes_ul),
+            "measured_rgb": list(self.measured_rgb),
+            "score": self.score,
+            "proposed_by": self.proposed_by,
+            "timestamp": self.timestamp,
+        }
 
 
 @dataclass
@@ -99,10 +118,7 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":
         """Rebuild a record from its dict form (inverse of :meth:`to_dict`)."""
-        samples = [
-            SampleRecord(**{key: value for key, value in sample.items()})
-            for sample in data.get("samples", [])
-        ]
+        samples = [SampleRecord(**sample) for sample in data.get("samples", [])]
         return cls(
             experiment_id=data["experiment_id"],
             run_id=data["run_id"],

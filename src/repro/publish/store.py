@@ -11,10 +11,12 @@ run locations, per-experiment membership, the pagination order -- are
 rebuilt; records themselves stay on disk and are loaded lazily, so the
 resident cost of a million-record store is the index, not the data.
 
-Envelope format (one JSON object per line)::
+Envelope format (one JSON object per line, these exact bytes)::
 
-    {"crc": <crc32 of the canonical record JSON>, "record": {...},
-     "v": 1, "version": <per-run ingest counter>}
+    {"crc":<crc32 of the record bytes>,"v":1,"version":<per-run ingest counter>,"record":{...}}
+
+with no spaces, the header keys in that order, ``record`` last, and the
+record in its canonical form (sorted keys, tight separators, ASCII-only).
 
 The CRC plus line framing make torn or corrupted tails *detectable*:
 :meth:`DurableDataPortal.open`-time replay skips any line that fails to
@@ -103,6 +105,11 @@ FSYNC_POLICIES = ("always", "segment", "never")
 STORE_LOCK_ROLE = "durable-portal"
 
 
+#: The one encoder behind :func:`_canonical_record_json` (``json.dumps``
+#: with the same arguments builds an identical encoder on every call).
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
 def _canonical_record_json(record_dict: Dict[str, Any]) -> str:
     """The canonical serialisation the CRC covers.
 
@@ -110,7 +117,21 @@ def _canonical_record_json(record_dict: Dict[str, Any]) -> str:
     record's *content*, so the checksum computed at append time and the one
     recomputed from the parsed line at replay time agree exactly.
     """
-    return json.dumps(record_dict, sort_keys=True, separators=(",", ":"), default=str)
+    return _CANONICAL_ENCODER.encode(record_dict)
+
+
+def _envelope_line(record_json: bytes, version: int) -> bytes:
+    """One segment line around the canonical record bytes ``record_json``.
+
+    The header keys are ``crc``, ``v``, ``version`` in that order with the
+    ``record`` last; the CRC covers exactly the record bytes the line holds.
+    """
+    return b'{"crc":%d,"v":%d,"version":%d,"record":%b}\n' % (
+        zlib.crc32(record_json),
+        ENVELOPE_VERSION,
+        version,
+        record_json,
+    )
 
 
 def _segment_name(index: int) -> str:
@@ -408,27 +429,16 @@ class DurableDataPortal(PortalBackend):
         (latest-wins on replay -- no tombstones, no in-place rewrites).
         """
         self._validate_record(record)
-        record_json = _canonical_record_json(record.to_dict())
+        # Serialised before taking the lock: concurrent shards encode in
+        # parallel and only the header and the append are serialised.
+        record_json = _canonical_record_json(record.to_dict()).encode("utf-8")
         with self._lock:
             self._ensure_open()
             previous = self._index.get(record.run_id)
             if previous is not None and not overwrite:
                 raise self._duplicate_error(record.run_id, previous.version)
             version = previous.version + 1 if previous is not None else 1
-            line = (
-                json.dumps(
-                    {
-                        "crc": zlib.crc32(record_json.encode("utf-8")),
-                        "v": ENVELOPE_VERSION,
-                        "version": version,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )[:-1]
-                + ',"record":'
-                + record_json
-                + "}\n"
-            ).encode("utf-8")
+            line = _envelope_line(record_json, version)
             segment, offset = self._append(line)
             self._apply(
                 record,
@@ -767,22 +777,8 @@ class DurableDataPortal(PortalBackend):
                 for run_id in run_ids
             ]
             for entry in ordered_entries:
-                record_dict = self._read_entry(entry).to_dict()
-                record_json = _canonical_record_json(record_dict)
-                line = (
-                    json.dumps(
-                        {
-                            "crc": zlib.crc32(record_json.encode("utf-8")),
-                            "v": ENVELOPE_VERSION,
-                            "version": entry.version,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )[:-1]
-                    + ',"record":'
-                    + record_json
-                    + "}\n"
-                ).encode("utf-8")
+                record_json = _canonical_record_json(self._read_entry(entry).to_dict())
+                line = _envelope_line(record_json.encode("utf-8"), entry.version)
                 if offset > 0 and offset + len(line) > self.segment_max_bytes:
                     self._fsync(handle)
                     handle.close()

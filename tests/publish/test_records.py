@@ -1,10 +1,12 @@
 """Tests for run-record schemas."""
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
+import pytest
 
-from repro.publish.records import ExperimentRecord, RunRecord, SampleRecord
+from repro.publish.records import ExperimentRecord, RunRecord, SampleRecord, _listify
 
 
 def make_sample(index=0, score=25.0, well="A1"):
@@ -28,6 +30,71 @@ class TestSampleRecord:
     def test_volumes_coerced_to_float(self):
         sample = make_sample()
         assert isinstance(sample.volumes_ul["cyan"], float)
+
+
+def plain_sample():
+    return SampleRecord(
+        sample_index=4,
+        well="B2",
+        plate_barcode="plate-2",
+        volumes_ul={"cyan": 10, "magenta": 2.5},
+        measured_rgb=[118, 121.5, 119],
+        score=7,
+        proposed_by="seed",
+        timestamp=12.0,
+    )
+
+
+def numpy_sample():
+    return SampleRecord(
+        sample_index=np.int64(3),
+        well="C1",
+        plate_barcode="plate-3",
+        volumes_ul={"cyan": np.float64(10.0), "black": np.float32(5.5)},
+        measured_rgb=np.array([[118.0, 121.0, 119.0]]),
+        score=np.float64(25.0),
+        timestamp=np.float64(3.0),
+    )
+
+
+class TestSampleToDict:
+    @pytest.mark.parametrize("build", [plain_sample, numpy_sample])
+    def test_equals_dataclasses_asdict_in_key_order(self, build):
+        sample = build()
+        expected = asdict(sample)
+        got = sample.to_dict()
+        assert got == expected
+        assert list(got) == list(expected)
+        assert [type(value) for value in got.values()] == [type(value) for value in expected.values()]
+
+    def test_covers_every_field(self):
+        assert set(plain_sample().to_dict()) == {field.name for field in fields(SampleRecord)}
+
+    def test_returned_containers_are_copies(self):
+        sample = plain_sample()
+        data = sample.to_dict()
+        data["volumes_ul"]["cyan"] = -1.0
+        data["volumes_ul"]["yellow"] = 3.0
+        data["measured_rgb"][0] = -1.0
+        data["measured_rgb"].append(0.0)
+        assert sample.volumes_ul == {"cyan": 10.0, "magenta": 2.5}
+        assert sample.measured_rgb == [118.0, 121.5, 119.0]
+
+
+class TestListify:
+    def test_none_raises_instead_of_becoming_nan(self):
+        with pytest.raises(TypeError):
+            _listify([1.0, None, 3.0])
+
+    def test_ravels_a_2d_array_to_floats(self):
+        values = _listify(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert values == [1.0, 2.0, 3.0, 4.0]
+        assert all(type(value) is float for value in values)
+
+    def test_int_array_becomes_floats(self):
+        values = _listify(np.array([118, 121, 119], dtype=np.int64))
+        assert values == [118.0, 121.0, 119.0]
+        assert all(type(value) is float for value in values)
 
 
 class TestRunRecord:

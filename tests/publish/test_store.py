@@ -6,11 +6,14 @@ suite; this file pins what only the durable store has -- on-disk layout,
 reopen semantics, maintenance operations, fsync accounting.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.publish.portal import DuplicateRunError
+from repro.publish.records import RunRecord, SampleRecord
 from repro.publish.store import FSYNC_POLICIES, DurableDataPortal
 from tests.publish.test_portal import make_record
 
@@ -244,3 +247,96 @@ class TestLifecycleAndStats:
         assert stats["recovery"]["clean"] is True
         json.dumps(stats)
         store.close()
+
+
+def golden_records():
+    """50 seeded run records covering every value shape the store writes.
+
+    Numpy-built and plain samples, an empty run (``best_score`` null), a
+    non-ASCII title (``\\u`` escapes), a numpy integer in the metadata
+    (written through the encoder's ``default=str``), nested containers
+    and an image reference on every fifth run.
+    """
+    rng = np.random.default_rng(4711)
+    dyes = ("cyan", "magenta", "yellow", "black")
+    records = []
+    for index in range(50):
+        n_samples = 0 if index == 13 else int(rng.integers(1, 6))
+        volumes = rng.uniform(0.0, 90.0, size=(n_samples, len(dyes)))
+        rgb = rng.uniform(0.0, 255.0, size=(n_samples, 3))
+        scores = rng.uniform(0.0, 120.0, size=n_samples)
+        samples = [
+            SampleRecord(
+                sample_index=sample,
+                well=f"{'ABCDEFGH'[sample % 8]}{sample // 8 + 1}",
+                plate_barcode=f"plate-{index:03d}",
+                # Odd runs keep numpy arrays and scalars, even runs plain lists.
+                volumes_ul=dict(zip(dyes, volumes[sample] if index % 2 else volumes[sample].tolist())),
+                measured_rgb=rgb[sample] if index % 2 else rgb[sample].tolist(),
+                score=scores[sample] if index % 2 else float(scores[sample]),
+                proposed_by=("solver", "seed")[sample % 2],
+                timestamp=float(index * 60 + sample),
+            )
+            for sample in range(n_samples)
+        ]
+        records.append(
+            RunRecord(
+                experiment_id=f"exp-{index % 4}",
+                run_id=f"exp-{index % 4}-run{index:03d}",
+                run_index=index,
+                target_rgb=rng.uniform(0.0, 255.0, size=3),
+                samples=samples,
+                timings={"elapsed_s": float(rng.uniform(600.0, 4000.0)), "wait_s": 1.5},
+                solver=("evolutionary", "bayesian", "random")[index % 3],
+                image_reference=f"images/{index:03d}.png" if index % 5 == 0 else None,
+                metadata={
+                    "workcell": np.int64(index % 3),
+                    "title": "Farbabgleich épreuve – 色",
+                    "batch": {"size": n_samples, "wells": [s.well for s in samples]},
+                },
+            )
+        )
+    return records
+
+
+#: sha256 of the golden store's segment bytes (concatenated in segment
+#: order) and of its snapshot.  Both were computed at commit 33b161b, the
+#: last one whose ``SampleRecord.to_dict`` used ``dataclasses.asdict`` and
+#: whose envelope was built from a second ``json.dumps``.  The on-disk
+#: format is a contract: these must not change without an
+#: ``ENVELOPE_VERSION`` bump.
+GOLDEN_SEGMENTS_SHA256 = "4282af07867fa7ec7dd637dcd5d599554fc4eb52db9741c8e97e000631b55c70"
+GOLDEN_SNAPSHOT_SHA256 = "52c2bec9b62927a6907447c5d7a50f7b4afeb8780f4f07fccdfac71f4109f2cb"
+
+
+def _segments_sha256(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.glob("segment-*.jsonl")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestGoldenBytes:
+    def test_segment_and_snapshot_bytes_are_the_format_contract(self, portal_store_dir, tmp_path):
+        records = golden_records()
+        store = DurableDataPortal(portal_store_dir, segment_max_bytes=8192)
+        for record in records:
+            store.ingest(record)
+        overwritten = records[7]
+        overwritten.samples[0].score = 0.5
+        store.ingest(overwritten, overwrite=True)
+        store.snapshot(tmp_path / "snap")
+        store.close()
+        assert len(list(portal_store_dir.glob("segment-*.jsonl"))) > 1
+        assert (_segments_sha256(portal_store_dir), _segments_sha256(tmp_path / "snap")) == (
+            GOLDEN_SEGMENTS_SHA256,
+            GOLDEN_SNAPSHOT_SHA256,
+        )
+        reopened = DurableDataPortal(portal_store_dir)
+        assert reopened.recovery.clean
+        assert reopened.recovery.records_replayed == 51
+        assert reopened.version(overwritten.run_id) == 2
+        assert reopened.get_run(overwritten.run_id).best_score == min(
+            sample.score for sample in overwritten.samples
+        )
+        reopened.close()

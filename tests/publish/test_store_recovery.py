@@ -13,8 +13,9 @@ segment bytes are captured as artifacts in CI (see ``conftest.py``).
 """
 
 import json
+import zlib
 
-from repro.publish.store import DurableDataPortal
+from repro.publish.store import DurableDataPortal, _canonical_record_json
 from tests.publish.test_portal import make_record
 
 
@@ -253,6 +254,19 @@ class TestEnvelopeValidation:
             "envelope version invalid (0)",
         ]
         assert {record.run_id for record in store.search()} == {run_ids[2]}
+        store.close()
+
+    def test_checksummed_non_object_sample_is_a_fault(self, portal_store_dir):
+        run_ids = build_store(portal_store_dir, n_records=2, segment_max_bytes=1 << 20)
+        path = segments(portal_store_dir)[0]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[0]["record"]["samples"] = [1]
+        lines[0]["crc"] = zlib.crc32(_canonical_record_json(lines[0]["record"]).encode("utf-8"))
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        store = DurableDataPortal(portal_store_dir)
+        [fault] = store.recovery.faults
+        assert fault.reason.startswith("record schema invalid")
+        assert {record.run_id for record in store.search()} == {run_ids[1]}
         store.close()
 
 

@@ -1,5 +1,7 @@
 """Tests for single-workflow execution (``ConcurrentWorkflowEngine.run_workflow``)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.sim.faults import FaultPolicy
@@ -56,7 +58,7 @@ class TestRunWorkflow:
         engine.run_workflow(newplate_spec())
         engine.run_workflow(WorkflowSpec(name="status").add_step("sciclops", "status"))
         assert engine.run_logger.n_runs == 2
-        assert engine.run_logger.workflow_counts() == {"newplate": 1, "status": 1}
+        assert Counter(run.workflow_name for run in engine.run_logger.runs) == {"newplate": 1, "status": 1}
         assert engine.runs_completed == 2
 
     def test_step_values_accessible_by_key(self, engine):

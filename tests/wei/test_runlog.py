@@ -2,7 +2,6 @@
 
 import json
 
-
 from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.runlog import RunLogger
 from repro.wei.workflow import WorkflowSpec
@@ -21,16 +20,8 @@ class TestRecording:
         logger = RunLogger()
         run_some_workflows(workcell, logger)
         assert logger.n_runs == 3
-        assert logger.workflow_counts() == {"wf_a": 2, "wf_b": 1}
-        assert len(logger.runs_for("wf_a")) == 2
-        assert logger.total_duration() > 0
-
-    def test_module_busy_time(self, workcell):
-        logger = RunLogger()
-        run_some_workflows(workcell, logger)
-        busy = logger.module_busy_time()
-        assert busy["sciclops"] > 0
-        assert busy["pf400"] > 0
+        assert [run.workflow_name for run in logger.runs] == ["wf_a", "wf_b", "wf_a"]
+        assert all(run.duration > 0 for run in logger.runs)
 
     def test_per_run_files_written(self, workcell, tmp_path):
         logger = RunLogger(directory=tmp_path / "runs")
@@ -40,12 +31,3 @@ class TestRecording:
         data = json.loads(files[0].read_text())
         assert data["workflow_name"] == "wf_a"
         assert data["steps"][0]["duration"] > 0
-
-    def test_dump_and_load(self, workcell, tmp_path):
-        logger = RunLogger()
-        run_some_workflows(workcell, logger)
-        path = tmp_path / "all_runs.json"
-        logger.dump(path)
-        loaded = RunLogger.load_dicts(path)
-        assert len(loaded) == 3
-        assert loaded[1]["workflow_name"] == "wf_b"
