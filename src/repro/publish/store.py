@@ -110,14 +110,14 @@ STORE_LOCK_ROLE = "durable-portal"
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
 
 
-def _canonical_record_json(record_dict: Dict[str, Any]) -> str:
-    """The canonical serialisation the CRC covers.
+def _canonical_record_json(record_dict: Dict[str, Any]) -> bytes:
+    """The canonical serialisation the CRC covers, as the bytes written.
 
     ``sort_keys`` + tight separators make the bytes a pure function of the
     record's *content*, so the checksum computed at append time and the one
     recomputed from the parsed line at replay time agree exactly.
     """
-    return _CANONICAL_ENCODER.encode(record_dict)
+    return _CANONICAL_ENCODER.encode(record_dict).encode("utf-8")
 
 
 def _envelope_line(record_json: bytes, version: int) -> bytes:
@@ -398,7 +398,7 @@ class DurableDataPortal(PortalBackend):
             # bool is an int subclass; neither it nor a non-positive count
             # may seed the version counter ingest/overwrite build on.
             return f"envelope version invalid ({version!r})"
-        if zlib.crc32(_canonical_record_json(record_dict).encode("utf-8")) != crc:
+        if zlib.crc32(_canonical_record_json(record_dict)) != crc:
             return "record checksum mismatch"
         try:
             record = RunRecord.from_dict(record_dict)
@@ -429,9 +429,9 @@ class DurableDataPortal(PortalBackend):
         (latest-wins on replay -- no tombstones, no in-place rewrites).
         """
         self._validate_record(record)
-        # Serialised before taking the lock: concurrent shards encode in
-        # parallel and only the header and the append are serialised.
-        record_json = _canonical_record_json(record.to_dict()).encode("utf-8")
+        # Encoded before taking the lock, so other shards' appends never
+        # wait on this record's serialisation.
+        record_json = _canonical_record_json(record.to_dict())
         with self._lock:
             self._ensure_open()
             previous = self._index.get(record.run_id)
@@ -778,7 +778,7 @@ class DurableDataPortal(PortalBackend):
             ]
             for entry in ordered_entries:
                 record_json = _canonical_record_json(self._read_entry(entry).to_dict())
-                line = _envelope_line(record_json.encode("utf-8"), entry.version)
+                line = _envelope_line(record_json, entry.version)
                 if offset > 0 and offset + len(line) > self.segment_max_bytes:
                     self._fsync(handle)
                     handle.close()

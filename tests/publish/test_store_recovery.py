@@ -261,7 +261,7 @@ class TestEnvelopeValidation:
         path = segments(portal_store_dir)[0]
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         lines[0]["record"]["samples"] = [1]
-        lines[0]["crc"] = zlib.crc32(_canonical_record_json(lines[0]["record"]).encode("utf-8"))
+        lines[0]["crc"] = zlib.crc32(_canonical_record_json(lines[0]["record"]))
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         store = DurableDataPortal(portal_store_dir)
         [fault] = store.recovery.faults
