@@ -189,20 +189,16 @@ class ColorPickerApp:
         self._step_records.extend(result.steps)
         return result
 
-    def _invoke_action(self, module_name: str, action: str, **kwargs):
+    def _run_action(self, module_name: str, action: str, **kwargs):
         invocation = yield ("action", module_name, action, kwargs)
-        if invocation.records:
-            start = min(record.start_time for record in invocation.records)
-            end = max(record.end_time for record in invocation.records)
-        else:
-            start = end = self.workcell.clock.now()
+        (record,) = invocation.records
         self._step_records.append(
             StepResult(
                 step_name=f"direct.{module_name}.{action}",
                 module=module_name,
                 action=action,
-                start_time=start,
-                end_time=end,
+                start_time=record.start_time,
+                end_time=record.end_time,
                 success=True,
                 return_value=invocation.return_value,
                 commands=invocation.commands,
@@ -250,7 +246,7 @@ class ColorPickerApp:
         # necessary and sufficient; if the protocol needs more tips than a
         # fresh rack holds, run_protocol reports the real problem.
         if ot2_device.tip_rack.remaining < protocol.n_wells * ot2_device.tips_per_well:
-            yield from self._invoke_action(self.ot2_name, "replace_tips")
+            yield from self._run_action(self.ot2_name, "replace_tips")
 
     # ------------------------------------------------------------------
     # Measurement

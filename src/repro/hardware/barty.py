@@ -97,10 +97,6 @@ class BartyDevice(SimulatedDevice):
 
         return self._submitted(record, finish)
 
-    def fill_colors(self, colors: Optional[Iterable[str]] = None) -> ActionRecord:
-        """Fill the selected reservoirs (default: all four) to capacity."""
-        return self.submit_fill_colors(colors).complete()
-
     def submit_drain_colors(self, colors: Optional[Iterable[str]] = None) -> ActionHandle:
         """Submit a drain; the reservoirs empty at completion."""
         selected = self._select(colors)
@@ -113,10 +109,6 @@ class BartyDevice(SimulatedDevice):
             return record
 
         return self._submitted(record, finish)
-
-    def drain_colors(self, colors: Optional[Iterable[str]] = None) -> ActionRecord:
-        """Drain the selected reservoirs (default: all four) to waste."""
-        return self.submit_drain_colors(colors).complete()
 
     def submit_refill_colors(
         self, colors: Optional[Iterable[str]] = None, low_threshold: float = 0.15
@@ -138,10 +130,6 @@ class BartyDevice(SimulatedDevice):
             return record
 
         return self._submitted(record, finish)
-
-    def refill_colors(self, colors: Optional[Iterable[str]] = None, low_threshold: float = 0.15) -> ActionRecord:
-        """Refill reservoirs that have dropped to or below ``low_threshold`` of capacity."""
-        return self.submit_refill_colors(colors, low_threshold).complete()
 
     def bulk_levels(self) -> Dict[str, float]:
         """Remaining bulk supply of each dye (µl)."""

@@ -10,16 +10,16 @@ the machinery shared by all devices:
 * recording an :class:`ActionRecord` for every command -- the raw material of
   the paper's CCWH / synthesis-time / transfer-time metrics.
 
-Every action follows a **two-phase lifecycle**: ``submit_<action>`` validates
-the request, consults the fault injector, samples the duration (advancing the
-device clock) and returns an :class:`ActionHandle`; calling
-:meth:`ActionHandle.complete` then applies the action's state mutations (deck
-moves, reservoir draws, well fills) and yields the return value.  The plain
-action methods (``transfer``, ``run_protocol``, ...) are submit-then-complete
-in one call, so sequential callers are unaffected, while the concurrent
-engine defers ``complete()`` to the action's *end* event -- on the real
-workcell a plate only appears at its destination when the arm gets there, not
-when the command is accepted.
+Every action follows a **two-phase lifecycle**, and its one form is the
+device method ``submit_<action>``: it validates the request, consults the
+fault injector, samples the duration (advancing the device clock) and returns
+an :class:`ActionHandle`; calling :meth:`ActionHandle.complete` then applies
+the action's state mutations (deck moves, reservoir draws, well fills) and
+yields the return value.  A sequential caller completes the handle at once
+(``device.submit_transfer(a, b).complete()``), while the engine defers
+``complete()`` to the action's *end* event -- on the real workcell a plate
+only appears at its destination when the arm gets there, not when the command
+is accepted.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class ActionHandle:
     The handle is created once the command has been accepted: its duration is
     sampled, its :class:`ActionRecord` logged and the device clock advanced to
     ``end_time``.  The action's *state mutations* have not happened yet; they
-    are applied by :meth:`complete`, which the sequential path calls
+    are applied by :meth:`complete`, which a sequential caller calls
     immediately and the concurrent engine calls at the action's end event.
     """
 
@@ -113,11 +113,12 @@ class ActionHandle:
 class SimulatedDevice:
     """Common behaviour of all simulated workcell devices.
 
-    Subclasses implement each action twice over, sharing one code path: a
-    ``submit_<action>`` method that validates, calls :meth:`_execute` to
-    account for time/faults/logging and returns an :class:`ActionHandle`
-    whose ``finish`` closure mutates the labware state, plus the plain
-    ``<action>`` method that simply submits and completes in one step.
+    Subclasses implement each action as one ``submit_<action>`` method that
+    validates, calls :meth:`_execute` once to account for time/faults/logging
+    and returns the :class:`ActionHandle` built by :meth:`_submitted`, whose
+    ``finish`` closure mutates the labware state.  A WEI
+    :class:`~repro.wei.module.Module` exposes exactly these methods as its
+    actions.
     """
 
     #: Module type name used for duration lookup and run records.
@@ -199,24 +200,6 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     # Two-phase action lifecycle
     # ------------------------------------------------------------------
-    def has_submit(self, action: str) -> bool:
-        """True when ``action`` has a two-phase ``submit_<action>`` implementation."""
-        return callable(getattr(self, f"submit_{action}", None))
-
-    def submit(self, action: str, **kwargs: Any) -> ActionHandle:
-        """Submit ``action`` (phase one) and return its :class:`ActionHandle`.
-
-        Raises :class:`DeviceError` when the action has no two-phase
-        implementation; callers that tolerate synchronous fallbacks (e.g.
-        custom module actions) should check :meth:`has_submit` first.
-        """
-        impl = getattr(self, f"submit_{action}", None)
-        if not callable(impl):
-            raise DeviceError(
-                f"{self.name}: action {action!r} has no submit_{action} implementation"
-            )
-        return impl(**kwargs)
-
     def _submitted(
         self,
         record: ActionRecord,
@@ -249,10 +232,6 @@ class SimulatedDevice:
     def busy_time(self) -> float:
         """Total time this device spent executing commands (seconds)."""
         return sum(record.duration for record in self.action_log)
-
-    def reset_log(self) -> None:
-        """Clear the action log (used between experiments sharing devices)."""
-        self.action_log.clear()
 
     def describe(self) -> Dict[str, Any]:
         """Static description of the module for workcell records."""

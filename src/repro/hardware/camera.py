@@ -175,7 +175,3 @@ class CameraDevice(SimulatedDevice):
             )
 
         return self._submitted(record, finish)
-
-    def take_picture(self) -> CameraImage:
-        """Capture a frame of the plate on the stage."""
-        return self.submit_take_picture().complete()

@@ -204,10 +204,6 @@ class Ot2Device(SimulatedDevice):
 
         return self._submitted(record, finish)
 
-    def run_protocol(self, protocol: PipettingProtocol) -> ActionRecord:
-        """Dispense and mix every step of ``protocol`` into the plate on the deck."""
-        return self.submit_run_protocol(protocol).complete()
-
     def submit_replace_tips(self) -> ActionHandle:
         """Submit a tip-rack swap; the fresh rack is in place at completion."""
         record = self._execute("replace_tips")
@@ -217,7 +213,3 @@ class Ot2Device(SimulatedDevice):
             return record
 
         return self._submitted(record, finish)
-
-    def replace_tips(self) -> ActionRecord:
-        """Swap in a fresh tip rack."""
-        return self.submit_replace_tips().complete()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.hardware.base import ActionHandle, ActionRecord, DeviceError, SimulatedDevice
+from repro.hardware.base import ActionHandle, DeviceError, SimulatedDevice
 from repro.hardware.deck import LocationError, Workdeck
 from repro.hardware.labware import Plate
 
@@ -58,14 +58,6 @@ class Pf400Device(SimulatedDevice):
 
         return self._submitted(record, finish)
 
-    def transfer(self, source: str, target: str) -> Plate:
-        """Move the plate at ``source`` to ``target`` and return it."""
-        return self.submit_transfer(source, target).complete()
-
     def submit_move_home(self) -> ActionHandle:
         """Submit a park command (no deck change at completion)."""
         return self._submitted(self._execute("move_home"))
-
-    def move_home(self) -> ActionRecord:
-        """Park the arm (no deck change)."""
-        return self.submit_move_home().complete()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.hardware.base import ActionHandle, ActionRecord, DeviceError, SimulatedDevice
+from repro.hardware.base import ActionHandle, DeviceError, SimulatedDevice
 from repro.hardware.deck import Workdeck
 from repro.hardware.labware import Plate, PlateStack
 
@@ -71,16 +71,8 @@ class SciclopsDevice(SimulatedDevice):
 
         return self._submitted(record, finish)
 
-    def get_plate(self) -> Plate:
-        """Stage a fresh plate at the exchange location and return it."""
-        return self.submit_get_plate().complete()
-
     def submit_status(self) -> ActionHandle:
         """Submit an inventory report (no state change at completion)."""
         return self._submitted(
             self._execute("status", plates_remaining=self.plates_remaining)
         )
-
-    def status(self) -> ActionRecord:
-        """Report remaining plate inventory (a quick, non-moving command)."""
-        return self.submit_status().complete()

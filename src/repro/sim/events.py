@@ -32,7 +32,11 @@ _COMPACT_MIN_CANCELLED = 64
 
 
 class Event:
-    """A scheduled callback; ordered by time then insertion order."""
+    """A scheduled callback.
+
+    The scheduler runs events by ``(time, sequence)``, the key of its heap
+    entries; events themselves are never compared.
+    """
 
     __slots__ = ("time", "sequence", "callback", "label", "cancelled", "_scheduler")
 
@@ -58,17 +62,6 @@ class Event:
         self.cancelled = True
         if self._scheduler is not None:
             self._scheduler._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.sequence) == (other.time, other.sequence)
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.sequence))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         flag = " cancelled" if self.cancelled else ""

@@ -4,10 +4,11 @@ The paper's application is written against the modular SDL architecture of
 Vescovi et al. (reference [13] in the paper): *modules* encapsulate devices
 and expose named actions, *workcells* are declaratively-configured sets of
 modules, and *workflows* are declarative sequences of actions on modules that
-applications invoke.  This package reproduces the pieces of that platform the
+applications run.  This package reproduces the pieces of that platform the
 colour-picker application needs:
 
-* :mod:`repro.wei.module` -- the module abstraction (device + action registry),
+* :mod:`repro.wei.module` -- the module abstraction (a device whose
+  ``submit_<action>`` methods are its actions),
 * :mod:`repro.wei.workcell` -- workcell assembly, including a YAML loader and
   the default colour-picker workcell factory,
 * :mod:`repro.wei.workflow` -- declarative workflow specifications,

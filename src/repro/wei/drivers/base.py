@@ -153,7 +153,7 @@ class DeviceDriver(Protocol):
     protocol.
     """
 
-    #: Human-readable driver name, surfaced by ``Module.describe()``.
+    #: Human-readable driver name (labels its tickets, frames and spans).
     name: str
 
     def submit(self, action: str, *, module: str, duration_s: float, **kwargs: Any) -> TransportTicket:

@@ -47,16 +47,15 @@ class DriverRegistry:
 
         The framed-protocol configuration: every module's actions travel as
         length-prefixed CRC frames over an in-process byte pipe, with
-        ACK/retry and loss recovery.  The parameters reach the transport
-        constructor -- ``chaos=`` takes a seeded
-        :class:`~repro.wei.chaos.ChaosSchedule`.  Each module records the
-        binding, so ``Module.describe()`` reports the transport.
+        ACK/retry and loss recovery.  The keyword parameters reach the
+        transport constructor -- ``chaos=`` takes a seeded
+        :class:`~repro.wei.chaos.ChaosSchedule`.  ``workcell`` is not read:
+        the engine that owns the registry submits each of its actions to the
+        transport.
         """
         from repro.wei.drivers.protocol import WireProtocolTransport
 
         transport = WireProtocolTransport(
             name=name, speedup=speedup, wall_clock=wall_clock, chaos=chaos
         )
-        for module in workcell.modules.values():
-            module.bind_driver(transport)
         return cls(transport, CompletionBridge(name=f"{name}-bridge"))

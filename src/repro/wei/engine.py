@@ -5,7 +5,7 @@ devices, which then call driver functions specific to their attached device"
 (paper Section 2.2).  The engine that does this is
 :class:`~repro.wei.concurrent.ConcurrentWorkflowEngine`: it resolves each
 step's module and action, substitutes payload references into the arguments,
-invokes the simulated driver, and records a :class:`StepResult` with
+submits the action to the module's device, and records a :class:`StepResult` with
 start/end times and durations -- the same information the paper saves to a
 per-run file.  This module holds those records and
 :func:`attempt_submission`.

@@ -106,11 +106,6 @@ class Workcell:
         records = [record for device in self.devices for record in device.action_log]
         return sorted(records, key=lambda record: record.start_time)
 
-    def reset_logs(self) -> None:
-        """Clear all device action logs (between experiments sharing a workcell)."""
-        for device in self.devices:
-            device.reset_log()
-
     def describe(self) -> Dict[str, Any]:
         """Declarative description of the workcell (YAML-serialisable)."""
         return {
@@ -234,23 +229,9 @@ def build_color_picker_workcell(
         **common,
     )
 
-    workcell.add_module(
-        Module(
-            "sciclops",
-            sciclops,
-            actions={"get_plate": sciclops.get_plate, "status": sciclops.status},
-        )
-    )
-    workcell.add_module(
-        Module(
-            "pf400",
-            pf400,
-            actions={"transfer": pf400.transfer, "move_home": pf400.move_home},
-        )
-    )
-    workcell.add_module(
-        Module("camera", camera, actions={"take_picture": camera.take_picture})
-    )
+    workcell.add_module(Module("sciclops", sciclops))
+    workcell.add_module(Module("pf400", pf400))
+    workcell.add_module(Module("camera", camera))
 
     for index in range(n_ot2):
         suffix = "" if index == 0 else f"_{index + 1}"
@@ -272,23 +253,7 @@ def build_color_picker_workcell(
             rng=randomness.child(barty_name).generator,
             **common,
         )
-        workcell.add_module(
-            Module(
-                ot2_name,
-                ot2,
-                actions={"run_protocol": ot2.run_protocol, "replace_tips": ot2.replace_tips},
-            )
-        )
-        workcell.add_module(
-            Module(
-                barty_name,
-                barty,
-                actions={
-                    "fill_colors": barty.fill_colors,
-                    "drain_colors": barty.drain_colors,
-                    "refill_colors": barty.refill_colors,
-                },
-            )
-        )
+        workcell.add_module(Module(ot2_name, ot2))
+        workcell.add_module(Module(barty_name, barty))
 
     return workcell

@@ -71,10 +71,6 @@ class WorkflowSpec:
         """Number of steps in the workflow."""
         return len(self.steps)
 
-    def modules_used(self) -> List[str]:
-        """Sorted list of distinct module names referenced by the steps."""
-        return sorted({step.module for step in self.steps})
-
     def add_step(self, module: str, action: str, comment: str = "", **args: Any) -> "WorkflowSpec":
         """Append a step and return ``self`` (fluent builder style)."""
         self.steps.append(WorkflowStep(module=module, action=action, args=args, comment=comment))

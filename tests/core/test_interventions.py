@@ -14,15 +14,15 @@ from repro.wei.workcell import build_color_picker_workcell
 class TestInterventionMetrics:
     def _busy_workcell(self):
         workcell = build_color_picker_workcell(seed=1)
-        workcell.module("sciclops").invoke("get_plate")
-        workcell.module("pf400").invoke("transfer", source="sciclops.exchange", target="camera.stage")
-        workcell.module("pf400").invoke("transfer", source="camera.stage", target="ot2.deck")
-        workcell.module("barty").invoke("fill_colors")
+        workcell.module("sciclops").submit("get_plate").complete()
+        workcell.module("pf400").submit("transfer", source="sciclops.exchange", target="camera.stage").complete()
+        workcell.module("pf400").submit("transfer", source="camera.stage", target="ot2.deck").complete()
+        workcell.module("barty").submit("fill_colors").complete()
         protocol = build_mix_protocol(
             "mix", ["A1"], [[0.3, 0.3, 0.3, 0.1]], workcell.chemistry.dyes.names, 80.0
         )
-        workcell.module("ot2").invoke("run_protocol", protocol=protocol)
-        workcell.module("pf400").invoke("transfer", source="ot2.deck", target="camera.stage")
+        workcell.module("ot2").submit("run_protocol", protocol=protocol).complete()
+        workcell.module("pf400").submit("transfer", source="ot2.deck", target="camera.stage").complete()
         return workcell
 
     def test_no_interventions_scores_whole_run(self):

@@ -51,16 +51,16 @@ class TestSdlMetrics:
 
 class TestComputeMetrics:
     def _run_one_iteration(self, workcell):
-        workcell.module("sciclops").invoke("get_plate")
-        workcell.module("pf400").invoke("transfer", source="sciclops.exchange", target="camera.stage")
-        workcell.module("barty").invoke("fill_colors")
-        workcell.module("pf400").invoke("transfer", source="camera.stage", target="ot2.deck")
+        workcell.module("sciclops").submit("get_plate").complete()
+        workcell.module("pf400").submit("transfer", source="sciclops.exchange", target="camera.stage").complete()
+        workcell.module("barty").submit("fill_colors").complete()
+        workcell.module("pf400").submit("transfer", source="camera.stage", target="ot2.deck").complete()
         protocol = build_mix_protocol(
             "mix", ["A1"], [[0.4, 0.2, 0.4, 0.1]], workcell.chemistry.dyes.names, 80.0
         )
-        workcell.module("ot2").invoke("run_protocol", protocol=protocol)
-        workcell.module("pf400").invoke("transfer", source="ot2.deck", target="camera.stage")
-        workcell.module("camera").invoke("take_picture")
+        workcell.module("ot2").submit("run_protocol", protocol=protocol).complete()
+        workcell.module("pf400").submit("transfer", source="ot2.deck", target="camera.stage").complete()
+        workcell.module("camera").submit("take_picture").complete()
 
     def test_counts_robotic_commands_and_partitions_time(self, workcell):
         start = workcell.clock.now()
@@ -79,7 +79,7 @@ class TestComputeMetrics:
     def test_window_excludes_out_of_range_records(self, workcell):
         self._run_one_iteration(workcell)
         cutoff = workcell.clock.now()
-        workcell.module("pf400").invoke("move_home")
+        workcell.module("pf400").submit("move_home").complete()
         metrics = compute_metrics(workcell, total_colors=1, start_time=0.0, end_time=cutoff)
         assert metrics.commands_completed == 6
 

@@ -50,8 +50,6 @@ class TestExecution:
         device.poke()
         assert device.commands_executed == 2
         assert device.busy_time == pytest.approx(14.0)
-        device.reset_log()
-        assert device.commands_executed == 0
 
     def test_record_to_dict(self, toy_durations):
         device = ToyDevice(clock=SimClock(), durations=toy_durations)

@@ -47,8 +47,8 @@ def staged_rig(seed=5, **camera_kwargs):
     sciclops = SciclopsDevice(deck, clock=clock, rng=1)
     pf400 = Pf400Device(deck, clock=clock, rng=2)
     camera = CameraDevice(deck, clock=clock, rng=seed, **camera_kwargs)
-    plate = sciclops.get_plate()
-    pf400.transfer("sciclops.exchange", "camera.stage")
+    plate = sciclops.submit_get_plate().complete()
+    pf400.submit_transfer("sciclops.exchange", "camera.stage").complete()
     return camera, plate
 
 
@@ -117,8 +117,8 @@ def test_vision_app_renders_each_captured_frame_once(render_spy):
 class TestLazyFrame:
     def test_metadata_reads_do_not_render(self, render_spy):
         camera, plate = staged_rig()
-        image = camera.take_picture()
-        other = camera.take_picture()
+        image = camera.submit_take_picture().complete()
+        other = camera.submit_take_picture().complete()
         assert isinstance(image, CameraImage)
         assert image.plate_barcode == plate.barcode
         assert image.shape == (480, 640, 3)
@@ -131,7 +131,7 @@ class TestLazyFrame:
     def test_repeated_and_out_of_order_reads_are_byte_equal(self, render_spy):
         camera, plate = staged_rig()
         fill(plate, ["A1", "B2"])
-        image = camera.take_picture()
+        image = camera.submit_take_picture().complete()
         fill(plate, ["C3"], dye="magenta")
         truth_first = image.truth
         pixels = [image.pixels, image.pixels]
@@ -151,7 +151,7 @@ class TestLazyFrame:
 
     def test_truth_disabled_does_not_render(self, render_spy):
         camera, _ = staged_rig(keep_truth=False)
-        image = camera.take_picture()
+        image = camera.submit_take_picture().complete()
         assert image.truth is None
         assert render_spy == []
 
@@ -159,14 +159,14 @@ class TestLazyFrame:
         camera, plate = staged_rig()
         fill(plate, ["A1", "A2", "B5"])
         captured = copy.deepcopy(plate)
-        image = camera.take_picture()
+        image = camera.submit_take_picture().complete()
         fill(plate, ["C1", "C2"], dye="magenta")
         plate.well("A1").empty()
         plate.well("B5").empty()
 
         twin_camera, twin_plate = staged_rig()
         fill(twin_plate, ["A1", "A2", "B5"])
-        eager = twin_camera.take_picture()
+        eager = twin_camera.submit_take_picture().complete()
         np.testing.assert_array_equal(image.pixels, eager.pixels)
         expected, truth = render_plate_image(
             captured,
@@ -186,7 +186,7 @@ class TestLazyFrame:
             images = []
             for wells in (["A1"], ["A2", "A3"], ["B1"]):
                 fill(plate, wells)
-                images.append(camera.take_picture())
+                images.append(camera.submit_take_picture().complete())
             frames.append(images)
         in_order = [image.pixels for image in frames[0]]
         reverse = [image.pixels for image in reversed(frames[1])][::-1]
@@ -200,7 +200,7 @@ class TestLazyFrame:
             camera, plate = staged_rig()
             for index in range(5):
                 fill(plate, [f"A{index + 1}"])
-                image = camera.take_picture()
+                image = camera.submit_take_picture().complete()
                 if read:
                     _ = image.pixels
             cameras.append(camera)

@@ -245,9 +245,9 @@ class TestTransportBackedEngine:
         assert engine.transport_idle()
         assert engine.transport_stats().delivered == 2
         assert len(engine.completion_latencies()) == 2
-        # The bindings are visible on the modules for fleet/status views.
-        described = engine.workcell.module("sciclops").describe()
-        assert described["driver"] == "wire"
+        # The binding lives on the engine's registry, not on the modules.
+        assert engine.drivers is registry
+        assert "driver" not in engine.workcell.module("sciclops").describe()
         registry.close()
 
     def test_sim_engine_reports_no_transport(self, make_engine):
@@ -358,12 +358,12 @@ class TestTransportBackedEngine:
 
 
 class TestDriverRegistry:
-    def test_wire_constructor_covers_every_module(self, make_workcell):
+    def test_wire_constructor_binds_only_the_registry(self, make_workcell):
         workcell = make_workcell(seed=1)
         registry = DriverRegistry.wire(workcell, speedup=FAST)
+        assert registry.transport.name == "wire"
         assert all(
-            module.describe()["driver"] == "wire"
-            for module in workcell.modules.values()
+            "driver" not in module.describe() for module in workcell.modules.values()
         )
         registry.close()
 

@@ -36,7 +36,7 @@ class TestRunWorkflow:
         assert result.commands == 2
 
     def test_payload_references_resolved(self, engine, workcell):
-        workcell.module("sciclops").invoke("get_plate")
+        workcell.module("sciclops").submit("get_plate").complete()
         spec = WorkflowSpec(name="move")
         spec.add_step("pf400", "transfer", source="$payload.src", target="$payload.dst")
         result = engine.run_workflow(spec, payload={"src": "sciclops.exchange", "dst": "camera.stage"})

@@ -7,15 +7,12 @@ relies on this to keep admission control honest -- a plate is where it
 physically is, not where an accepted command will put it.
 """
 
-import pytest
-
 from repro.core.protocol import build_mix_protocol
-from repro.hardware.base import DeviceError
 from repro.hardware.labware import Plate
 from repro.sim.faults import FaultPolicy
 from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.engine import attempt_submission
-from repro.wei.module import ActionSubmission, Module
+from repro.wei.module import ActionSubmission
 from repro.wei.workflow import WorkflowSpec
 
 # The `workcell` fixture (a seed-42 colour-picker workcell) comes from
@@ -113,10 +110,6 @@ class TestDeviceHandles:
         assert camera.frames_captured == 1
         assert image.plate_barcode == "photo"
 
-    def test_submit_unknown_action_rejected(self, workcell):
-        with pytest.raises(DeviceError, match="submit_levitate"):
-            workcell.module("pf400").device.submit("levitate")
-
 
 class TestModuleSubmission:
     def test_submit_collects_records_and_defers_value(self, workcell):
@@ -130,35 +123,9 @@ class TestModuleSubmission:
         assert isinstance(invocation.return_value, Plate)
         assert invocation.commands == 1
 
-    def test_invoke_still_synchronous(self, workcell):
-        plate = workcell.module("sciclops").invoke("get_plate").return_value
+    def test_submit_then_complete_is_synchronous(self, workcell):
+        plate = workcell.module("sciclops").submit("get_plate").complete().return_value
         assert workcell.deck.plate_at("sciclops.exchange") is plate
-
-    def test_custom_action_falls_back_to_synchronous(self, workcell):
-        sciclops = workcell.module("sciclops").device
-        seen = []
-        module = Module("custom", sciclops, actions={"ping": lambda: seen.append("now") or "pong"})
-        submission = module.submit("ping")
-        # No two-phase implementation: the callable ran at submission.
-        assert seen == ["now"]
-        assert submission.completed
-        assert submission.complete().return_value == "pong"
-
-    def test_auto_discovery_excludes_submit_methods(self, workcell):
-        # submit_* methods are phase-one halves, not standalone actions: an
-        # auto-discovered "submit_transfer" action would charge time via the
-        # synchronous fallback but never complete the handle's mutations.
-        module = Module("auto", workcell.module("pf400").device)
-        assert "transfer" in module.actions
-        assert not any(name.startswith("submit") for name in module.action_names())
-
-    def test_renamed_device_action_is_not_two_phase(self, workcell):
-        # "fetch" maps onto get_plate; the name mismatch must not silently
-        # resolve to submit_get_plate (a custom registration owns its action).
-        sciclops = workcell.module("sciclops").device
-        module = Module("renamed", sciclops, actions={"fetch": sciclops.get_plate})
-        submission = module.submit("fetch")
-        assert submission.completed  # executed synchronously at submission
 
     def test_retries_happen_at_submission(self, make_workcell):
         workcell = make_workcell(

@@ -48,23 +48,18 @@ class TestFactory:
         assert "modules" in workcell.to_yaml()
 
     def test_total_commands_counts_robotic_only(self, workcell):
-        workcell.module("sciclops").invoke("get_plate")
-        workcell.module("pf400").invoke("transfer", source="sciclops.exchange", target="camera.stage")
-        workcell.module("camera").invoke("take_picture")
+        workcell.module("sciclops").submit("get_plate").complete()
+        workcell.module("pf400").submit("transfer", source="sciclops.exchange", target="camera.stage").complete()
+        workcell.module("camera").submit("take_picture").complete()
         assert workcell.total_commands(robotic_only=True) == 2
         assert workcell.total_commands(robotic_only=False) == 3
 
     def test_action_records_sorted_by_time(self, workcell):
-        workcell.module("sciclops").invoke("get_plate")
-        workcell.module("pf400").invoke("transfer", source="sciclops.exchange", target="camera.stage")
+        workcell.module("sciclops").submit("get_plate").complete()
+        workcell.module("pf400").submit("transfer", source="sciclops.exchange", target="camera.stage").complete()
         records = workcell.action_records()
         assert len(records) == 2
         assert records[0].start_time <= records[1].start_time
-
-    def test_reset_logs(self, workcell):
-        workcell.module("sciclops").invoke("get_plate")
-        workcell.reset_logs()
-        assert workcell.total_commands() == 0
 
 
 class TestFromYaml:

@@ -11,7 +11,6 @@ class TestWorkflowSpec:
         spec.add_step("camera", "take_picture")
         assert spec.n_steps == 2
         assert spec.steps[0].args == {"source": "a", "target": "b"}
-        assert spec.modules_used() == ["camera", "pf400"]
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
