@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.validation import check_positive
 
@@ -197,6 +196,8 @@ class SubtractiveMixingModel(MixingModel):
         by the oracle baseline in the solver-comparison benchmark; the real
         solvers never see the model.
         """
+        from scipy import optimize
+
         target = np.asarray(target_rgb, dtype=np.float64)
         if total_volume is None:
             total_volume = self.well_volume

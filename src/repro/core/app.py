@@ -191,7 +191,7 @@ class ColorPickerApp:
 
     def _run_action(self, module_name: str, action: str, **kwargs):
         invocation = yield ("action", module_name, action, kwargs)
-        (record,) = invocation.records
+        record = invocation.record
         self._step_records.append(
             StepResult(
                 step_name=f"direct.{module_name}.{action}",

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.solvers.base import ColorSolver, register_solver
 from repro.solvers.gp import GaussianProcess, RBFKernel
@@ -30,11 +29,15 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float, xi: flo
 
     ``mean``/``std`` are the GP posterior at the candidate points, ``best`` is
     the incumbent (lowest observed score), ``xi`` a small exploration margin.
+    ``special.ndtr`` and the closed-form density are exactly what
+    ``scipy.stats.norm.cdf``/``pdf`` compute, without importing ``scipy.stats``.
     """
+    from scipy import special
+
     std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
     improvement = best - xi - np.asarray(mean, dtype=np.float64)
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    return improvement * special.ndtr(z) + std * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
 
 
 @register_solver("bayesian")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg, optimize
 
 from repro.utils.validation import check_positive
 
@@ -88,6 +87,8 @@ class GaussianProcess:
 
     def fit(self, x_train, y_train) -> "GaussianProcess":
         """Fit the GP to training inputs ``(n, d)`` and targets ``(n,)``."""
+        from scipy import linalg
+
         x = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
         y = np.asarray(y_train, dtype=np.float64).ravel()
         if x.shape[0] != y.shape[0]:
@@ -110,6 +111,7 @@ class GaussianProcess:
 
     def _fit_hyperparameters(self, x: np.ndarray, y: np.ndarray) -> None:
         """Maximise the log marginal likelihood over (lengthscale, variance, noise)."""
+        from scipy import linalg, optimize
 
         def negative_log_marginal(log_params) -> float:
             lengthscale, variance, noise = np.exp(log_params)
@@ -138,6 +140,8 @@ class GaussianProcess:
     # ------------------------------------------------------------------
     def predict(self, x_query, return_std: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Posterior mean (and standard deviation) at query points ``(m, d)``."""
+        from scipy import linalg
+
         if not self.is_fitted:
             raise RuntimeError("GaussianProcess.predict called before fit")
         x = np.atleast_2d(np.asarray(x_query, dtype=np.float64))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["generate_fiducial", "draw_fiducial", "detect_fiducial", "FiducialDetection", "grayscale"]
 
@@ -111,6 +110,8 @@ def detect_fiducial(
     Returns a :class:`FiducialDetection` with ``size == 0`` when nothing
     plausible is found.
     """
+    from scipy import ndimage
+
     dark = grayscale(image) < dark_threshold
     labels, count = ndimage.label(dark)
     if count == 0:

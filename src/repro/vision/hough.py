@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.vision.fiducial import grayscale
 
@@ -47,6 +46,8 @@ def _edge_map(gray: np.ndarray, threshold: float):
     at each of them.  The gradients are normalised only at edge pixels,
     the only place they are read.
     """
+    from scipy import ndimage
+
     gx = ndimage.sobel(gray, axis=1, mode="nearest")
     gy = ndimage.sobel(gray, axis=0, mode="nearest")
     magnitude = np.hypot(gx, gy)
@@ -91,6 +92,8 @@ def _vote_peaks(counts: np.ndarray, threshold: float, size: int):
     the threshold: a pixel outside it is below every candidate, and the
     filter's ``reflect`` border only repeats pixels already in the window.
     """
+    from scipy import ndimage
+
     ys, xs = np.nonzero(counts >= threshold * (1.0 - 1e-9))
     if ys.size == 0:
         return ys, xs, np.zeros(0)

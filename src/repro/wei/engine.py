@@ -175,7 +175,8 @@ def robotic_command_count(invocation: Optional[ActionInvocation]) -> int:
     """Successful robotic commands issued by ``invocation`` (0 when failed)."""
     if invocation is None:
         return 0
-    return sum(1 for record in invocation.records if record.success and record.robotic)
+    record = invocation.record
+    return int(record.success and record.robotic)
 
 
 def __getattr__(name: str) -> Any:

@@ -17,7 +17,7 @@ the :class:`ActionInvocation`.  A sequential caller completes at once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
 from repro.hardware.base import ActionHandle, ActionRecord, SimulatedDevice
@@ -35,26 +35,26 @@ class ActionInvocation:
 
     module: str
     action: str
+    record: ActionRecord
     return_value: Any = None
-    records: List[ActionRecord] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
-        """Total device time attributed to this invocation (seconds)."""
-        return sum(record.duration for record in self.records)
+        """Device time attributed to this invocation (seconds)."""
+        return self.record.duration
 
     @property
     def commands(self) -> int:
         """Number of successful device commands issued by this invocation."""
-        return sum(1 for record in self.records if record.success)
+        return int(self.record.success)
 
 
 @dataclass
 class ActionSubmission:
     """A module action accepted for execution but not yet completed.
 
-    ``records`` holds the one device command this (successful) submission
-    logged, ``[handle.record]``; failed earlier attempts were separate
+    ``record`` is the one device command this (successful) submission
+    logged, ``handle.record``; failed earlier attempts were separate
     submissions and stay in the device's ``action_log`` only.  The action's
     state mutations are deferred until :meth:`complete`.
     """
@@ -62,7 +62,7 @@ class ActionSubmission:
     module: str
     action: str
     handle: ActionHandle
-    records: List[ActionRecord] = field(default_factory=list)
+    record: ActionRecord
 
     @property
     def start_time(self) -> float:
@@ -85,8 +85,8 @@ class ActionSubmission:
         return ActionInvocation(
             module=self.module,
             action=self.action,
+            record=self.record,
             return_value=value,
-            records=list(self.records),
         )
 
 
@@ -132,7 +132,7 @@ class Module:
             module=self.name,
             action=action,
             handle=handle,
-            records=[handle.record],
+            record=handle.record,
         )
 
     def describe(self) -> Dict[str, Any]:

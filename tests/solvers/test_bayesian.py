@@ -33,6 +33,37 @@ class TestExpectedImprovement:
         high = expected_improvement(np.array([5.0]), np.array([2.0]), best=5.0)
         assert high[0] > low[0]
 
+    def test_matches_scipy_stats_norm_bit_for_bit(self):
+        from scipy import stats
+
+        def stats_norm_ei(mean, std, best, xi=0.01):
+            std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
+            improvement = best - xi - np.asarray(mean, dtype=np.float64)
+            z = improvement / std
+            return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+
+        # With best = xi = 0 and std = 1, z is exactly -mean.
+        z = np.concatenate(
+            [
+                np.linspace(-40.0, 40.0, 200_001),
+                [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300],
+            ]
+        )
+        rng = np.random.default_rng(27)
+        mean = rng.uniform(0.0, 120.0, size=5000)
+        std = np.concatenate([rng.uniform(0.0, 30.0, size=4999), [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(
+                expected_improvement(-z, np.ones_like(z), best=0.0, xi=0.0),
+                stats_norm_ei(-z, np.ones_like(z), best=0.0, xi=0.0),
+                equal_nan=True,
+            )
+            assert np.array_equal(
+                expected_improvement(mean, std, best=40.0),
+                stats_norm_ei(mean, std, best=40.0),
+                equal_nan=True,
+            )
+
 
 class TestBayesianSolver:
     def test_initial_proposals_are_random_exploration(self):

@@ -45,9 +45,9 @@ class TestSubmit:
     def test_records_are_scoped_to_submission(self, sciclops_module):
         first = sciclops_module.submit("status").complete()
         second = sciclops_module.submit("status").complete()
-        assert len(first.records) == 1
-        assert len(second.records) == 1
-        assert second.records[0].start_time >= first.records[0].end_time
+        assert first.record.action == "status"
+        assert second.record.action == "status"
+        assert second.record.start_time >= first.record.end_time
 
 
 class TestIntrospection:
@@ -131,9 +131,9 @@ class TestModuleContract:
             logged = len(module.device.action_log)
             submission = module.submit(action, **kwargs)
             assert submission.handle.record is not None
-            assert submission.records == [submission.handle.record]
+            assert submission.record is submission.handle.record
             assert module.device.action_log[logged:] == [submission.handle.record]
-            assert submission.complete().records == [submission.handle.record]
+            assert submission.complete().record is submission.handle.record
 
     def test_unknown_action_names_the_available_actions(self, module_name):
         module = build_color_picker_workcell(n_ot2=2).module(module_name)

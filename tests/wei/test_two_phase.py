@@ -117,7 +117,7 @@ class TestModuleSubmission:
         submission = module.submit("get_plate")
         assert isinstance(submission, ActionSubmission)
         assert not submission.completed
-        assert [record.action for record in submission.records] == ["get_plate"]
+        assert submission.record.action == "get_plate"
         invocation = submission.complete()
         assert submission.completed
         assert isinstance(invocation.return_value, Plate)
