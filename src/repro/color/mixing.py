@@ -102,14 +102,6 @@ class MixingModel:
         """
         raise NotImplementedError
 
-    def mix_ratios(self, ratios, total_volume: float) -> np.ndarray:
-        """Mix relative ratios (which need not sum to 1) at a fixed total volume."""
-        arr = np.asarray(ratios, dtype=np.float64)
-        sums = arr.sum(axis=-1, keepdims=True)
-        safe = np.where(sums <= 0, 1.0, sums)
-        volumes = arr / safe * total_volume
-        return self.mix(volumes)
-
 
 @dataclass
 class SubtractiveMixingModel(MixingModel):
@@ -174,19 +166,6 @@ class SubtractiveMixingModel(MixingModel):
         rgb = self._white * np.exp(total_log)
         rgb = np.clip(rgb, 0.0, 255.0)
         return rgb[0] if squeeze else rgb
-
-    def gamut_extent(self, samples_per_axis: int = 5) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (min_rgb, max_rgb) reachable over a coarse grid of volumes.
-
-        Useful for checking that a requested target colour is achievable at
-        all before running an experiment.
-        """
-        axes = [np.linspace(0.0, self.well_volume, samples_per_axis)] * self.dye_set.n_dyes
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dye_set.n_dyes)
-        # Keep only compositions that fit in the well.
-        grid = grid[grid.sum(axis=1) <= self.well_volume]
-        colors = self.mix(grid)
-        return colors.min(axis=0), colors.max(axis=0)
 
     def invert(self, target_rgb, total_volume: Optional[float] = None) -> np.ndarray:
         """Find dye volumes whose mixed colour best matches ``target_rgb``.

@@ -49,7 +49,7 @@ from repro.solvers.base import ColorSolver, make_solver
 from repro.utils.rng import RandomSource
 from repro.vision.extraction import WellColorExtractor
 from repro.wei.concurrent import ConcurrentWorkflowEngine
-from repro.wei.engine import StepResult, WorkflowError, robotic_command_count
+from repro.wei.engine import StepResult, WorkflowError
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell, build_color_picker_workcell
 
@@ -173,7 +173,7 @@ class ColorPickerApp:
     # Every helper that takes simulated time is a generator yielding one of
     # the requests understood by the engine (see repro.wei.concurrent):
     #   ("workflow", spec, payload) -> WorkflowRunResult
-    #   ("action", module, action, kwargs) -> ActionInvocation
+    #   ("action", module, action, kwargs) -> StepResult
     #   ("sleep", seconds) -> None
     # ------------------------------------------------------------------
     def _run_workflow(self, spec, payload=None):
@@ -190,22 +190,9 @@ class ColorPickerApp:
         return result
 
     def _run_action(self, module_name: str, action: str, **kwargs):
-        invocation = yield ("action", module_name, action, kwargs)
-        record = invocation.record
-        self._step_records.append(
-            StepResult(
-                step_name=f"direct.{module_name}.{action}",
-                module=module_name,
-                action=action,
-                start_time=record.start_time,
-                end_time=record.end_time,
-                success=True,
-                return_value=invocation.return_value,
-                commands=invocation.commands,
-                robotic_commands=robotic_command_count(invocation),
-            )
-        )
-        return invocation
+        step = yield ("action", module_name, action, kwargs)
+        self._step_records.append(step)
+        return step
 
     def _charge_overhead(self, module: str, action: str, units: float = 1.0):
         """Account simulated time for a computational / publication step."""

@@ -85,28 +85,43 @@ class ActionHandle:
     immediately and the concurrent engine calls at the action's end event.
     """
 
-    module: str
-    action: str
-    start_time: float
-    end_time: float
-    record: Optional[ActionRecord] = None
+    #: The one command this submission logged on the device.
+    record: ActionRecord
+    #: Applies the action's state mutations and returns the action's value.
+    finish: Callable[[], Any]
     completed: bool = False
     return_value: Any = None
-    #: Applies the action's state mutations and returns the action's value.
-    finish: Optional[Callable[[], Any]] = None
+
+    @property
+    def module(self) -> str:
+        """Name of the device that accepted the command."""
+        return self.record.module
+
+    @property
+    def action(self) -> str:
+        """The action's name."""
+        return self.record.action
+
+    @property
+    def start_time(self) -> float:
+        """When the command was accepted."""
+        return self.record.start_time
+
+    @property
+    def end_time(self) -> float:
+        """When the action finishes."""
+        return self.record.end_time
 
     @property
     def duration(self) -> float:
         """Seconds between command acceptance and scheduled completion."""
-        return self.end_time - self.start_time
+        return self.record.duration
 
     def complete(self) -> Any:
         """Apply the action's state mutations (idempotent) and return its value."""
-        if self.completed:
-            return self.return_value
-        if self.finish is not None:
+        if not self.completed:
             self.return_value = self.finish()
-        self.completed = True
+            self.completed = True
         return self.return_value
 
 
@@ -211,14 +226,7 @@ class SimulatedDevice:
         and completing it returns the :class:`ActionRecord` itself (the
         conventional return value of bookkeeping-only actions).
         """
-        return ActionHandle(
-            module=self.name,
-            action=record.action,
-            start_time=record.start_time,
-            end_time=record.end_time,
-            record=record,
-            finish=finish if finish is not None else (lambda: record),
-        )
+        return ActionHandle(record, finish if finish is not None else (lambda: record))
 
     # ------------------------------------------------------------------
     # Introspection helpers

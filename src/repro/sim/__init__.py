@@ -14,7 +14,7 @@ from repro.sim.clock import Clock, SimClock, WallClock
 from repro.sim.durations import DurationModel, DurationTable, paper_calibrated_durations
 from repro.sim.events import Event, EventScheduler
 from repro.sim.faults import FaultInjector, FaultPolicy, CommandFailure
-from repro.sim.resources import ResourceBusyError, ResourceTimeline
+from repro.sim.resources import ResourceTimeline
 
 __all__ = [
     "Clock",
@@ -29,5 +29,4 @@ __all__ = [
     "FaultPolicy",
     "CommandFailure",
     "ResourceTimeline",
-    "ResourceBusyError",
 ]

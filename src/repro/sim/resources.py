@@ -14,11 +14,7 @@ from typing import List, Tuple
 
 from repro.utils.validation import check_non_negative
 
-__all__ = ["ResourceTimeline", "ResourceBusyError"]
-
-
-class ResourceBusyError(RuntimeError):
-    """Raised when a non-blocking reservation is requested on a busy resource."""
+__all__ = ["ResourceTimeline"]
 
 
 @dataclass
@@ -60,15 +56,6 @@ class ResourceTimeline:
         end = start + duration_s
         self.intervals.append((start, end))
         return start, end
-
-    def try_reserve(self, requested_start: float, duration_s: float) -> Tuple[float, float]:
-        """Like :meth:`reserve` but raises :class:`ResourceBusyError` instead of waiting."""
-        if requested_start < self.available_at:
-            raise ResourceBusyError(
-                f"resource {self.name!r} is busy until {self.available_at:.1f}s "
-                f"(requested {requested_start:.1f}s)"
-            )
-        return self.reserve(requested_start, duration_s)
 
     def utilisation(self, horizon_s: float) -> float:
         """Fraction of ``[0, horizon_s]`` during which the resource was busy."""

@@ -95,10 +95,6 @@ class RandomSource:
         path = f"{self._path}/{name}" if self._path else name
         return RandomSource(self._seed, _path=path)
 
-    def spawn_seed(self, name: str) -> int:
-        """Return a deterministic integer seed for an external consumer."""
-        return int(self.child(name).generator.integers(0, 2**31 - 1))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RandomSource(seed={self._seed!r}, path={self._path!r})"
 

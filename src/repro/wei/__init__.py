@@ -33,7 +33,7 @@ from repro.wei.concurrent import (
 )
 from repro.wei.coordinator import MultiWorkcellCoordinator, ShardAssignment
 from repro.wei.engine import StepResult, WorkflowError, WorkflowRunResult
-from repro.wei.module import ActionSubmission, Module, ModuleActionError
+from repro.wei.module import Module, ModuleActionError
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell, WorkcellConfigError, build_color_picker_workcell
 from repro.wei.workflow import WorkflowSpec, WorkflowStep
@@ -55,6 +55,5 @@ __all__ = [
     "ProgramHandle",
     "MultiWorkcellCoordinator",
     "ShardAssignment",
-    "ActionSubmission",
     "RunLogger",
 ]

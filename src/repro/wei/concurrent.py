@@ -15,10 +15,12 @@ runs interleave over shared devices:
   the two-phase action lifecycle: a step is *submitted* at its start event on
   a private clock (the device validates, consults the fault injector and
   samples its stochastic duration, so records are timestamped correctly) and
-  the returned :class:`~repro.wei.module.ActionSubmission` is *completed* at
-  a scheduled event at the sampled end time -- deck and labware mutations
-  land at completion, so admission control sees plates where they physically
-  are, not where an accepted command will eventually put them;
+  the device's :class:`~repro.hardware.base.ActionHandle` it returns is
+  *completed* at a scheduled event at the sampled end time -- deck and
+  labware mutations land at completion, so admission control sees plates
+  where they physically are, not where an accepted command will eventually
+  put them -- and that event writes the activity's one
+  :class:`~repro.wei.engine.StepResult`;
 * deck *locations* are guarded: a pf400 transfer whose target slot is still
   occupied by another task's plate, or a sciclops ``get_plate`` while a plate
   sits at the exchange, is parked until a later completion frees the slot
@@ -36,8 +38,11 @@ Applications participate through *programs*: generators that yield requests
     :class:`~repro.wei.engine.WorkflowRunResult` (or has the
     :class:`~repro.wei.engine.WorkflowError` thrown into it on failure),
 ``("action", module_name, action, kwargs)``
-    one exclusive module action; resumes with the
-    :class:`~repro.wei.module.ActionInvocation`,
+    one exclusive module action; resumes with its
+    :class:`~repro.wei.engine.StepResult` (step name
+    ``direct.<module>.<action>``), or has a
+    :class:`~repro.wei.engine.WorkflowError` carrying the device's error
+    thrown into it on failure,
 ``("sleep", seconds)``
     non-device time (solver/computation/publication overhead); resumes after
     the simulated delay.
@@ -73,20 +78,15 @@ from collections import deque
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Deque, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.hardware.base import ActionHandle
 from repro.obs import tracer as obs_tracer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
 from repro.sim.resources import ResourceTimeline
 from repro.wei.drivers.base import TransportTicket
 from repro.wei.drivers.registry import DriverRegistry
-from repro.wei.engine import (
-    StepResult,
-    WorkflowError,
-    WorkflowRunResult,
-    attempt_submission,
-    robotic_command_count,
-)
-from repro.wei.module import ActionSubmission, Module
+from repro.wei.engine import StepResult, WorkflowError, WorkflowRunResult, attempt_submission
+from repro.wei.module import Module
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell
 from repro.wei.workflow import WorkflowSpec, WorkflowStep, resolve_payload_references
@@ -236,21 +236,6 @@ class ConcurrencyError(RuntimeError):
 
 
 @dataclass(slots=True)
-class _ActivityOutcome:
-    """What happened when one module activity executed (incl. retries)."""
-
-    invocation: Optional[Any]
-    retries: int
-    error: Optional[str]
-    start_time: float
-    end_time: float
-
-    @property
-    def success(self) -> bool:
-        return self.invocation is not None
-
-
-@dataclass(slots=True)
 class _Activity:
     """One pending exclusive use of a module by some task."""
 
@@ -258,7 +243,10 @@ class _Activity:
     action: str
     args: Dict[str, Any]
     max_retries: int
-    continuation: Callable[[_ActivityOutcome], None]
+    #: Receives the activity's :class:`StepResult` at its completion event.
+    continuation: Callable[[StepResult], None]
+    #: The ``step_name`` of that result.
+    step_name: str
     label: str = ""
     #: Deck locations the activity fills at completion, the OT-2 deck a
     #: transfer carries its plate off, and the OT-2 deck ``run_protocol``
@@ -595,52 +583,26 @@ class ConcurrentWorkflowEngine:
                 action=step.action,
                 args=args,
                 max_retries=MAX_STEP_RETRIES,
-                continuation=lambda outcome, t=task, s=step: self._step_finished(t, s, outcome),
+                continuation=lambda result, t=task, s=step: self._step_finished(t, s, result),
+                step_name=f"{spec.name}.{task.index}",
                 label=f"{spec.name}.{task.index}:{step.module}.{step.action}",
                 parent_span_id=task.handle.span_id,
             )
         )
 
-    def _step_finished(self, task: _WorkflowTask, step: WorkflowStep, outcome: _ActivityOutcome) -> None:
-        spec = task.handle.spec
-        invocation = outcome.invocation
-        if invocation is None:
-            task.handle.result.steps.append(
-                StepResult(
-                    step_name=f"{spec.name}.{task.index}",
-                    module=step.module,
-                    action=step.action,
-                    start_time=outcome.start_time,
-                    end_time=outcome.end_time,
-                    success=False,
-                    retries=outcome.retries,
-                    error=outcome.error or "command failed",
-                )
-            )
+    def _step_finished(self, task: _WorkflowTask, step: WorkflowStep, result: StepResult) -> None:
+        task.handle.result.steps.append(result)
+        if not result.success:
             task.handle.result.success = False
             self._finish_workflow(
                 task,
                 error=WorkflowError(
-                    f"workflow {spec.name!r} failed at step {task.index} "
-                    f"({step.module}.{step.action}): {outcome.error}",
+                    f"workflow {task.handle.spec.name!r} failed at step {task.index} "
+                    f"({step.module}.{step.action}): {result.error}",
                     step=step,
                 ),
             )
             return
-        task.handle.result.steps.append(
-            StepResult(
-                step_name=f"{spec.name}.{task.index}",
-                module=step.module,
-                action=step.action,
-                start_time=outcome.start_time,
-                end_time=outcome.end_time,
-                success=True,
-                retries=outcome.retries,
-                return_value=invocation.return_value,
-                commands=invocation.commands,
-                robotic_commands=robotic_command_count(invocation),
-            )
-        )
         task.index += 1
         self._next_step(task)
 
@@ -727,16 +689,14 @@ class ConcurrentWorkflowEngine:
             _, module_name, action, kwargs = request
             module = self.workcell.module(module_name)
 
-            def action_done(outcome: _ActivityOutcome) -> None:
-                if outcome.invocation is None:
+            def action_done(result: StepResult) -> None:
+                if result.success:
+                    self._resume_program(handle, value=result)
+                else:
                     self._resume_program(
                         handle,
-                        error=WorkflowError(
-                            f"action {module_name}.{action} failed: {outcome.error}"
-                        ),
+                        error=WorkflowError(f"action {module_name}.{action} failed: {result.error}"),
                     )
-                else:
-                    self._resume_program(handle, value=outcome.invocation)
 
             self._request(
                 _Activity(
@@ -745,6 +705,7 @@ class ConcurrentWorkflowEngine:
                     args=dict(kwargs or {}),
                     max_retries=0,
                     continuation=action_done,
+                    step_name=f"direct.{module_name}.{action}",
                     label=f"{handle.name}:{module_name}.{action}",
                     parent_span_id=self._program_spans.get(handle.name),
                 )
@@ -879,14 +840,14 @@ class ConcurrentWorkflowEngine:
         ) as submit_span:
             device.clock = local
             try:
-                submission, retries, last_error = attempt_submission(
+                action_handle, retries, last_error = attempt_submission(
                     activity.module, activity.action, activity.args, activity.max_retries
                 )
             finally:
                 device.clock = saved_clock
             end = local.now()
             self.timelines[name].reserve(start, end - start)
-            if submission is not None:
+            if action_handle is not None:
                 for location in activity.fills:
                     self._incoming[location] = self._incoming.get(location, 0) + 1
                 if activity.vacates is not None:
@@ -909,14 +870,14 @@ class ConcurrentWorkflowEngine:
             submit_span.set_sim(end=end)
         self.scheduler.schedule_at(
             end,
-            lambda: self._complete(activity, submission, retries, last_error, start, end, ticket),
+            lambda: self._complete(activity, action_handle, retries, last_error, start, end, ticket),
             label=activity.label,
         )
 
     def _complete(
         self,
         activity: _Activity,
-        submission: Optional[ActionSubmission],
+        action_handle: Optional[ActionHandle],
         retries: int,
         last_error: Optional[str],
         start: float,
@@ -932,21 +893,21 @@ class ConcurrentWorkflowEngine:
         goes silent).  State mutations are applied *now*, on the engine
         thread -- before parked activities are re-examined, so a slot freed
         by this completion admits its waiters -- and only then does the
-        owning task continue.
+        owning task continue with the activity's :class:`StepResult`.
         """
         self.engine_thread_id = threading.get_ident()
-        reserved = submission is not None
+        reserved = action_handle is not None
         if ticket is not None:
             try:
                 completion = self.drivers.bridge.wait_for(ticket, self.completion_timeout_s)
             except Exception:
                 self._record_action_span(activity, ticket, end, status="error")
                 raise
-            if completion.error is not None and submission is not None:
+            if completion.error is not None and action_handle is not None:
                 # The transport reported a delivery failure the simulated
                 # device did not: surface it like any unrecoverable command
                 # failure instead of mutating state on bad information.
-                submission = None
+                action_handle = None
                 last_error = f"transport error: {completion.error}"
         name = activity.module.name
         self._busy[name] = False
@@ -958,23 +919,26 @@ class ConcurrentWorkflowEngine:
                 self._incoming[location] -= 1
             if activity.vacates is not None:
                 self._outgoing[activity.vacates] -= 1
-        invocation = submission.complete() if submission is not None else None
-        outcome = _ActivityOutcome(
-            invocation=invocation,
-            retries=retries,
-            error=last_error,
+        succeeded = action_handle is not None
+        result = StepResult(
+            step_name=activity.step_name,
+            module=name,
+            action=activity.action,
             start_time=start,
             end_time=end,
+            success=succeeded,
+            retries=retries,
+            return_value=action_handle.complete() if succeeded else None,
+            error=None if succeeded else last_error,
+            robotic_commands=int(succeeded and action_handle.record.robotic),
         )
-        self._record_action_span(
-            activity, ticket, end, status="ok" if invocation is not None else "error"
-        )
+        self._record_action_span(activity, ticket, end, status="ok" if succeeded else "error")
         # Only this module and the ones _unpark queued for can be idle with
         # work waiting (the continuation dispatches what it requests), so
         # they are the ones to dispatch, in name order as always.
         ready = self._unpark()
         ready.add(name)
-        activity.continuation(outcome)
+        activity.continuation(result)
         for ready_name in sorted(ready):
             self._dispatch(ready_name)
 

@@ -5,7 +5,7 @@ a command, the device's driver accepts it immediately, and the *completion*
 arrives later from whatever thread the driver's transport uses to poll or
 receive callbacks (paper Section 2.2: workflow steps "call driver functions
 specific to their attached device").  The simulation so far collapsed those
-two moments -- every :class:`~repro.wei.module.ActionSubmission` was
+two moments -- every device :class:`~repro.hardware.base.ActionHandle` was
 completed inline on the engine's own event loop.  This package restores the
 split:
 

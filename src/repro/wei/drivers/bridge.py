@@ -12,7 +12,7 @@ object both sides touch:
 * the engine calls :meth:`wait_for` from **its** thread at the action's
   scheduled end event; it blocks (real time) until that ticket's completion
   arrives, then applies the two-phase
-  :meth:`~repro.wei.module.ActionSubmission.complete` itself -- so state
+  :meth:`~repro.hardware.base.ActionHandle.complete` itself -- so state
   mutations still happen on exactly one thread.
 
 Fault semantics (deterministic by construction):

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.hardware.base import ActionHandle
 from repro.sim.faults import CommandFailure
-from repro.wei.module import ActionInvocation, ActionSubmission, Module
+from repro.wei.module import Module
 from repro.wei.workflow import WorkflowStep
 
 __all__ = [
@@ -61,13 +62,17 @@ class StepResult:
     retries: int = 0
     return_value: Any = None
     error: Optional[str] = None
-    commands: int = 0
     robotic_commands: int = 0
 
     @property
     def duration(self) -> float:
         """Elapsed seconds spent on this step (including retries)."""
         return self.end_time - self.start_time
+
+    @property
+    def commands(self) -> int:
+        """Successful device commands issued by this step: one, or none when it failed."""
+        return int(self.success)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (return values are reduced to their repr type)."""
@@ -150,33 +155,24 @@ def attempt_submission(
 
     Command faults fire at submission (the paper observes that "most failures
     occur during reception and processing of commands"), so the whole retry
-    loop happens in phase one; the returned submission's mutations are still
-    pending.  Returns ``(submission, retries, last_error)`` where
-    ``submission`` is ``None`` when the command failed for good
-    (unrecoverable, or retries exhausted).
+    loop happens in phase one; the returned handle's mutations are still
+    pending.  Returns ``(handle, retries, last_error)`` where ``handle`` is
+    ``None`` when the command failed for good (unrecoverable, or retries
+    exhausted).
     """
     retries = 0
     last_error: Optional[str] = None
-    submission: Optional[ActionSubmission] = None
+    handle: Optional[ActionHandle] = None
     while retries <= max_retries:
         try:
-            submission = module.submit(action, **args)
+            handle = module.submit(action, **args)
             break
         except CommandFailure as failure:
             last_error = str(failure)
             if not failure.recoverable or retries == max_retries:
-                submission = None
                 break
             retries += 1
-    return submission, retries, last_error
-
-
-def robotic_command_count(invocation: Optional[ActionInvocation]) -> int:
-    """Successful robotic commands issued by ``invocation`` (0 when failed)."""
-    if invocation is None:
-        return 0
-    record = invocation.record
-    return int(record.success and record.robotic)
+    return handle, retries, last_error
 
 
 def __getattr__(name: str) -> Any:

@@ -76,15 +76,6 @@ class TestSubtractiveMixingModel:
         volumes = np.array([10.0, 20.0, 30.0, 5.0])
         np.testing.assert_allclose(chemistry.mix(volumes), chemistry.mix(volumes.copy()))
 
-    def test_mix_ratios_normalises_to_total_volume(self, chemistry):
-        color_a = chemistry.mix_ratios([1.0, 1.0, 0.0, 0.0], total_volume=100.0)
-        color_b = chemistry.mix([50.0, 50.0, 0.0, 0.0])
-        np.testing.assert_allclose(color_a, color_b)
-
-    def test_gamut_extent_brackets_targets(self, chemistry):
-        low, high = chemistry.gamut_extent(samples_per_axis=4)
-        assert np.all(low < 120) and np.all(high > 120)
-
     def test_describe_is_json_friendly(self, chemistry):
         import json
 

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.metrics import PAPER_TABLE1, SdlMetrics, compute_metrics
+from repro.core.app import ColorPickerApp
+from repro.core.experiment import ExperimentConfig
+from repro.core.metrics import (
+    PAPER_TABLE1,
+    SdlMetrics,
+    compute_metrics,
+    metrics_from_step_results,
+)
 from repro.core.protocol import build_mix_protocol
 
 
@@ -95,3 +102,31 @@ class TestComputeMetrics:
         assert PAPER_TABLE1["time_without_humans_s"] / PAPER_TABLE1["total_colors"] == pytest.approx(
             PAPER_TABLE1["time_per_color_s"], rel=0.05
         )
+
+
+class TestAccountingPathsAgree:
+    """Camera staging scores Table 1 from the device logs, OT-2 staging from
+    the run's own step results; on a fault-free run both must read the same.
+
+    128 samples use more than one 96-tip rack, so the run also issues the
+    program's direct ``ot2.replace_tips`` action, whose step result the
+    engine writes like any workflow step's.
+    """
+
+    @pytest.mark.parametrize("seed", [816, 1])
+    def test_step_results_reproduce_the_device_log_metrics(self, seed):
+        config = ExperimentConfig(n_samples=128, batch_size=8, seed=seed, publish=False)
+        app = ColorPickerApp(config)
+        start = app.workcell.clock.now()
+        result = app.run()
+        direct = [step for step in app._step_records if step.step_name.startswith("direct.")]
+        assert [step.step_name for step in direct] == ["direct.ot2.replace_tips"]
+        from_steps = metrics_from_step_results(
+            app._step_records,
+            ot2_modules={"ot2"},
+            total_colors=len(result.samples),
+            start_time=start,
+            end_time=app.workcell.clock.now(),
+            intervention_times=result.intervention_times,
+        )
+        assert from_steps.to_dict() == result.metrics.to_dict()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.resources import ResourceBusyError, ResourceTimeline
+from repro.sim.resources import ResourceTimeline
 
 
 class TestReserve:
@@ -35,19 +35,6 @@ class TestReserve:
             timeline.reserve(-1.0, 1.0)
         with pytest.raises(ValueError):
             timeline.reserve(0.0, -1.0)
-
-
-class TestTryReserve:
-    def test_raises_when_busy(self):
-        timeline = ResourceTimeline("camera")
-        timeline.reserve(0.0, 10.0)
-        with pytest.raises(ResourceBusyError):
-            timeline.try_reserve(5.0, 1.0)
-
-    def test_succeeds_when_free(self):
-        timeline = ResourceTimeline("camera")
-        timeline.reserve(0.0, 10.0)
-        assert timeline.try_reserve(10.0, 1.0) == (10.0, 11.0)
 
 
 class TestUtilisation:

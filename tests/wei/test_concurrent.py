@@ -7,7 +7,7 @@ from repro.hardware.labware import Plate
 from repro.sim.faults import FaultPolicy
 from repro.wei import concurrent as concurrent_module
 from repro.wei.concurrent import ConcurrencyError, ConcurrentWorkflowEngine
-from repro.wei.engine import WorkflowError
+from repro.wei.engine import StepResult, WorkflowError
 from repro.wei.workflow import WorkflowSpec
 
 
@@ -191,8 +191,8 @@ class TestPrograms:
             spec = WorkflowSpec(name="fetch").add_step("sciclops", "get_plate")
             result = yield ("workflow", spec, None)
             yield ("sleep", 30.0)
-            invocation = yield ("action", "pf400", "move_home", {})
-            return (result.success, invocation.module)
+            step = yield ("action", "pf400", "move_home", {})
+            return (result.success, step.module)
 
         handle = engine.submit_program(program(), name="demo")
         engine.run_until_complete()
@@ -219,6 +219,48 @@ class TestPrograms:
         handle = engine.submit_program(program(), name="recoverer")
         engine.run_until_complete(raise_errors=False)
         assert handle.result == "recovered"
+
+    def test_action_request_resumes_with_its_step_result(self, make_workcell):
+        workcell = make_workcell(seed=4)
+        engine = ConcurrentWorkflowEngine(workcell)
+
+        def program():
+            step = yield ("action", "pf400", "move_home", {})
+            return step
+
+        handle = engine.submit_program(program(), name="direct")
+        engine.run_until_complete()
+        step = handle.result
+        record = workcell.module("pf400").device.action_log[-1]
+        assert isinstance(step, StepResult)
+        assert step.step_name == "direct.pf400.move_home"
+        assert (step.module, step.action) == ("pf400", "move_home")
+        assert (step.start_time, step.end_time) == (record.start_time, record.end_time)
+        assert step.success and step.commands == 1 and step.robotic_commands == 1
+        assert step.return_value is record
+
+    def test_failing_action_request_throws_the_device_error(self, make_workcell):
+        workcell = make_workcell(
+            seed=4,
+            fault_policy=FaultPolicy(command_failure={"pf400": 1.0}, unrecoverable_fraction=0.0),
+        )
+        engine = ConcurrentWorkflowEngine(workcell)
+
+        def program():
+            try:
+                yield ("action", "pf400", "move_home", {})
+            except WorkflowError as error:
+                return str(error)
+            return "unreachable"
+
+        handle = engine.submit_program(program(), name="direct")
+        engine.run_until_complete()
+        # The one attempt failed (a direct action gets no retries) and its
+        # message carries the device's CommandFailure text.
+        assert [record.success for record in workcell.module("pf400").device.action_log] == [False]
+        assert handle.result == (
+            "action pf400.move_home failed: injected failure in command pf400.move_home"
+        )
 
     def test_unknown_request_kind_errors_the_program(self, make_workcell):
         workcell = make_workcell(seed=1)

@@ -116,8 +116,8 @@ class TestCoordinator(FactoryFixtures):
         coordinator = self.make_fleet(2, seed=7)
 
         def check(_job, shard, _lane):
-            invocation = yield ("action", "sciclops", "status", {})
-            return invocation.module
+            step = yield ("action", "sciclops", "status", {})
+            return step.module
 
         coordinator.run_jobs([0, 1, 2, 3], check)
         merged = coordinator.merged_action_log()
@@ -510,8 +510,8 @@ class TestDrainDuringTwoPhaseAction(FactoryFixtures):
         def make_program(job, shard, lane):
             if job == "get_plate":
                 def fetch():
-                    invocation = yield ("action", "sciclops", "get_plate", {})
-                    return invocation
+                    step = yield ("action", "sciclops", "get_plate", {})
+                    return step
                 return fetch()
             return sleeper(30.0, marker=job)
 
@@ -522,7 +522,7 @@ class TestDrainDuringTwoPhaseAction(FactoryFixtures):
         results = coordinator.run_jobs(["get_plate", "sleep-a", "sleep-b"], make_program)
 
         # The two-phase completion was applied: the plate physically sits on
-        # the exchange, and the program received its invocation.
+        # the exchange, and the program received its step result.
         sciclops = engine0.workcell.module("sciclops").device
         assert engine0.workcell.deck.is_occupied(sciclops.exchange_location)
         assert results[0] is not None

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.cli import main
+from repro.hardware.base import ActionHandle
 from repro.hardware.labware import Plate
 from repro.hardware.ot2 import PipettingProtocol, ProtocolStep
 from repro.hardware.pf400 import Pf400Device
@@ -21,11 +22,12 @@ def sciclops_module(deck, clock):
 
 class TestSubmit:
     def test_submit_complete_returns_value_and_records(self, sciclops_module, deck):
-        invocation = sciclops_module.submit("get_plate").complete()
-        assert invocation.module == "sciclops"
-        assert invocation.commands == 1
-        assert invocation.duration > 0
-        assert deck.plate_at("sciclops.exchange") is invocation.return_value
+        handle = sciclops_module.submit("get_plate")
+        plate = handle.complete()
+        assert handle.module == "sciclops"
+        assert handle.record.success
+        assert handle.duration > 0
+        assert deck.plate_at("sciclops.exchange") is plate
 
     def test_unknown_action_rejected(self, sciclops_module):
         with pytest.raises(ModuleActionError, match="has no action"):
@@ -36,15 +38,14 @@ class TestSubmit:
         pf400 = Pf400Device(deck, clock=clock)
         module = Module("pf400", pf400)
         sciclops.submit_get_plate().complete()
-        invocation = module.submit(
-            "transfer", source="sciclops.exchange", target="camera.stage"
-        ).complete()
-        assert invocation.commands == 1
+        handle = module.submit("transfer", source="sciclops.exchange", target="camera.stage")
+        handle.complete()
+        assert handle.record.success
         assert deck.is_occupied("camera.stage")
 
     def test_records_are_scoped_to_submission(self, sciclops_module):
-        first = sciclops_module.submit("status").complete()
-        second = sciclops_module.submit("status").complete()
+        first = sciclops_module.submit("status")
+        second = sciclops_module.submit("status")
         assert first.record.action == "status"
         assert second.record.action == "status"
         assert second.record.start_time >= first.record.end_time
@@ -72,8 +73,9 @@ class TestIntrospection:
 
 # ---------------------------------------------------------------------------
 # The module contract, checked on every module of a two-OT-2 workcell: a
-# module's actions are exactly its device's submit_<action> methods, and a
-# submission reports the one record its handle logged.
+# module's actions are exactly its device's submit_<action> methods, and
+# submit returns the device's handle, whose record is the one entry the
+# submission logged.
 # ---------------------------------------------------------------------------
 
 #: The action set of each module type (sorted).
@@ -129,11 +131,18 @@ class TestModuleContract:
         for action in module.action_names():
             kwargs = ready_action(workcell, module, action)
             logged = len(module.device.action_log)
-            submission = module.submit(action, **kwargs)
-            assert submission.handle.record is not None
-            assert submission.record is submission.handle.record
-            assert module.device.action_log[logged:] == [submission.handle.record]
-            assert submission.complete().record is submission.handle.record
+            handle = module.submit(action, **kwargs)
+            assert isinstance(handle, ActionHandle)
+            assert module.device.action_log[logged:] == [handle.record]
+            assert module.device.action_log[-1] is handle.record
+            assert (handle.module, handle.action) == (module.device.name, action)
+            # A second complete() returns the first value without running
+            # the action's state mutations again.
+            finish, calls = handle.finish, []
+            handle.finish = lambda: calls.append(action) or finish()
+            value = handle.complete()
+            assert handle.complete() is value
+            assert calls == [action]
 
     def test_unknown_action_names_the_available_actions(self, module_name):
         module = build_color_picker_workcell(n_ot2=2).module(module_name)

@@ -8,11 +8,11 @@ physically is, not where an accepted command will put it.
 """
 
 from repro.core.protocol import build_mix_protocol
+from repro.hardware.base import ActionHandle
 from repro.hardware.labware import Plate
 from repro.sim.faults import FaultPolicy
 from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.engine import attempt_submission
-from repro.wei.module import ActionSubmission
 from repro.wei.workflow import WorkflowSpec
 
 # The `workcell` fixture (a seed-42 colour-picker workcell) comes from
@@ -53,6 +53,17 @@ class TestDeviceHandles:
         assert not deck.is_occupied("ot2.deck")
         assert deck.is_occupied("camera.stage")
         assert pf400.transfers_completed == 1
+
+    def test_handle_reads_its_identity_and_times_from_the_record(self, workcell):
+        pf400 = workcell.module("pf400").device
+        handle = pf400.submit_move_home()
+        record = handle.record
+        assert record is pf400.action_log[-1]
+        assert (handle.module, handle.action) == (pf400.name, "move_home")
+        assert (handle.start_time, handle.end_time) == (record.start_time, record.end_time)
+        assert handle.duration == record.duration > 0
+        # A bookkeeping-only action completes to its own record.
+        assert handle.complete() is record
 
     def test_complete_is_idempotent(self, workcell):
         deck = workcell.deck
@@ -114,17 +125,18 @@ class TestDeviceHandles:
 class TestModuleSubmission:
     def test_submit_collects_records_and_defers_value(self, workcell):
         module = workcell.module("sciclops")
-        submission = module.submit("get_plate")
-        assert isinstance(submission, ActionSubmission)
-        assert not submission.completed
-        assert submission.record.action == "get_plate"
-        invocation = submission.complete()
-        assert submission.completed
-        assert isinstance(invocation.return_value, Plate)
-        assert invocation.commands == 1
+        handle = module.submit("get_plate")
+        assert isinstance(handle, ActionHandle)
+        assert not handle.completed
+        assert handle.record.action == "get_plate"
+        assert handle.record.success
+        plate = handle.complete()
+        assert handle.completed
+        assert isinstance(plate, Plate)
+        assert handle.return_value is plate
 
     def test_submit_then_complete_is_synchronous(self, workcell):
-        plate = workcell.module("sciclops").submit("get_plate").complete().return_value
+        plate = workcell.module("sciclops").submit("get_plate").complete()
         assert workcell.deck.plate_at("sciclops.exchange") is plate
 
     def test_retries_happen_at_submission(self, make_workcell):
@@ -135,12 +147,13 @@ class TestModuleSubmission:
         module = workcell.module("sciclops")
         total_retries = 0
         for _ in range(8):
-            submission, retries, _error = attempt_submission(module, "status", {}, max_retries=50)
-            assert submission is not None
+            handle, retries, _error = attempt_submission(module, "status", {}, max_retries=50)
+            assert handle is not None
             total_retries += retries
             # Failed attempts are logged at submission time, before complete.
             assert sum(1 for r in module.device.action_log if not r.success) >= total_retries
-            assert submission.complete().commands == 1
+            assert handle.record.success
+            assert handle.complete() is handle.record
         assert total_retries > 0
 
 
