@@ -1,8 +1,8 @@
 """Benchmark: regenerate Table 1 (proposed SDL metrics for the B = 1 run).
 
 Runs the paper's headline experiment -- batch size 1, 128 samples, GA solver
--- and computes the proposed SDL metrics from the simulated workcell's command
-log, printing them side by side with the paper's reported values.
+-- and computes the proposed SDL metrics from the run's own executed steps,
+printing them side by side with the paper's reported values.
 """
 
 import pytest

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.color.distance import score_colors
 from repro.core.experiment import ExperimentConfig, ExperimentResult, SampleResult
-from repro.core.metrics import compute_metrics, metrics_from_step_results
+from repro.core.metrics import compute_metrics
 from repro.core.protocol import mix_protocol, ratios_to_volumes
 from repro.core.workflows import (
     STAGING_MODES,
@@ -96,7 +96,9 @@ class ColorPickerApp:
         paper's single-plate flow, the default) or ``"ot2"`` (the plate rests
         on its own OT-2 deck, required when several experiments run
         concurrently on one workcell so plates don't collide at the shared
-        camera stage).
+        camera stage).  It picks only the workflow variants: Table 1 is
+        scored from the run's own steps and an intervention trashes only the
+        run's own plates in either mode.
     """
 
     def __init__(
@@ -181,7 +183,7 @@ class ColorPickerApp:
             result = yield ("workflow", spec, payload)
         except WorkflowError as exc:
             # The steps that succeeded before the failure still happened;
-            # keep them so lane-scoped metrics count the real work.
+            # keep them so the run's metrics count the real work.
             if exc.run_result is not None:
                 self._step_records.extend(exc.run_result.steps)
             raise
@@ -279,7 +281,9 @@ class ColorPickerApp:
             self._run_index = max(taken) + 1 if taken else 0
         return self._run_index
 
-    def _publish(self, samples: List[SampleResult], pixels: Optional[np.ndarray]):
+    def _publish(
+        self, samples: List[SampleResult], pixels: Optional[np.ndarray], start_time: float
+    ):
         yield from self._charge_overhead("publish", "upload")
         config = self.config
         record = RunRecord(
@@ -290,7 +294,7 @@ class ColorPickerApp:
             solver=self.solver.name,
             metadata={"batch_size": config.batch_size, "seed": config.seed},
             samples=sample_records(samples, self.solver.name),
-            timings={"elapsed_s": self.workcell.clock.now()},
+            timings={"elapsed_s": self.workcell.clock.now() - start_time},
         )
         receipt = self.flow.publish(record, image=pixels)
         return receipt.to_dict()
@@ -394,7 +398,7 @@ class ColorPickerApp:
             # Publish the cumulative run data (one upload per iteration, as in
             # the paper's 128 upload steps for the B = 1 run).
             if config.publish:
-                receipt = yield from self._publish(samples, pixels)
+                receipt = yield from self._publish(samples, pixels, start_time)
                 result.publication_receipts.append(receipt)
 
             # Feed results back to the solver.
@@ -420,25 +424,14 @@ class ColorPickerApp:
         end_time = clock.now()
         result.samples = samples
         result.workflow_counts = dict(self._workflow_counts)
-        if self.staging == "camera":
-            # Single-experiment workcell: the device logs are all ours.
-            result.metrics = compute_metrics(
-                self.workcell,
-                total_colors=len(samples),
-                start_time=start_time,
-                end_time=end_time,
-                intervention_times=result.intervention_times,
-            )
-        else:
-            # Concurrent lanes share devices, so attribute only our own steps.
-            result.metrics = metrics_from_step_results(
-                self._step_records,
-                ot2_modules={self.ot2_name},
-                total_colors=len(samples),
-                start_time=start_time,
-                end_time=end_time,
-                intervention_times=result.intervention_times,
-            )
+        result.metrics = compute_metrics(
+            self._step_records,
+            ot2=self.ot2_name,
+            total_colors=len(samples),
+            start_time=start_time,
+            end_time=end_time,
+            intervention_times=result.intervention_times,
+        )
         return result
 
     # ------------------------------------------------------------------
@@ -449,43 +442,31 @@ class ColorPickerApp:
 
         The paper's TWH metric is defined as the longest stretch without
         intervention, so the timestamp is recorded and the clock is advanced
-        by the intervention duration.  Recovery removes whatever plate is in
-        play (its contents can no longer be trusted) so the next iteration
-        starts from a clean plate.
+        by the intervention duration.  Recovery trashes this experiment's
+        plates in play (their contents can no longer be trusted) so the next
+        iteration starts from a clean plate.
         """
         clock = self.workcell.clock
         result.intervention_times.append(clock.now())
         yield from self._charge_overhead("human", "intervention")
 
+        # Only this experiment's plates are cleared, so experiments sharing
+        # the workcell keep running.  Besides the active plate, the failed
+        # workflow may have had a plate in flight that was never assigned
+        # (e.g. cp_wf_newplate failing between get_plate and the transfer,
+        # stranding it at the exchange) -- find those through the partial run
+        # result attached to the error, or they would block every later plate
+        # fetch.
         deck = self.workcell.deck
-        if self.staging == "camera":
-            # The human resets the deck: any plate stranded mid-hand-off (at
-            # the exchange, the camera stage, an OT-2 deck, ...) is removed to
-            # the trash because its state can no longer be trusted.
-            for location in deck.locations:
-                if location == deck.trash_location:
-                    continue
-                if deck.is_occupied(location):
-                    stranded = deck.remove(location)
-                    deck.place(stranded, deck.trash_location)
-        else:
-            # Concurrent lanes: only this experiment's plates are cleared,
-            # the other lanes keep running (that is the point of the
-            # ablation).  Besides the active plate, the failed workflow may
-            # have had a plate in flight that was never assigned (e.g.
-            # cp_wf_newplate failing between get_plate and the transfer,
-            # stranding it at the shared exchange) -- find those through the
-            # partial run result attached to the error, or they would block
-            # every lane's plate fetches forever.
-            candidates = []
-            if self._active_plate is not None:
-                candidates.append(self._active_plate)
-            if error is not None and error.run_result is not None:
-                for step in error.run_result.steps:
-                    if isinstance(step.return_value, Plate):
-                        candidates.append(step.return_value)
-            for plate in candidates:
-                location = deck.find_plate(plate.barcode)
-                if location is not None and location != deck.trash_location:
-                    deck.place(deck.remove(location), deck.trash_location)
+        candidates = []
+        if self._active_plate is not None:
+            candidates.append(self._active_plate)
+        if error is not None and error.run_result is not None:
+            for step in error.run_result.steps:
+                if isinstance(step.return_value, Plate):
+                    candidates.append(step.return_value)
+        for plate in candidates:
+            location = deck.find_plate(plate.barcode)
+            if location is not None and location != deck.trash_location:
+                deck.place(deck.remove(location), deck.trash_location)
         self._active_plate = None

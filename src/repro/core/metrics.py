@@ -16,13 +16,12 @@ accounted for 63 % of the paper's B = 1 run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.utils.units import format_duration
 from repro.wei.engine import StepResult
-from repro.wei.workcell import Workcell
 
-__all__ = ["SdlMetrics", "compute_metrics", "metrics_from_step_results", "PAPER_TABLE1"]
+__all__ = ["SdlMetrics", "compute_metrics", "PAPER_TABLE1"]
 
 
 #: The paper's reported Table 1 values (for the B = 1, N = 128 run), in the
@@ -92,20 +91,25 @@ class SdlMetrics:
 
 
 def compute_metrics(
-    workcell: Workcell,
+    steps: Iterable[StepResult],
     *,
+    ot2: str,
     total_colors: int,
     start_time: float,
     end_time: float,
     intervention_times: Optional[Sequence[float]] = None,
 ) -> SdlMetrics:
-    """Compute the Table 1 metrics from a workcell's action records.
+    """Compute the Table 1 metrics from one run's own executed steps.
 
-    ``synthesis_time`` is the total OT-2 busy time within the scored window;
-    ``transfer_time`` is everything else (the paper's two categories partition
-    the whole run: 5 h 10 m + 3 h 02 m = 8 h 12 m).  CCWH counts successful
-    robotic commands (camera imaging and computational steps are excluded, as
-    in the paper's count of "distinct robotic actions").
+    ``steps`` are the :class:`~repro.wei.engine.StepResult` records the run
+    executed, so a run sharing its workcell with concurrent experiments
+    reports only its own work.  ``synthesis_time`` is the busy time of the
+    run's liquid handler (the module named ``ot2``) within the scored window,
+    retried attempts included; ``transfer_time`` is everything else (the
+    paper's two categories partition the whole run: 5 h 10 m + 3 h 02 m =
+    8 h 12 m).  CCWH counts successful robotic commands (camera imaging and
+    computational steps are excluded, as in the paper's count of "distinct
+    robotic actions").
 
     When ``intervention_times`` is given (timestamps at which a human had to
     step in), TWH follows the paper's definition -- "the longest time that an
@@ -120,15 +124,14 @@ def compute_metrics(
 
     synthesis = 0.0
     commands = 0
-    for module in workcell.modules.values():
-        device = module.device
-        for record in device.action_log:
-            if record.start_time < window_start or record.end_time > window_end + 1e-9:
-                continue
-            if record.success and record.robotic:
-                commands += 1
-            if device.module_type == "ot2" and record.success:
-                synthesis += record.duration
+    for step in steps:
+        if step.start_time < window_start or step.end_time > window_end + 1e-9:
+            continue
+        if not step.success:
+            continue
+        commands += step.robotic_commands
+        if step.module == ot2:
+            synthesis += step.duration
 
     transfer = max(elapsed - synthesis, 0.0)
     return SdlMetrics(
@@ -156,50 +159,3 @@ def _scoring_window(
     segments = list(zip(boundaries[:-1], boundaries[1:]))
     window_start, window_end = max(segments, key=lambda seg: seg[1] - seg[0])
     return window_start, window_end, len(interventions)
-
-
-def metrics_from_step_results(
-    steps: Iterable[StepResult],
-    *,
-    ot2_modules: Collection[str],
-    total_colors: int,
-    start_time: float,
-    end_time: float,
-    intervention_times: Optional[Sequence[float]] = None,
-) -> SdlMetrics:
-    """Compute the Table 1 metrics from one run's own executed steps.
-
-    :func:`compute_metrics` reads the workcell's device logs, which is correct
-    when one experiment had the workcell to itself but over-counts when
-    several experiments run *concurrently* on shared devices.  This variant
-    attributes commands and synthesis time from the
-    :class:`~repro.wei.engine.StepResult` records a single run actually
-    executed, so each concurrent lane reports only its own work.
-    ``ot2_modules`` names the module(s) whose busy time counts as synthesis
-    (the lane's liquid handler).
-    """
-    window_start, window_end, n_interventions = _scoring_window(
-        start_time, end_time, intervention_times
-    )
-    elapsed = window_end - window_start
-
-    synthesis = 0.0
-    commands = 0
-    for step in steps:
-        if step.start_time < window_start or step.end_time > window_end + 1e-9:
-            continue
-        if not step.success:
-            continue
-        commands += step.robotic_commands
-        if step.module in ot2_modules:
-            synthesis += step.duration
-
-    transfer = max(elapsed - synthesis, 0.0)
-    return SdlMetrics(
-        time_without_humans_s=elapsed,
-        commands_completed=commands,
-        synthesis_time_s=synthesis,
-        transfer_time_s=transfer,
-        total_colors=total_colors,
-        interventions=n_interventions,
-    )

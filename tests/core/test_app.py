@@ -90,6 +90,19 @@ class TestRun:
         assert record.n_samples == 12
         assert record.solver == "evolutionary"
 
+    def test_record_elapsed_is_relative_to_the_run_start(self):
+        # The second run starts where the first left the shared clock; its
+        # record must still time the run itself, like its samples do.
+        workcell = build_color_picker_workcell(seed=5)
+        portal = DataPortal()
+        for run_id in ("first", "second"):
+            config = small_config(n_samples=4, batch_size=2, seed=5, run_id=run_id)
+            start = workcell.clock.now()
+            result = ColorPickerApp(config, workcell=workcell, portal=portal).run()
+            elapsed = portal.get_run(run_id).timings["elapsed_s"]
+            last_sample = max(sample.elapsed_s for sample in result.samples)
+            assert last_sample < elapsed <= workcell.clock.now() - start
+
     def test_vision_measurement_mode(self):
         config = small_config(n_samples=4, batch_size=2, measurement="vision", publish=False)
         result = ColorPickerApp(config).run()

@@ -7,37 +7,43 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import compute_metrics
 from repro.core.protocol import build_mix_protocol
 from repro.sim.faults import FaultPolicy
+from repro.wei.concurrent import ConcurrentWorkflowEngine
 from repro.wei.engine import WorkflowError
 from repro.wei.workcell import build_color_picker_workcell
+from repro.wei.workflow import WorkflowSpec
 
 
 class TestInterventionMetrics:
-    def _busy_workcell(self):
+    def _busy_run(self):
+        """Steps of one mixing workflow on a fresh workcell, and its end time."""
         workcell = build_color_picker_workcell(seed=1)
-        workcell.module("sciclops").submit("get_plate").complete()
-        workcell.module("pf400").submit("transfer", source="sciclops.exchange", target="camera.stage").complete()
-        workcell.module("pf400").submit("transfer", source="camera.stage", target="ot2.deck").complete()
-        workcell.module("barty").submit("fill_colors").complete()
+        spec = (
+            WorkflowSpec(name="busy")
+            .add_step("sciclops", "get_plate")
+            .add_step("pf400", "transfer", source="sciclops.exchange", target="camera.stage")
+            .add_step("pf400", "transfer", source="camera.stage", target="ot2.deck")
+            .add_step("barty", "fill_colors")
+            .add_step("ot2", "run_protocol", protocol="$payload.protocol")
+            .add_step("pf400", "transfer", source="ot2.deck", target="camera.stage")
+        )
         protocol = build_mix_protocol(
             "mix", ["A1"], [[0.3, 0.3, 0.3, 0.1]], workcell.chemistry.dyes.names, 80.0
         )
-        workcell.module("ot2").submit("run_protocol", protocol=protocol).complete()
-        workcell.module("pf400").submit("transfer", source="ot2.deck", target="camera.stage").complete()
-        return workcell
+        steps = ConcurrentWorkflowEngine(workcell).run_workflow(spec, {"protocol": protocol}).steps
+        return steps, workcell.clock.now()
 
     def test_no_interventions_scores_whole_run(self):
-        workcell = self._busy_workcell()
-        end = workcell.clock.now()
-        metrics = compute_metrics(workcell, total_colors=1, start_time=0.0, end_time=end)
+        steps, end = self._busy_run()
+        metrics = compute_metrics(steps, ot2="ot2", total_colors=1, start_time=0.0, end_time=end)
         assert metrics.interventions == 0
         assert metrics.time_without_humans_s == pytest.approx(end)
 
     def test_twh_is_longest_segment_between_interventions(self):
-        workcell = self._busy_workcell()
-        end = workcell.clock.now()
+        steps, end = self._busy_run()
         # One intervention a quarter of the way in: TWH is the later segment.
         metrics = compute_metrics(
-            workcell,
+            steps,
+            ot2="ot2",
             total_colors=1,
             start_time=0.0,
             end_time=end,
@@ -45,14 +51,16 @@ class TestInterventionMetrics:
         )
         assert metrics.interventions == 1
         assert metrics.time_without_humans_s == pytest.approx(end * 0.75)
-        whole_run = compute_metrics(workcell, total_colors=1, start_time=0.0, end_time=end)
+        whole_run = compute_metrics(
+            steps, ot2="ot2", total_colors=1, start_time=0.0, end_time=end
+        )
         assert metrics.commands_completed <= whole_run.commands_completed
 
     def test_interventions_outside_window_are_ignored(self):
-        workcell = self._busy_workcell()
-        end = workcell.clock.now()
+        steps, end = self._busy_run()
         metrics = compute_metrics(
-            workcell,
+            steps,
+            ot2="ot2",
             total_colors=1,
             start_time=0.0,
             end_time=end,
@@ -63,7 +71,9 @@ class TestInterventionMetrics:
 
 
 class TestRecoveringApplication:
-    def _recovering_run(self, failure_rate, seed=44, n_samples=20, max_interventions=50):
+    def _recovering_run(
+        self, failure_rate, seed=44, n_samples=20, max_interventions=50, staging="camera"
+    ):
         config = ExperimentConfig(
             n_samples=n_samples,
             batch_size=4,
@@ -77,7 +87,7 @@ class TestRecoveringApplication:
             seed=seed,
             fault_policy=FaultPolicy.uniform(failure_rate, unrecoverable_fraction=1.0),
         )
-        app = ColorPickerApp(config, workcell=workcell)
+        app = ColorPickerApp(config, workcell=workcell, staging=staging)
         return app, workcell, app.run()
 
     def test_run_completes_despite_unrecoverable_failures(self):
@@ -91,8 +101,9 @@ class TestRecoveringApplication:
         total_elapsed = workcell.clock.now()
         assert result.metrics.time_without_humans_s < total_elapsed
 
-    def test_intervention_trashes_compromised_plate(self):
-        _, workcell, result = self._recovering_run(failure_rate=0.12)
+    @pytest.mark.parametrize("staging", ["camera", "ot2"])
+    def test_intervention_trashes_compromised_plate(self, staging):
+        _, workcell, result = self._recovering_run(failure_rate=0.12, staging=staging)
         # Deck is clean at the end: nothing left at the camera or OT-2.
         assert not workcell.deck.is_occupied("camera.stage")
         assert not workcell.deck.is_occupied("ot2.deck")

@@ -4,13 +4,12 @@ import pytest
 
 from repro.core.app import ColorPickerApp
 from repro.core.experiment import ExperimentConfig
-from repro.core.metrics import (
-    PAPER_TABLE1,
-    SdlMetrics,
-    compute_metrics,
-    metrics_from_step_results,
-)
+from repro.core.metrics import PAPER_TABLE1, SdlMetrics, compute_metrics
 from repro.core.protocol import build_mix_protocol
+from repro.sim.faults import FaultPolicy
+from repro.wei.concurrent import ConcurrentWorkflowEngine
+from repro.wei.workcell import build_color_picker_workcell
+from repro.wei.workflow import WorkflowSpec
 
 
 class TestSdlMetrics:
@@ -57,23 +56,29 @@ class TestSdlMetrics:
 
 
 class TestComputeMetrics:
-    def _run_one_iteration(self, workcell):
-        workcell.module("sciclops").submit("get_plate").complete()
-        workcell.module("pf400").submit("transfer", source="sciclops.exchange", target="camera.stage").complete()
-        workcell.module("barty").submit("fill_colors").complete()
-        workcell.module("pf400").submit("transfer", source="camera.stage", target="ot2.deck").complete()
-        protocol = build_mix_protocol(
-            "mix", ["A1"], [[0.4, 0.2, 0.4, 0.1]], workcell.chemistry.dyes.names, 80.0
+    def _run_one_iteration(self, engine):
+        """One mixing iteration as a workflow; returns its step results."""
+        spec = (
+            WorkflowSpec(name="one_iteration")
+            .add_step("sciclops", "get_plate")
+            .add_step("pf400", "transfer", source="sciclops.exchange", target="camera.stage")
+            .add_step("barty", "fill_colors")
+            .add_step("pf400", "transfer", source="camera.stage", target="ot2.deck")
+            .add_step("ot2", "run_protocol", protocol="$payload.protocol")
+            .add_step("pf400", "transfer", source="ot2.deck", target="camera.stage")
+            .add_step("camera", "take_picture")
         )
-        workcell.module("ot2").submit("run_protocol", protocol=protocol).complete()
-        workcell.module("pf400").submit("transfer", source="ot2.deck", target="camera.stage").complete()
-        workcell.module("camera").submit("take_picture").complete()
+        protocol = build_mix_protocol(
+            "mix", ["A1"], [[0.4, 0.2, 0.4, 0.1]], engine.workcell.chemistry.dyes.names, 80.0
+        )
+        return engine.run_workflow(spec, {"protocol": protocol}).steps
 
     def test_counts_robotic_commands_and_partitions_time(self, workcell):
+        engine = ConcurrentWorkflowEngine(workcell)
         start = workcell.clock.now()
-        self._run_one_iteration(workcell)
+        steps = self._run_one_iteration(engine)
         end = workcell.clock.now()
-        metrics = compute_metrics(workcell, total_colors=1, start_time=start, end_time=end)
+        metrics = compute_metrics(steps, ot2="ot2", total_colors=1, start_time=start, end_time=end)
         # 6 robotic commands (camera imaging is not robotic).
         assert metrics.commands_completed == 6
         assert metrics.total_colors == 1
@@ -84,15 +89,19 @@ class TestComputeMetrics:
         )
 
     def test_window_excludes_out_of_range_records(self, workcell):
-        self._run_one_iteration(workcell)
+        engine = ConcurrentWorkflowEngine(workcell)
+        steps = self._run_one_iteration(engine)
         cutoff = workcell.clock.now()
-        workcell.module("pf400").submit("move_home").complete()
-        metrics = compute_metrics(workcell, total_colors=1, start_time=0.0, end_time=cutoff)
+        steps += engine.run_workflow(WorkflowSpec(name="home").add_step("pf400", "move_home")).steps
+        assert workcell.clock.now() > cutoff
+        metrics = compute_metrics(
+            steps, ot2="ot2", total_colors=1, start_time=0.0, end_time=cutoff
+        )
         assert metrics.commands_completed == 6
 
-    def test_invalid_window_rejected(self, workcell):
+    def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics(workcell, total_colors=0, start_time=10.0, end_time=0.0)
+            compute_metrics([], ot2="ot2", total_colors=0, start_time=10.0, end_time=0.0)
 
     def test_paper_reference_values_consistent(self):
         # The paper's own numbers satisfy the metric identities we rely on.
@@ -104,29 +113,78 @@ class TestComputeMetrics:
         )
 
 
+def device_log_metrics(workcell, *, total_colors, start_time, end_time):
+    """Table 1 read from the workcell's device logs, for a run without interventions.
+
+    The account camera-staged runs were once scored from: every successful
+    robotic record counts as a command, every successful OT-2 record as
+    synthesis.  Correct only when the run had the workcell to itself and no
+    command was retried.
+    """
+    synthesis = 0.0
+    commands = 0
+    for module in workcell.modules.values():
+        device = module.device
+        for record in device.action_log:
+            if record.start_time < start_time or record.end_time > end_time + 1e-9:
+                continue
+            if record.success and record.robotic:
+                commands += 1
+            if device.module_type == "ot2" and record.success:
+                synthesis += record.duration
+    elapsed = end_time - start_time
+    return SdlMetrics(
+        time_without_humans_s=elapsed,
+        commands_completed=commands,
+        synthesis_time_s=synthesis,
+        transfer_time_s=max(elapsed - synthesis, 0.0),
+        total_colors=total_colors,
+    )
+
+
 class TestAccountingPathsAgree:
-    """Camera staging scores Table 1 from the device logs, OT-2 staging from
-    the run's own step results; on a fault-free run both must read the same.
+    """On a fault-free run the run's own step results and the device logs
+    must give the same Table 1, whatever the staging.
 
     128 samples use more than one 96-tip rack, so the run also issues the
     program's direct ``ot2.replace_tips`` action, whose step result the
     engine writes like any workflow step's.
     """
 
+    @pytest.mark.parametrize("staging", ["camera", "ot2"])
     @pytest.mark.parametrize("seed", [816, 1])
-    def test_step_results_reproduce_the_device_log_metrics(self, seed):
+    def test_step_results_reproduce_the_device_log_metrics(self, seed, staging):
         config = ExperimentConfig(n_samples=128, batch_size=8, seed=seed, publish=False)
-        app = ColorPickerApp(config)
+        app = ColorPickerApp(config, staging=staging)
         start = app.workcell.clock.now()
         result = app.run()
         direct = [step for step in app._step_records if step.step_name.startswith("direct.")]
         assert [step.step_name for step in direct] == ["direct.ot2.replace_tips"]
-        from_steps = metrics_from_step_results(
-            app._step_records,
-            ot2_modules={"ot2"},
+        from_logs = device_log_metrics(
+            app.workcell,
             total_colors=len(result.samples),
             start_time=start,
             end_time=app.workcell.clock.now(),
-            intervention_times=result.intervention_times,
         )
-        assert from_steps.to_dict() == result.metrics.to_dict()
+        assert result.metrics.to_dict() == from_logs.to_dict()
+
+
+class TestRetriedSynthesis:
+    """Synthesis is the OT-2's busy time, retried attempts included."""
+
+    def test_camera_staged_synthesis_counts_a_retried_run_protocol(self):
+        config = ExperimentConfig(
+            n_samples=24, batch_size=4, seed=30, publish=False, recover_from_failures=True
+        )
+        workcell = build_color_picker_workcell(
+            seed=30, fault_policy=FaultPolicy.uniform(0.05, unrecoverable_fraction=0.5)
+        )
+        app = ColorPickerApp(config, workcell=workcell, staging="camera")
+        result = app.run()
+        ot2_steps = [step for step in app._step_records if step.module == "ot2" and step.success]
+        assert any(step.action == "run_protocol" and step.retries > 0 for step in ot2_steps)
+        assert result.metrics.synthesis_time_s == pytest.approx(
+            sum(step.duration for step in ot2_steps)
+        )
+        # The device logs count only the successful attempt (2497.8 s).
+        assert result.metrics.synthesis_time_s == pytest.approx(2699.1, abs=0.05)
