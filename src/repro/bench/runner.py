@@ -36,6 +36,7 @@ __all__ = [
     "write_results",
     "load_bench_file",
     "MetricDelta",
+    "ScienceCheck",
     "compare_results",
 ]
 
@@ -178,6 +179,21 @@ class MetricDelta:
         return self.change < -threshold
 
 
+@dataclass(frozen=True)
+class ScienceCheck:
+    """One science digest of a fresh run against the committed file's."""
+
+    area: str
+    key: str
+    baseline: Any
+    current: Any
+
+    @property
+    def differs(self) -> bool:
+        """True when the run's science moved: a changed result, not noise."""
+        return self.baseline != self.current
+
+
 def compare_results(
     results: Sequence[AreaResult],
     *,
@@ -185,12 +201,14 @@ def compare_results(
 ) -> Dict[str, Any]:
     """Diff fresh results against the committed files in ``baseline_dir``.
 
-    Returns ``{"deltas": [MetricDelta...], "skipped": {area: reason}}``.
-    An area is skipped (never judged) when no baseline file exists or the
-    pinned scenario config differs -- a config change starts a fresh
-    trajectory, it is not a regression.
+    Returns ``{"deltas": [MetricDelta...], "science": [ScienceCheck...],
+    "skipped": {area: reason}}``; ``science`` holds every digest both the
+    run and the committed file carry.  An area is skipped (never judged)
+    when no baseline file exists or the pinned scenario config differs -- a
+    config change starts a fresh trajectory, it is not a regression.
     """
     deltas: List[MetricDelta] = []
+    science: List[ScienceCheck] = []
     skipped: Dict[str, str] = {}
     for result in results:
         path = Path(baseline_dir) / bench_filename(result.area)
@@ -219,4 +237,10 @@ def compare_results(
                     direction=metric.get("direction", "higher"),
                 )
             )
-    return {"deltas": deltas, "skipped": skipped}
+        committed = baseline.get("science", {})
+        for key, value in result.science.items():
+            if key in committed:
+                # Compare in the committed file's JSON form (tuples as lists).
+                current = json.loads(json.dumps(value))
+                science.append(ScienceCheck(result.area, key, committed[key], current))
+    return {"deltas": deltas, "science": science, "skipped": skipped}

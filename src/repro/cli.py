@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASE",
         help="diff fresh measurements against the committed BENCH_<area>.json "
         "files in BASE (default: the current directory); exits 1 on any "
-        "regression beyond --threshold",
+        "regression beyond --threshold or any changed science digest",
     )
     bench_parser.add_argument(
         "--threshold",
@@ -860,6 +860,7 @@ def _command_bench(args) -> int:
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
     comparison = compare_results(results, baseline_dir=Path(args.compare))
     deltas = comparison["deltas"]
+    science_diffs = [check for check in comparison["science"] if check.differs]
     if not args.json:
         print(f"\nCompare vs {args.compare} (threshold {threshold:.0%}):")
         rows = [
@@ -873,6 +874,17 @@ def _command_bench(args) -> int:
             )
             for delta in deltas
         ]
+        rows += [
+            (
+                check.area,
+                check.key,
+                json.dumps(check.baseline, sort_keys=True)[:16],
+                json.dumps(check.current, sort_keys=True)[:16],
+                "",
+                "SCIENCE DIFFERS" if check.differs else "ok",
+            )
+            for check in comparison["science"]
+        ]
         if rows:
             print(format_table(["area", "metric", "baseline", "current", "change", "verdict"], rows))
         for area, reason in comparison["skipped"].items():
@@ -880,7 +892,9 @@ def _command_bench(args) -> int:
     regressions = [delta for delta in deltas if delta.is_regression(threshold)]
     if regressions and not args.json:
         print(f"\n{len(regressions)} metric(s) regressed beyond the {threshold:.0%} threshold")
-    return 1 if regressions else 0
+    if science_diffs and not args.json:
+        print(f"{len(science_diffs)} science digest(s) differ from the committed files")
+    return 1 if regressions or science_diffs else 0
 
 
 def _command_portal(args) -> int:

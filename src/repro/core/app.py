@@ -173,9 +173,11 @@ class ColorPickerApp:
     # Program plumbing
     #
     # Every helper that takes simulated time is a generator yielding one of
-    # the requests understood by the engine (see repro.wei.concurrent):
-    #   ("workflow", spec, payload) -> WorkflowRunResult
-    #   ("action", module, action, kwargs) -> StepResult
+    # the requests understood by the engine (see repro.wei.concurrent); the
+    # engine pushes a generator of its own for the first two, so a failure
+    # reaches the helper as a raised WorkflowError:
+    #   ("workflow", spec, payload) -> WorkflowRunResult (retried steps)
+    #   ("action", module, action, kwargs) -> StepResult (no retries)
     #   ("sleep", seconds) -> None
     # ------------------------------------------------------------------
     def _run_workflow(self, spec, payload=None):
@@ -422,6 +424,7 @@ class ColorPickerApp:
                 yield from self._human_intervention(result, error)
 
         end_time = clock.now()
+        result.elapsed_s = end_time - start_time
         result.samples = samples
         result.workflow_counts = dict(self._workflow_counts)
         result.metrics = compute_metrics(

@@ -159,6 +159,9 @@ class ExperimentResult:
     terminated_early: bool = False
     publication_receipts: List[Dict[str, Any]] = field(default_factory=list)
     intervention_times: List[float] = field(default_factory=list)
+    #: Total simulated experiment time (seconds): the run's end minus its
+    #: start, interventions included (``metrics`` holds time without humans).
+    elapsed_s: float = 0.0
 
     @property
     def interventions(self) -> int:
@@ -183,15 +186,6 @@ class ExperimentResult:
         if not self.samples:
             return None
         return min(self.samples, key=lambda sample: sample.score)
-
-    @property
-    def elapsed_s(self) -> float:
-        """Total simulated experiment time (seconds)."""
-        if self.metrics is not None:
-            return self.metrics.time_without_humans_s
-        if not self.samples:
-            return 0.0
-        return max(sample.elapsed_s for sample in self.samples)
 
     def trajectory(self) -> Tuple[np.ndarray, np.ndarray]:
         """The Figure 4 series: elapsed time (minutes) vs. best score so far.

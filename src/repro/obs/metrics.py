@@ -122,9 +122,6 @@ class Gauge(_Metric):
     def inc(self, value: float = 1.0) -> None:
         self._value += value
 
-    def dec(self, value: float = 1.0) -> None:
-        self._value -= value
-
     @property
     def value(self) -> float:
         return self._value

@@ -388,13 +388,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def current_span_id(self) -> Optional[int]:
-        """The calling thread's innermost open span id, if any."""
-        state = getattr(self._local, "state", None)
-        if state is None or not state.stack:
-            return None
-        return state.stack[-1]
-
     def counts(self) -> Tuple[int, int]:
         """``(started, ended)`` across every thread that ever recorded."""
         with self._lock:

@@ -97,10 +97,6 @@ class DurationTable:
         """Register (or replace) the model for ``module.action``."""
         self._entries[(module, action)] = model
 
-    def set_module_default(self, module: str, model: DurationModel) -> None:
-        """Register the fallback model for any action on ``module``."""
-        self._module_defaults[module] = model
-
     def get(self, module: str, action: str) -> DurationModel:
         """Return the most specific model available for ``module.action``."""
         key = (module, action)

@@ -27,7 +27,6 @@ colour-picker application needs:
 
 from repro.wei.concurrent import (
     ConcurrencyError,
-    ConcurrentRun,
     ConcurrentWorkflowEngine,
     ProgramHandle,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "StepResult",
     "ConcurrentWorkflowEngine",
     "ConcurrencyError",
-    "ConcurrentRun",
     "ProgramHandle",
     "MultiWorkcellCoordinator",
     "ShardAssignment",

@@ -7,7 +7,11 @@ paper's Section 4 ablation ("integrating additional OT2s in our workflow, so
 that multiple plates of colors could be mixed at once"), where many workflow
 runs interleave over shared devices:
 
-* every in-flight workflow (or application *program*) is a cooperative task;
+* every task is a *program*: a stack of generators driven by a
+  :class:`ProgramHandle` (a coroutine trampoline, as in PEP 342).  A
+  workflow run is the engine's own generator on that stack, so a workflow
+  submitted on its own (:meth:`~ConcurrentWorkflowEngine.submit`) is a
+  program with nothing below it;
 * each step is an exclusive reservation of its module, recorded on a
   :class:`~repro.sim.ResourceTimeline` (one per module) and serialised by a
   FIFO queue when several tasks want the same device;
@@ -34,11 +38,13 @@ runs interleave over shared devices:
 Applications participate through *programs*: generators that yield requests
 
 ``("workflow", spec, payload)``
-    run a workflow concurrently; the generator resumes with the
+    pushes a workflow run (one activity per step, each with
+    ``MAX_STEP_RETRIES``); the generator resumes with the
     :class:`~repro.wei.engine.WorkflowRunResult` (or has the
-    :class:`~repro.wei.engine.WorkflowError` thrown into it on failure),
+    :class:`~repro.wei.engine.WorkflowError`, its partial result on
+    ``run_result``, thrown into it on failure),
 ``("action", module_name, action, kwargs)``
-    one exclusive module action; resumes with its
+    pushes one exclusive module action with no retries; resumes with its
     :class:`~repro.wei.engine.StepResult` (step name
     ``direct.<module>.<action>``), or has a
     :class:`~repro.wei.engine.WorkflowError` carrying the device's error
@@ -46,6 +52,10 @@ Applications participate through *programs*: generators that yield requests
 ``("sleep", seconds)``
     non-device time (solver/computation/publication overhead); resumes after
     the simulated delay.
+
+A pushed generator that returns or raises is popped, and its value or error
+goes to the generator below it; each activity's completion event resumes
+the program that requested it.
 
 :meth:`ColorPickerApp.program <repro.core.app.ColorPickerApp.program>` emits
 exactly this protocol, which is how a whole closed-loop experiment (not just
@@ -75,7 +85,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Deque, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.hardware.base import ActionHandle
@@ -89,11 +99,10 @@ from repro.wei.engine import StepResult, WorkflowError, WorkflowRunResult, attem
 from repro.wei.module import Module
 from repro.wei.runlog import RunLogger
 from repro.wei.workcell import Workcell
-from repro.wei.workflow import WorkflowSpec, WorkflowStep, resolve_payload_references
+from repro.wei.workflow import WorkflowSpec, resolve_payload_references
 
 __all__ = [
     "ConcurrencyError",
-    "ConcurrentRun",
     "ProgramHandle",
     "ConcurrentWorkflowEngine",
     "TransportRetryStats",
@@ -243,11 +252,12 @@ class _Activity:
     action: str
     args: Dict[str, Any]
     max_retries: int
-    #: Receives the activity's :class:`StepResult` at its completion event.
-    continuation: Callable[[StepResult], None]
-    #: The ``step_name`` of that result.
+    #: The ``step_name`` of the activity's :class:`StepResult`.
     step_name: str
     label: str = ""
+    #: The program that requested the activity; its completion event resumes
+    #: that program with the activity's :class:`StepResult`.
+    owner: Optional["ProgramHandle"] = None
     #: Deck locations the activity fills at completion, the OT-2 deck a
     #: transfer carries its plate off, and the OT-2 deck ``run_protocol``
     #: mixes on; set once when it is requested (:meth:`_locate`).
@@ -264,45 +274,22 @@ class _Activity:
 
 
 @dataclass
-class ConcurrentRun:
-    """Handle for one workflow submitted to the concurrent engine."""
-
-    spec: WorkflowSpec
-    payload: Dict[str, Any]
-    result: Optional[WorkflowRunResult] = None
-    error: Optional[WorkflowError] = None
-    done: bool = False
-    #: Name of the program this workflow was submitted for, if any.  Errors
-    #: of program-owned workflows are delivered to (and handled by) the
-    #: program, so ``run_until_complete`` does not re-raise them itself.
-    owner: Optional[str] = None
-    #: Tracing state for the ``"workflow"`` span (submit -> finish): the id
-    #: is pre-allocated at submit so step activities can parent to it.
-    span_id: Optional[int] = None
-    span_start_wall: float = 0.0
-    span_start_sim: float = 0.0
-
-    @property
-    def success(self) -> bool:
-        """True once the run finished with every step successful."""
-        return self.done and self.error is None
-
-
-@dataclass(slots=True)
-class _WorkflowTask:
-    handle: ConcurrentRun
-    index: int = 0
-    on_complete: Optional[Callable[[ConcurrentRun], None]] = None
-
-
-@dataclass
 class ProgramHandle:
-    """Handle for one application program driven by the concurrent engine."""
+    """Handle for one program driven by the concurrent engine.
+
+    A workflow submitted on its own (:meth:`ConcurrentWorkflowEngine.submit`)
+    is a program too: its ``result`` is the
+    :class:`~repro.wei.engine.WorkflowRunResult`, and a failed run's partial
+    result is on ``error.run_result``.
+    """
 
     name: str
     result: Any = None
     error: Optional[BaseException] = None
     done: bool = False
+    #: The generators being driven: the program at the bottom, above it the
+    #: workflow or action it is waiting on.
+    stack: List[Generator] = field(default_factory=list, repr=False)
 
     @property
     def success(self) -> bool:
@@ -347,8 +334,6 @@ class ConcurrentWorkflowEngine:
         self.scheduler = EventScheduler(clock=workcell.clock)
         #: Busy intervals per module, for utilisation analysis and benchmarks.
         self.timelines: Dict[str, ResourceTimeline] = {}
-        self.runs_completed = 0
-        self.runs_failed = 0
         self._queues: Dict[str, Deque[_Activity]] = {}
         self._busy: Dict[str, bool] = {}
         self._parked: Deque[_Activity] = deque()
@@ -361,9 +346,7 @@ class ConcurrentWorkflowEngine:
         self._ot2_decks: Set[str] = set()
         self._outgoing: Dict[str, int] = {}
         self._mixing: Set[str] = set()
-        self._workflows: List[ConcurrentRun] = []
         self._programs: List[ProgramHandle] = []
-        self._generators: Dict[int, Generator] = {}
         #: Program name -> current "run" span id (see :class:`RunSpanHooks`);
         #: activities requested by that program parent to it while tracing.
         self._program_spans: Dict[str, int] = {}
@@ -466,46 +449,20 @@ class ConcurrentWorkflowEngine:
         self._program_spans.pop(name, None)
 
     def submit(
-        self,
-        spec: WorkflowSpec,
-        payload: Optional[Mapping[str, Any]] = None,
-        *,
-        on_complete: Optional[Callable[[ConcurrentRun], None]] = None,
-    ) -> ConcurrentRun:
-        """Add a workflow to the in-flight set; returns its handle.
+        self, spec: WorkflowSpec, payload: Optional[Mapping[str, Any]] = None
+    ) -> ProgramHandle:
+        """Start a workflow as a program of its own; returns its handle.
 
         The first step starts immediately (at the current simulated time);
         call :meth:`run_until_complete` to drive everything to completion.
         """
-        payload = dict(payload or {})
-        now = self.clock.now()
-        handle = ConcurrentRun(
-            spec=spec,
-            payload=payload,
-            result=WorkflowRunResult(
-                workflow_name=spec.name,
-                start_time=now,
-                end_time=now,
-                payload_keys=sorted(payload),
-            ),
-        )
-        tracer = obs_tracer.active()
-        if tracer is not None:
-            # The "workflow" span is recorded whole in _finish_workflow; its
-            # id is allocated now so step activities can parent to it.
-            handle.span_id = tracer.new_id()
-            handle.span_start_wall = time.monotonic()
-            handle.span_start_sim = now
-        self._workflows.append(handle)
-        self._next_step(_WorkflowTask(handle=handle, on_complete=on_complete))
-        return handle
+        return self.submit_program(self._workflow(spec, payload), name=spec.name)
 
     def submit_program(self, program: Generator, *, name: str = "program") -> ProgramHandle:
         """Drive a request-yielding generator (see the module docstring)."""
-        handle = ProgramHandle(name=name)
+        handle = ProgramHandle(name=name, stack=[program])
         self._programs.append(handle)
-        self._generators[id(handle)] = program
-        self._resume_program(handle, value=None)
+        self._resume(handle)
         return handle
 
     def run_workflow(
@@ -529,12 +486,12 @@ class ConcurrentWorkflowEngine:
         return [handle.result for handle in handles]
 
     def run_until_complete(self, *, raise_errors: bool = True) -> "ConcurrentWorkflowEngine":
-        """Process events until every submitted workflow / program finishes.
+        """Process events until every submitted program finishes.
 
         Raises :class:`ConcurrencyError` when the event queue drains while
         work is still blocked (e.g. a deck location that is never freed).
-        With ``raise_errors`` (the default), the first stored workflow or
-        program error is re-raised; pass ``False`` to inspect handles instead.
+        With ``raise_errors`` (the default), the first stored program error
+        is re-raised; pass ``False`` to inspect handles instead.
         """
         self.engine_thread_id = threading.get_ident()
         while self.scheduler.step() is not None:
@@ -546,181 +503,157 @@ class ConcurrentWorkflowEngine:
                 f"concurrent execution stalled with blocked activities: {blocked}"
             )
         unfinished = [handle.name for handle in self._programs if not handle.done]
-        unfinished += [handle.spec.name for handle in self._workflows if not handle.done]
         if unfinished:
             raise ConcurrencyError(f"tasks never completed: {unfinished}")
         if raise_errors:
             for program in self._programs:
                 if program.error is not None:
                     raise program.error
-            for workflow in self._workflows:
-                if workflow.error is not None and workflow.owner is None:
-                    raise workflow.error
         return self
 
     # ------------------------------------------------------------------
-    # Workflow task state machine
+    # Programs: a stack of generators per task
     # ------------------------------------------------------------------
-    def _next_step(self, task: _WorkflowTask) -> None:
-        spec = task.handle.spec
-        if task.index >= len(spec.steps):
-            self._finish_workflow(task, error=None)
-            return
-        step = spec.steps[task.index]
-        module = self.workcell.module(step.module)
-        try:
-            args = resolve_payload_references(step.args, task.handle.payload)
-        except KeyError as exc:
-            task.handle.result.success = False
-            self._finish_workflow(
-                task,
-                error=WorkflowError(f"workflow {spec.name!r} step {task.index}: {exc}", step=step),
-            )
-            return
-        self._request(
-            _Activity(
-                module=module,
-                action=step.action,
-                args=args,
-                max_retries=MAX_STEP_RETRIES,
-                continuation=lambda result, t=task, s=step: self._step_finished(t, s, result),
-                step_name=f"{spec.name}.{task.index}",
-                label=f"{spec.name}.{task.index}:{step.module}.{step.action}",
-                parent_span_id=task.handle.span_id,
-            )
-        )
-
-    def _step_finished(self, task: _WorkflowTask, step: WorkflowStep, result: StepResult) -> None:
-        task.handle.result.steps.append(result)
-        if not result.success:
-            task.handle.result.success = False
-            self._finish_workflow(
-                task,
-                error=WorkflowError(
-                    f"workflow {task.handle.spec.name!r} failed at step {task.index} "
-                    f"({step.module}.{step.action}): {result.error}",
-                    step=step,
-                ),
-            )
-            return
-        task.index += 1
-        self._next_step(task)
-
-    def _finish_workflow(self, task: _WorkflowTask, error: Optional[WorkflowError]) -> None:
-        handle = task.handle
-        handle.result.end_time = self.clock.now()
-        if error is not None:
-            error.run_result = handle.result
-        handle.error = error
-        handle.done = True
-        tracer = obs_tracer.active()
-        if tracer is not None and handle.span_id is not None:
-            parent = self._program_spans.get(handle.owner) if handle.owner else None
-            tracer.record_complete(
-                "workflow",
-                span_id=handle.span_id,
-                parent_id=parent,
-                start_wall=handle.span_start_wall,
-                start_sim=handle.span_start_sim,
-                end_sim=handle.result.end_time,
-                status="ok" if error is None else "error",
-                workflow=handle.spec.name,
-            )
-            handle.span_id = None
-        self.run_logger.record_run(handle.result)
-        if error is None and handle.result.success:
-            self.runs_completed += 1
-        else:
-            self.runs_failed += 1
-        if task.on_complete is not None:
-            task.on_complete(handle)
-
-    # ------------------------------------------------------------------
-    # Program driving
-    # ------------------------------------------------------------------
-    def _resume_program(
+    def _resume(
         self,
         handle: ProgramHandle,
         value: Any = None,
         error: Optional[BaseException] = None,
     ) -> None:
-        program = self._generators[id(handle)]
-        try:
-            request = program.throw(error) if error is not None else program.send(value)
-        except StopIteration as stop:
-            handle.done = True
-            handle.result = stop.value
-            del self._generators[id(handle)]
-            return
-        except BaseException as exc:
-            handle.done = True
-            handle.error = exc
-            del self._generators[id(handle)]
-            return
-        self._handle_request(handle, request)
+        """Send ``value`` (or throw ``error``) into the top of ``handle``'s
+        stack and serve requests until one waits on the clock.
 
-    def _handle_request(self, handle: ProgramHandle, request: Any) -> None:
-        if not isinstance(request, tuple) or not request:
-            self._resume_program(
-                handle, error=ValueError(f"malformed program request: {request!r}")
-            )
-            return
-        kind = request[0]
-        if kind == "workflow":
-            spec = request[1]
-            payload = request[2] if len(request) > 2 else None
-
-            def workflow_done(run: ConcurrentRun) -> None:
-                if run.error is not None:
-                    self._resume_program(handle, error=run.error)
+        A ``"workflow"`` or ``"action"`` request pushes the generator that
+        carries it out; a generator that returns or raises is popped and its
+        value or error goes to the generator below it.  An :class:`_Activity`
+        is queued on its module, and its completion event resumes the
+        program; a ``"sleep"`` schedules the resumption.
+        """
+        stack = handle.stack
+        while stack:
+            try:
+                if error is not None:
+                    request = stack[-1].throw(error)
                 else:
-                    self._resume_program(handle, value=run.result)
-
-            self.submit(spec, payload, on_complete=workflow_done).owner = handle.name
-        elif kind == "action":
-            if len(request) != 4:
-                self._resume_program(
-                    handle,
-                    error=ValueError(
+                    request = stack[-1].send(value)
+            except StopIteration as stop:
+                stack.pop()
+                value, error = stop.value, None
+                continue
+            except BaseException as exc:
+                stack.pop()
+                value, error = None, exc
+                continue
+            value = error = None
+            if isinstance(request, _Activity):
+                request.owner = handle
+                self._request(request)
+                return
+            kind = request[0] if isinstance(request, tuple) and request else None
+            if kind == "workflow":
+                payload = request[2] if len(request) > 2 else None
+                stack.append(self._workflow(request[1], payload, owner=handle.name))
+            elif kind == "action":
+                if len(request) != 4:
+                    error = ValueError(
                         f"'action' request must be (kind, module, action, kwargs), got {request!r}"
-                    ),
+                    )
+                else:
+                    stack.append(self._action(handle.name, *request[1:]))
+            elif kind == "sleep":
+                self.scheduler.schedule_after(
+                    float(request[1]), lambda: self._resume(handle), label=f"{handle.name}:sleep"
                 )
                 return
-            _, module_name, action, kwargs = request
-            module = self.workcell.module(module_name)
+            else:
+                error = ValueError(f"unknown program request {request!r}")
+        handle.done = True
+        handle.result = value
+        handle.error = error
 
-            def action_done(result: StepResult) -> None:
-                if result.success:
-                    self._resume_program(handle, value=result)
-                else:
-                    self._resume_program(
-                        handle,
-                        error=WorkflowError(f"action {module_name}.{action} failed: {result.error}"),
-                    )
+    def _workflow(
+        self, spec: WorkflowSpec, payload: Optional[Mapping[str, Any]], owner: Optional[str] = None
+    ) -> Generator:
+        """One workflow run: an :class:`_Activity` per step, with retries.
 
-            self._request(
-                _Activity(
-                    module=module,
-                    action=action,
-                    args=dict(kwargs or {}),
-                    max_retries=0,
-                    continuation=action_done,
-                    step_name=f"direct.{module_name}.{action}",
-                    label=f"{handle.name}:{module_name}.{action}",
-                    parent_span_id=self._program_spans.get(handle.name),
+        Returns the :class:`WorkflowRunResult`; the first failed step ends
+        the run with a :class:`WorkflowError` whose ``run_result`` holds the
+        steps so far.  The run is logged and, while tracing, recorded as a
+        ``"workflow"`` span parented to program ``owner``'s run span.
+        """
+        payload = dict(payload or {})
+        now = self.clock.now()
+        result = WorkflowRunResult(
+            workflow_name=spec.name, start_time=now, end_time=now, payload_keys=sorted(payload)
+        )
+        # The "workflow" span is recorded whole when the run ends; its id is
+        # allocated now so step activities can parent to it.
+        tracer = obs_tracer.active()
+        span_id = tracer.new_id() if tracer is not None else None
+        span_start_wall = time.monotonic() if tracer is not None else 0.0
+        error: Optional[WorkflowError] = None
+        for index, step in enumerate(spec.steps):
+            module = self.workcell.module(step.module)
+            try:
+                args = resolve_payload_references(step.args, payload)
+            except KeyError as exc:
+                error = WorkflowError(f"workflow {spec.name!r} step {index}: {exc}", step=step)
+                break
+            step_result = yield _Activity(
+                module=module,
+                action=step.action,
+                args=args,
+                max_retries=MAX_STEP_RETRIES,
+                step_name=f"{spec.name}.{index}",
+                label=f"{spec.name}.{index}:{step.module}.{step.action}",
+                parent_span_id=span_id,
+            )
+            result.steps.append(step_result)
+            if not step_result.success:
+                error = WorkflowError(
+                    f"workflow {spec.name!r} failed at step {index} "
+                    f"({step.module}.{step.action}): {step_result.error}",
+                    step=step,
                 )
+                break
+        result.end_time = self.clock.now()
+        tracer = obs_tracer.active()
+        if tracer is not None and span_id is not None:
+            tracer.record_complete(
+                "workflow",
+                span_id=span_id,
+                parent_id=self._program_spans.get(owner) if owner else None,
+                start_wall=span_start_wall,
+                start_sim=now,
+                end_sim=result.end_time,
+                status="ok" if error is None else "error",
+                workflow=spec.name,
             )
-        elif kind == "sleep":
-            seconds = float(request[1])
-            self.scheduler.schedule_after(
-                seconds,
-                lambda: self._resume_program(handle, value=None),
-                label=f"{handle.name}:sleep",
-            )
-        else:
-            self._resume_program(
-                handle, error=ValueError(f"unknown program request kind {kind!r}")
-            )
+        if error is not None:
+            result.success = False
+            error.run_result = result
+        self.run_logger.record_run(result)
+        if error is not None:
+            raise error
+        return result
+
+    def _action(
+        self, program: str, module_name: str, action: str, kwargs: Optional[Mapping[str, Any]]
+    ) -> Generator:
+        """A program's one direct module action: no retries; returns its
+        :class:`StepResult`, or raises :class:`WorkflowError` on failure."""
+        result = yield _Activity(
+            module=self.workcell.module(module_name),
+            action=action,
+            args=dict(kwargs or {}),
+            max_retries=0,
+            step_name=f"direct.{module_name}.{action}",
+            label=f"{program}:{module_name}.{action}",
+            parent_span_id=self._program_spans.get(program),
+        )
+        if not result.success:
+            raise WorkflowError(f"action {module_name}.{action} failed: {result.error}")
+        return result
 
     # ------------------------------------------------------------------
     # Module scheduling: queues, guards, invocation
@@ -893,7 +826,7 @@ class ConcurrentWorkflowEngine:
         goes silent).  State mutations are applied *now*, on the engine
         thread -- before parked activities are re-examined, so a slot freed
         by this completion admits its waiters -- and only then does the
-        owning task continue with the activity's :class:`StepResult`.
+        owning program resume with the activity's :class:`StepResult`.
         """
         self.engine_thread_id = threading.get_ident()
         reserved = action_handle is not None
@@ -934,11 +867,11 @@ class ConcurrentWorkflowEngine:
         )
         self._record_action_span(activity, ticket, end, status="ok" if succeeded else "error")
         # Only this module and the ones _unpark queued for can be idle with
-        # work waiting (the continuation dispatches what it requests), so
+        # work waiting (the resumed program dispatches what it requests), so
         # they are the ones to dispatch, in name order as always.
         ready = self._unpark()
         ready.add(name)
-        activity.continuation(result)
+        self._resume(activity.owner, value=result)
         for ready_name in sorted(ready):
             self._dispatch(ready_name)
 

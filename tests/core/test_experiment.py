@@ -91,8 +91,9 @@ class TestExperimentResult:
         assert len(times) == 0
         assert result.elapsed_s == 0.0
 
-    def test_elapsed_prefers_metrics(self):
+    def test_elapsed_is_not_time_without_humans(self):
         result = make_result([10.0])
+        result.elapsed_s = 1300.0
         result.metrics = SdlMetrics(
             time_without_humans_s=1234.0,
             commands_completed=3,
@@ -100,7 +101,8 @@ class TestExperimentResult:
             transfer_time_s=434.0,
             total_colors=1,
         )
-        assert result.elapsed_s == 1234.0
+        assert result.elapsed_s == 1300.0
+        assert result.metrics.time_without_humans_s == 1234.0
 
     def test_to_dict_serialisable(self):
         import json

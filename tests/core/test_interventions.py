@@ -101,6 +101,24 @@ class TestRecoveringApplication:
         total_elapsed = workcell.clock.now()
         assert result.metrics.time_without_humans_s < total_elapsed
 
+    def test_elapsed_is_the_run_duration_interventions_included(self):
+        config = ExperimentConfig(
+            n_samples=24, batch_size=4, seed=30, publish=False, recover_from_failures=True
+        )
+        workcell = build_color_picker_workcell(
+            seed=30, fault_policy=FaultPolicy.uniform(0.05, unrecoverable_fraction=0.5)
+        )
+        start = workcell.clock.now()
+        result = ColorPickerApp(config, workcell=workcell, staging="camera").run()
+        assert result.interventions == 1
+        assert result.elapsed_s == pytest.approx(workcell.clock.now() - start)
+        assert result.elapsed_s == pytest.approx(4018.6, abs=0.05)
+        # Time without humans is the longer stretch after the intervention.
+        assert result.metrics.time_without_humans_s == pytest.approx(3862.5, abs=0.05)
+        last_sample = max(sample.elapsed_s for sample in result.samples)
+        assert last_sample == pytest.approx(3897.1, abs=0.05)
+        assert result.elapsed_s >= last_sample
+
     @pytest.mark.parametrize("staging", ["camera", "ot2"])
     def test_intervention_trashes_compromised_plate(self, staging):
         _, workcell, result = self._recovering_run(failure_rate=0.12, staging=staging)

@@ -37,12 +37,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_and_inc(self):
         gauge = Gauge("queue_depth")
         gauge.set(5.0)
         gauge.inc(2.0)
-        gauge.dec()
-        assert gauge.value == 6.0
+        assert gauge.value == 7.0
 
 
 class TestHistogram:

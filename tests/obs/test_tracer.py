@@ -59,8 +59,10 @@ class TestRecording:
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
                 assert inner.span.parent_id == outer.span.span_id
-            assert tracer.current_span_id() == outer.span.span_id
-        assert tracer.current_span_id() is None
+            with tracer.span("sibling") as sibling:
+                assert sibling.span.parent_id == outer.span.span_id
+        with tracer.span("after") as after:
+            assert after.span.parent_id is None
 
     def test_exception_marks_status_error_and_propagates(self, tracer):
         with pytest.raises(ValueError):

@@ -43,9 +43,8 @@ class TestDurationModel:
 
 class TestDurationTable:
     def test_specific_entry_wins(self):
-        table = DurationTable()
+        table = DurationTable(module_defaults={"ot2": DurationModel(base_s=5.0, jitter_cv=0.0)})
         table.set("ot2", "run_protocol", DurationModel(base_s=100.0, jitter_cv=0.0))
-        table.set_module_default("ot2", DurationModel(base_s=5.0, jitter_cv=0.0))
         assert table.mean("ot2", "run_protocol") == 100.0
         assert table.mean("ot2", "anything_else") == 5.0
 

@@ -23,8 +23,10 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from check_bench import CORE_AREAS, check_all, check_bench_file  # noqa: E402
 
+from repro import bench as bench_package
 from repro.bench import (
     AREA_ORDER,
+    AreaResult,
     SCHEMA_VERSION,
     area_payload,
     bench_filename,
@@ -178,6 +180,36 @@ class TestCompare:
         results = run_bench(["portal"], repeats=1, scale=0.02)
         comparison = compare_results(results, baseline_dir=tmp_path)
         assert comparison["skipped"] == {"portal": "no committed baseline file"}
+
+    def test_changed_science_digest_fails_the_compare(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        def fabricated(fingerprint):
+            return AreaResult(
+                area="campaign",
+                config={"n_runs": 4},
+                metrics={"makespan_h": {"value": 2.0, "unit": "h", "direction": "lower"}},
+                science={"campaign_fingerprint_sha256": fingerprint, "shards": {"lookahead": (1, 0)}},
+            )
+
+        write_results([fabricated("aaaa")], repeats=1, directory=tmp_path)
+        same = compare_results([fabricated("aaaa")], baseline_dir=tmp_path)
+        assert [(c.key, c.differs) for c in same["science"]] == [
+            ("campaign_fingerprint_sha256", False),
+            ("shards", False),
+        ]
+        changed = compare_results([fabricated("bbbb")], baseline_dir=tmp_path)
+        assert [c.key for c in changed["science"] if c.differs] == ["campaign_fingerprint_sha256"]
+        # The metrics alone would pass: only the digest moved.
+        assert not any(d.is_regression(0.15) for d in changed["deltas"])
+
+        for fingerprint, code in (("aaaa", 0), ("bbbb", 1)):
+            monkeypatch.setattr(
+                bench_package, "run_bench", lambda *a, fp=fingerprint, **k: [fabricated(fp)]
+            )
+            assert main(["bench", "--areas", "campaign", "--compare", str(tmp_path)]) == code
+            out = capsys.readouterr().out
+            assert ("SCIENCE DIFFERS" in out) == (code == 1)
 
     def test_delta_direction_semantics(self):
         slower_rate = MetricDelta(

@@ -1,12 +1,15 @@
 """Tests for the event-driven concurrent workflow engine."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.protocol import build_mix_protocol
 from repro.hardware.labware import Plate
+from repro.obs import tracer as obs_tracer
 from repro.sim.faults import FaultPolicy
 from repro.wei import concurrent as concurrent_module
-from repro.wei.concurrent import ConcurrencyError, ConcurrentWorkflowEngine
+from repro.wei.concurrent import ConcurrencyError, ConcurrentWorkflowEngine, RunSpanHooks, claim_jobs
 from repro.wei.engine import StepResult, WorkflowError
 from repro.wei.workflow import WorkflowSpec
 
@@ -97,7 +100,7 @@ class TestConcurrentExecution:
             [{"protocol": protocol_for(workcell, 2)}, {"protocol": protocol_for(workcell, 2)}],
         )
         assert [r.workflow_name for r in results] == ["mix_ot2", "mix_ot2_2"]
-        assert engine.runs_completed == 2
+        assert [run.success for run in engine.run_logger.runs] == [True, True]
         assert engine.run_logger.n_runs == 2
         # Step values keep working through the concurrent path.
         assert "camera.take_picture" in results[0].step_values()
@@ -165,7 +168,7 @@ class TestFaultsAndFailures:
         with pytest.raises(WorkflowError):
             engine.run_until_complete()
         assert handle.done and not handle.success
-        assert engine.runs_failed == 1
+        assert [run.success for run in engine.run_logger.runs] == [False]
         assert not engine.run_logger.runs[0].success
 
     def test_stalled_execution_raises_concurrency_error(self, make_workcell):
@@ -273,6 +276,101 @@ class TestPrograms:
         with pytest.raises(ValueError, match="teleport"):
             engine.run_until_complete()
         assert handle.done and handle.error is not None
+
+
+class TestOneTaskModel:
+    """Workflows and direct actions run as one kind of task: these pins hold
+    the interleaving and the span tree that model must reproduce."""
+
+    #: ``(step_name, start_time, end_time, retries)`` of every step the two
+    #: programs of the test below ran, in each program's own order.
+    GOLDEN_MIXER = [
+        ("direct.ot2.replace_tips", 0.0, 27.972046886223453, 0),
+        ("mix_ot2.0", 27.972046886223453, 227.81844084893805, 0),
+        ("mix_ot2.1", 227.81844084893805, 269.13437093311654, 0),
+        ("mix_ot2.2", 269.13437093311654, 272.7677634322341, 0),
+        ("mix_ot2.3", 272.7677634322341, 311.76387267875134, 0),
+        # Requested at 311.8 s, when mix_ot2.3's completion freed the camera
+        # stage: the pf400 transfer parked on it was queued first.
+        ("direct.pf400.move_home", 350.1960370724, 363.2011248602412, 0),
+    ]
+    GOLDEN_DOOMED = [
+        ("mix_ot2_2.0", 0.0, 233.95591969556548, 0),
+        # Parked until the mixer's plate leaves the camera stage at 311.8 s.
+        ("mix_ot2_2.1", 311.76387267875134, 350.1960370724, 0),
+        ("mix_ot2_2.2", 350.1960370724, 354.01872337821317, 0),
+        ("mix_ot2_2.3", 363.2011248602412, 405.27629914113294, 0),
+        ("mix_ot2_2.4", 405.27629914113294, 406.7727267267366, 1),
+        ("mix_ot2_2.5", 406.7727267267366, 408.21870830715756, 2),
+    ]
+
+    def test_golden_two_lane_interleaving(self, make_workcell):
+        workcell = make_workcell(
+            seed=2,
+            n_ot2=2,
+            fault_policy=FaultPolicy(command_failure={"sciclops": 0.5}, unrecoverable_fraction=0.0),
+        )
+        for ot2 in ("ot2", "ot2_2"):
+            stage_lane(workcell, ot2)
+        engine = ConcurrentWorkflowEngine(workcell)
+
+        def mixer():
+            tips = yield ("action", "ot2", "replace_tips", {})
+            result = yield ("workflow", mix_spec("ot2"), {"protocol": protocol_for(workcell, 2)})
+            home = yield ("action", "pf400", "move_home", {})
+            return [tips, *result.steps, home]
+
+        def doomed():
+            spec = mix_spec("ot2_2")
+            for _ in range(6):
+                spec.add_step("sciclops", "status")
+            try:
+                yield ("workflow", spec, {"protocol": protocol_for(workcell, 2)})
+            except WorkflowError as error:
+                return error.run_result.steps
+            return None
+
+        mixer_handle = engine.submit_program(mixer(), name="mixer")
+        doomed_handle = engine.submit_program(doomed(), name="doomed")
+        engine.run_until_complete()
+
+        def pinned(steps):
+            return [(s.step_name, s.start_time, s.end_time, s.retries) for s in steps]
+
+        assert pinned(mixer_handle.result) == self.GOLDEN_MIXER
+        # The sixth step exhausted its two retries; the fifth was retried once.
+        assert pinned(doomed_handle.result) == self.GOLDEN_DOOMED
+        assert [step.success for step in doomed_handle.result] == [True] * 5 + [False]
+        assert [run.success for run in engine.run_logger.runs] == [True, False]
+
+    def test_span_parentage(self, make_workcell):
+        tracer = obs_tracer.install(obs_tracer.Tracer())
+        try:
+            engine = ConcurrentWorkflowEngine(make_workcell(seed=9))
+            hooks = RunSpanHooks(engine, "lane")
+
+            def job(_):
+                yield ("workflow", WorkflowSpec(name="fetch").add_step("sciclops", "get_plate"), None)
+                yield ("action", "pf400", "move_home", {})
+
+            lane = claim_jobs(deque([(0, None)]), [None], job, hooks.claimed, on_done=hooks.done)
+            engine.submit_program(lane, name="lane")
+            engine.submit(WorkflowSpec(name="solo").add_step("sciclops", "status"))
+            engine.run_until_complete()
+            spans = tracer.drain()
+        finally:
+            obs_tracer.uninstall()
+        (run,) = [s for s in spans if s.name == "run"]
+        workflows = {s.attrs["workflow"]: s for s in spans if s.name == "workflow"}
+        actions = {s.attrs["label"]: s for s in spans if s.name == "action"}
+        assert set(workflows) == {"fetch", "solo"}
+        assert set(actions) == {"fetch.0:sciclops.get_plate", "lane:pf400.move_home", "solo.0:sciclops.status"}
+        assert run.parent_id is None
+        assert workflows["fetch"].parent_id == run.span_id
+        assert actions["fetch.0:sciclops.get_plate"].parent_id == workflows["fetch"].span_id
+        assert actions["lane:pf400.move_home"].parent_id == run.span_id
+        assert workflows["solo"].parent_id is None
+        assert actions["solo.0:sciclops.status"].parent_id == workflows["solo"].span_id
 
 
 class TestValidation:

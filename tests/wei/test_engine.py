@@ -59,7 +59,7 @@ class TestRunWorkflow:
         engine.run_workflow(WorkflowSpec(name="status").add_step("sciclops", "status"))
         assert engine.run_logger.n_runs == 2
         assert Counter(run.workflow_name for run in engine.run_logger.runs) == {"newplate": 1, "status": 1}
-        assert engine.runs_completed == 2
+        assert [run.success for run in engine.run_logger.runs] == [True, True]
 
     def test_step_values_accessible_by_key(self, engine):
         result = engine.run_workflow(newplate_spec())
@@ -114,7 +114,7 @@ class TestFailureHandling:
         engine = ConcurrentWorkflowEngine(workcell)
         with pytest.raises(WorkflowError):
             engine.run_workflow(WorkflowSpec(name="doomed").add_step("sciclops", "status"))
-        assert engine.runs_failed == 1
+        assert [run.success for run in engine.run_logger.runs] == [False]
         # The failed run is still recorded for post-hoc analysis.
         assert engine.run_logger.n_runs == 1
         assert not engine.run_logger.runs[0].success
