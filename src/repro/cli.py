@@ -115,7 +115,8 @@ def _add_module_speeds_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="MODULE=FACTOR,...",
         help="per-module hardware speed factors, e.g. 'ot2=2.5,pf400=0.5' "
-        "(2.5 = that module runs 2.5x faster than the paper calibration). "
+        "(2.5 = that module's calibrated actions run 2.5x faster than the "
+        "paper calibration; the module must have duration entries). "
         "Given once, applies to every workcell; repeat the flag to give "
         "each workcell its own profile (one flag per workcell, in shard "
         "order). See docs/scheduling.md",
@@ -380,7 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fractional regression threshold for --compare (default 0.15)",
     )
-    bench_parser.add_argument("--json", action="store_true", help="emit results as JSON")
+    bench_parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit results as JSON (with --compare: one object holding the results "
+        "and the compare's metric deltas and science checks)",
+    )
 
     metrics_parser = subparsers.add_parser(
         "metrics",
@@ -826,16 +832,11 @@ def _command_bench(args) -> int:
             print(f"bench: running {area} ...", flush=True)
 
     results = run_bench(areas, repeats=args.repeat, scale=args.scale, progress=progress)
+    payloads = [area_payload(result, repeats=args.repeat) for result in results] if args.json else []
 
-    if args.json:
-        print(
-            json.dumps(
-                [area_payload(result, repeats=args.repeat) for result in results],
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
+    if args.json and args.compare is None:
+        print(json.dumps(payloads, indent=2, sort_keys=True))
+    elif not args.json:
         for result in results:
             print(f"\n[{result.area}]")
             rows = [
@@ -861,7 +862,24 @@ def _command_bench(args) -> int:
     comparison = compare_results(results, baseline_dir=Path(args.compare))
     deltas = comparison["deltas"]
     science_diffs = [check for check in comparison["science"] if check.differs]
-    if not args.json:
+    regressions = [delta for delta in deltas if delta.is_regression(threshold)]
+    if args.json:
+        # One document: the fresh results and the verdict on each of them.
+        compare = {
+            "baseline_dir": args.compare,
+            "threshold": threshold,
+            "deltas": [
+                dict(vars(delta), regression=delta.is_regression(threshold)) for delta in deltas
+            ],
+            "science": [
+                dict(vars(check), differs=check.differs) for check in comparison["science"]
+            ],
+            "skipped": comparison["skipped"],
+            "regressions": len(regressions),
+            "science_diffs": len(science_diffs),
+        }
+        print(json.dumps({"results": payloads, "compare": compare}, indent=2, sort_keys=True))
+    else:
         print(f"\nCompare vs {args.compare} (threshold {threshold:.0%}):")
         rows = [
             (
@@ -889,7 +907,6 @@ def _command_bench(args) -> int:
             print(format_table(["area", "metric", "baseline", "current", "change", "verdict"], rows))
         for area, reason in comparison["skipped"].items():
             print(f"skipped {area}: {reason}")
-    regressions = [delta for delta in deltas if delta.is_regression(threshold)]
     if regressions and not args.json:
         print(f"\n{len(regressions)} metric(s) regressed beyond the {threshold:.0%} threshold")
     if science_diffs and not args.json:

@@ -309,7 +309,9 @@ class DataPortal(PortalBackend):
 
     def __init__(self) -> None:
         self._runs: Dict[str, RunRecord] = {}
-        self._experiments: Dict[str, List[str]] = {}
+        #: Experiment -> its run ids in first-publication order (a dict
+        #: used as an insertion-ordered set, as in the durable store).
+        self._experiments: Dict[str, Dict[str, None]] = {}
         self._versions: Dict[str, int] = {}
         self.ingest_count = 0
 
@@ -333,14 +335,12 @@ class DataPortal(PortalBackend):
             # An overwrite that moves the run between experiments must leave
             # no trace under the old one.
             old_runs = self._experiments[previous.experiment_id]
-            old_runs.remove(record.run_id)
+            del old_runs[record.run_id]
             if not old_runs:
                 del self._experiments[previous.experiment_id]
         self._runs[record.run_id] = record
         self._versions[record.run_id] = self._versions.get(record.run_id, 0) + 1
-        runs = self._experiments.setdefault(record.experiment_id, [])
-        if record.run_id not in runs:
-            runs.append(record.run_id)
+        self._experiments.setdefault(record.experiment_id, {})[record.run_id] = None
         self.ingest_count += 1
 
     def version(self, run_id: str) -> int:

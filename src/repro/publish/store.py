@@ -106,8 +106,13 @@ STORE_LOCK_ROLE = "durable-portal"
 
 
 #: The one encoder behind :func:`_canonical_record_json` (``json.dumps``
-#: with the same arguments builds an identical encoder on every call).
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+#: with the same arguments builds an identical encoder on every call).  It
+#: skips the circular-reference check: it only ever encodes the tree
+#: ``RunRecord.to_dict`` builds, and a cycle planted in a record's
+#: metadata still fails the ingest (as a ``RecursionError``).
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=str, check_circular=False
+)
 
 
 def _canonical_record_json(record_dict: Dict[str, Any]) -> bytes:
@@ -132,6 +137,29 @@ def _envelope_line(record_json: bytes, version: int) -> bytes:
         version,
         record_json,
     )
+
+
+def _is_canonical_envelope(line: bytes, version: int) -> bool:
+    """True when ``line`` (newline included) is exactly
+    :func:`_envelope_line` of its own raw record bytes at ``version``, so
+    its CRC covers those bytes.
+
+    Replay checks a line this way first; only a line that fails it needs
+    the canonical re-encode of its parsed record.
+    """
+    start = line.find(b'"record":') + len(b'"record":')
+    return _envelope_line(line[start:-2], version) == line
+
+
+def _record_of(line: bytes, canonical: bool) -> RunRecord:
+    """The record of an envelope line the index points at.  A ``canonical``
+    line holds exactly the ``to_dict`` of a valid record (see
+    :class:`_IndexEntry`), so its record is built without re-validation;
+    any other line goes through the validating constructors."""
+    record_dict = json.loads(line)["record"]
+    if canonical:
+        return RunRecord.from_checked_dict(record_dict)
+    return RunRecord.from_dict(record_dict)
 
 
 def _segment_name(index: int) -> str:
@@ -192,7 +220,7 @@ class RecoveryReport:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _IndexEntry:
     """Where one run's *latest* record lives, plus its searchable fields."""
 
@@ -205,6 +233,12 @@ class _IndexEntry:
     segment: str
     offset: int
     length: int
+    #: The line is a canonical envelope (its CRC covers its raw record
+    #: bytes) and its record decodes to exactly the ``to_dict`` of a valid
+    #: record: true of every line ingest writes, and of a replayed line
+    #: whose values need none of the validating constructors' conversions.
+    #: Reads of such a line skip the validation and compaction copies it.
+    canonical: bool
 
 
 class DurableDataPortal(PortalBackend):
@@ -256,10 +290,15 @@ class DurableDataPortal(PortalBackend):
         self.recovery = RecoveryReport()
         self._lock = make_lock(STORE_LOCK_ROLE)
         self._index: Dict[str, _IndexEntry] = {}
-        self._experiments: Dict[str, List[str]] = {}
+        #: Experiment -> its run ids in first-publication order (a dict
+        #: used as an insertion-ordered set).
+        self._experiments: Dict[str, Dict[str, None]] = {}
         #: Sorted pagination keys ``(experiment_id, run_index, run_id)``.
         self._order: List[Tuple[str, int, str]] = []
         self._write_handle: Optional[IO[bytes]] = None
+        #: One read handle per segment, opened by the first read of it and
+        #: closed by :meth:`close` and :meth:`compact` (under the lock).
+        self._read_handles: Dict[str, IO[bytes]] = {}
         self._write_segment = ""
         self._write_offset = 0
         self._closed = False
@@ -344,7 +383,7 @@ class DurableDataPortal(PortalBackend):
                         )
                     )
                     break
-                line = data[offset:newline]
+                line = data[offset : newline + 1]
                 problem = self._replay_line(path.name, offset, line)
                 if problem is None:
                     report.records_replayed += 1
@@ -353,7 +392,7 @@ class DurableDataPortal(PortalBackend):
                         StoreFault(
                             segment=path.name,
                             offset=offset,
-                            length=len(line) + 1,
+                            length=len(line),
                             reason=problem,
                             at_tail=last_segment and data.find(b"\n", newline + 1) < 0
                             and newline + 1 == len(data),
@@ -382,7 +421,15 @@ class DurableDataPortal(PortalBackend):
                 self._write_offset = size
 
     def _replay_line(self, segment: str, offset: int, line: bytes) -> Optional[str]:
-        """Apply one envelope line; returns a fault reason or ``None``."""
+        """Apply one envelope line (newline included); returns a fault
+        reason or ``None``.
+
+        The CRC is checked over the line's raw record bytes; only a line
+        that is not the canonical envelope around them pays for the
+        canonical re-encode of its parsed record.  The record is always
+        built by the validating constructors: replay is where a line's
+        values are checked, once, for every later read.
+        """
         try:
             envelope = json.loads(line)
         except ValueError:
@@ -398,20 +445,28 @@ class DurableDataPortal(PortalBackend):
             # bool is an int subclass; neither it nor a non-positive count
             # may seed the version counter ingest/overwrite build on.
             return f"envelope version invalid ({version!r})"
-        if zlib.crc32(_canonical_record_json(record_dict)) != crc:
+        raw_bytes_checked = _is_canonical_envelope(line, version)
+        if not raw_bytes_checked and zlib.crc32(_canonical_record_json(record_dict)) != crc:
             return "record checksum mismatch"
         try:
             record = RunRecord.from_dict(record_dict)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return f"record schema invalid ({exc})"
         if not record.run_id or not record.experiment_id:
             return "record missing run_id/experiment_id"
         self._apply(
-            record,
-            version=version,
-            segment=segment,
-            offset=offset,
-            length=len(line) + 1,
+            _IndexEntry(
+                record.run_id,
+                record.experiment_id,
+                record.run_index,
+                record.solver,
+                record.best_score,
+                version,
+                segment,
+                offset,
+                len(line),
+                raw_bytes_checked and record.to_dict() == record_dict,
+            ),
             maintain_order=False,
         )
         return None
@@ -431,7 +486,9 @@ class DurableDataPortal(PortalBackend):
         self._validate_record(record)
         # Encoded before taking the lock, so other shards' appends never
         # wait on this record's serialisation.
-        record_json = _canonical_record_json(record.to_dict())
+        record_dict = record.to_dict()
+        record_json = _canonical_record_json(record_dict)
+        best_score = record_dict["best_score"]
         with self._lock:
             self._ensure_open()
             previous = self._index.get(record.run_id)
@@ -441,37 +498,36 @@ class DurableDataPortal(PortalBackend):
             line = _envelope_line(record_json, version)
             segment, offset = self._append(line)
             self._apply(
-                record,
-                version=version,
-                segment=segment,
-                offset=offset,
-                length=len(line),
+                _IndexEntry(
+                    record.run_id,
+                    record.experiment_id,
+                    record.run_index,
+                    record.solver,
+                    float("inf") if best_score is None else best_score,
+                    version,
+                    segment,
+                    offset,
+                    len(line),
+                    True,
+                ),
                 maintain_order=True,
             )
 
-    def _apply(
-        self,
-        record: RunRecord,
-        *,
-        version: int,
-        segment: str,
-        offset: int,
-        length: int,
-        maintain_order: bool,
-    ) -> None:
+    def _apply(self, entry: _IndexEntry, *, maintain_order: bool) -> None:
         """Update the indexes for one appended (or replayed) envelope."""
         import bisect
 
-        previous = self._index.get(record.run_id)
-        if previous is not None and previous.experiment_id != record.experiment_id:
+        run_id, experiment_id = entry.run_id, entry.experiment_id
+        previous = self._index.get(run_id)
+        if previous is not None and previous.experiment_id != experiment_id:
             # Latest-wins across experiments: the run leaves its old
             # experiment entirely, exactly like the in-memory backend.
             old_runs = self._experiments[previous.experiment_id]
-            old_runs.remove(record.run_id)
+            del old_runs[run_id]
             if not old_runs:
                 del self._experiments[previous.experiment_id]
         if maintain_order:
-            key = (record.experiment_id, record.run_index, record.run_id)
+            key = (experiment_id, entry.run_index, run_id)
             if previous is not None:
                 old_key = (previous.experiment_id, previous.run_index, previous.run_id)
                 if old_key != key:
@@ -481,20 +537,8 @@ class DurableDataPortal(PortalBackend):
                     bisect.insort(self._order, key)
             else:
                 bisect.insort(self._order, key)
-        self._index[record.run_id] = _IndexEntry(
-            run_id=record.run_id,
-            experiment_id=record.experiment_id,
-            run_index=record.run_index,
-            solver=record.solver,
-            best_score=record.best_score,
-            version=version,
-            segment=segment,
-            offset=offset,
-            length=length,
-        )
-        runs = self._experiments.setdefault(record.experiment_id, [])
-        if record.run_id not in runs:
-            runs.append(record.run_id)
+        self._index[run_id] = entry
+        self._experiments.setdefault(experiment_id, {})[run_id] = None
 
     def _append(self, line: bytes) -> Tuple[str, int]:
         """Write one envelope line to the active segment (rolling first if
@@ -605,19 +649,30 @@ class DurableDataPortal(PortalBackend):
         with self._lock:
             return list(self._experiments)
 
-    def _read_entry(self, entry: _IndexEntry) -> RunRecord:
-        """Load one record from its segment byte range.
+    def _read_line(self, entry: _IndexEntry) -> bytes:
+        """The envelope line (newline included) of one index entry.
 
         Caller holds the store lock: a ``(segment, offset)`` pair is only
         meaningful against the segment files as they existed when the
         index entry was taken, and :meth:`compact` swaps those files (same
-        names, different contents) under the same lock.
+        names, different contents) under the same lock, closing the read
+        handles first.  A closed store keeps no handle open.
         """
-        with open(self.directory / entry.segment, "rb") as handle:
-            handle.seek(entry.offset)
-            line = handle.read(entry.length)
-        envelope = json.loads(line)
-        return RunRecord.from_dict(envelope["record"])
+        if self._closed:
+            with open(self.directory / entry.segment, "rb") as handle:
+                handle.seek(entry.offset)
+                return handle.read(entry.length)
+        handle = self._read_handles.get(entry.segment)
+        if handle is None:
+            handle = self._read_handles[entry.segment] = open(self.directory / entry.segment, "rb")
+        handle.seek(entry.offset)
+        return handle.read(entry.length)
+
+    def _read_entry(self, entry: _IndexEntry) -> RunRecord:
+        """Load one record from its segment byte range (caller holds the
+        store lock); each call decodes a fresh record the caller may
+        mutate."""
+        return _record_of(self._read_line(entry), entry.canonical)
 
     def get_run(self, run_id: str) -> RunRecord:
         """Fetch a run record by id (the latest version, if overwritten)."""
@@ -643,6 +698,21 @@ class DurableDataPortal(PortalBackend):
         runs.sort(key=lambda run: run.run_index)
         return ExperimentRecord(experiment_id=experiment_id, runs=runs)
 
+    @staticmethod
+    def _admits(
+        entry: _IndexEntry,
+        experiment_id: Optional[str],
+        solver: Optional[str],
+        max_best_score: Optional[float],
+    ) -> bool:
+        """The index pre-filter: the criteria an entry's resident fields
+        decide without reading the record."""
+        return (
+            (experiment_id is None or entry.experiment_id == experiment_id)
+            and (solver is None or entry.solver == solver)
+            and (max_best_score is None or entry.best_score <= max_best_score)
+        )
+
     def search(
         self,
         *,
@@ -663,9 +733,7 @@ class DurableDataPortal(PortalBackend):
             candidates = [
                 entry
                 for entry in self._index.values()
-                if (experiment_id is None or entry.experiment_id == experiment_id)
-                and (solver is None or entry.solver == solver)
-                and (max_best_score is None or entry.best_score <= max_best_score)
+                if self._admits(entry, experiment_id, solver, max_best_score)
             ]
             results = [
                 record
@@ -703,11 +771,7 @@ class DurableDataPortal(PortalBackend):
             start = bisect.bisect_right(self._order, after) if after is not None else 0
             for key in self._order[start:]:
                 entry = self._index[key[2]]
-                if experiment_id is not None and entry.experiment_id != experiment_id:
-                    continue
-                if solver is not None and entry.solver != solver:
-                    continue
-                if max_best_score is not None and entry.best_score > max_best_score:
+                if not self._admits(entry, experiment_id, solver, max_best_score):
                     continue
                 record = self._read_entry(entry)
                 if not self._matches(record, experiment_id, solver, max_best_score, metadata):
@@ -777,8 +841,12 @@ class DurableDataPortal(PortalBackend):
                 for run_id in run_ids
             ]
             for entry in ordered_entries:
-                record_json = _canonical_record_json(self._read_entry(entry).to_dict())
-                line = _envelope_line(record_json, entry.version)
+                # A canonical line is copied as it is; any other line is
+                # written as the canonical envelope of its validated record.
+                line = self._read_line(entry)
+                if not entry.canonical:
+                    record_json = _canonical_record_json(_record_of(line, False).to_dict())
+                    line = _envelope_line(record_json, entry.version)
                 if offset > 0 and offset + len(line) > self.segment_max_bytes:
                     self._fsync(handle)
                     handle.close()
@@ -843,9 +911,7 @@ class DurableDataPortal(PortalBackend):
             if working.exists():
                 shutil.rmtree(working)
             manifest = self._write_compacted(working)
-            if self._write_handle is not None:
-                self._write_handle.close()
-                self._write_handle = None
+            self._close_handles()
             for path in self._segment_paths():
                 path.rename(path.with_name(path.name + _ASIDE_SUFFIX))
             with open(marker, "wb") as handle:
@@ -881,12 +947,20 @@ class DurableDataPortal(PortalBackend):
         with self._lock:
             if self._closed:
                 return
-            if self._write_handle is not None:
-                if self.fsync_policy != "never":
-                    self._fsync(self._write_handle)
-                self._write_handle.close()
-                self._write_handle = None
+            if self._write_handle is not None and self.fsync_policy != "never":
+                self._fsync(self._write_handle)
+            self._close_handles()
             self._closed = True
+
+    def _close_handles(self) -> None:
+        """Close the write handle and every read handle (caller holds the
+        store lock)."""
+        if self._write_handle is not None:
+            self._write_handle.close()
+            self._write_handle = None
+        for handle in self._read_handles.values():
+            handle.close()
+        self._read_handles.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DurableDataPortal({str(self.directory)!r}, n_runs={self.n_runs})"

@@ -79,18 +79,16 @@ class DurationModel:
 class DurationTable:
     """Lookup of duration models by ``(module, action)``.
 
-    Unknown actions fall back to a per-module default, then to a global
-    default, so adding a new device action never breaks timing.
+    Unknown actions fall back to a global default, so adding a new device
+    action never breaks timing.
     """
 
     def __init__(
         self,
         entries: Optional[Dict[Tuple[str, str], DurationModel]] = None,
-        module_defaults: Optional[Dict[str, DurationModel]] = None,
         default: Optional[DurationModel] = None,
     ):
         self._entries: Dict[Tuple[str, str], DurationModel] = dict(entries or {})
-        self._module_defaults: Dict[str, DurationModel] = dict(module_defaults or {})
         self._default = default if default is not None else DurationModel(base_s=5.0)
 
     def set(self, module: str, action: str, model: DurationModel) -> None:
@@ -98,13 +96,8 @@ class DurationTable:
         self._entries[(module, action)] = model
 
     def get(self, module: str, action: str) -> DurationModel:
-        """Return the most specific model available for ``module.action``."""
-        key = (module, action)
-        if key in self._entries:
-            return self._entries[key]
-        if module in self._module_defaults:
-            return self._module_defaults[module]
-        return self._default
+        """Return the model for ``module.action``, or the global default."""
+        return self._entries.get((module, action), self._default)
 
     def sample(self, module: str, action: str, rng=None, units: float = 1.0) -> float:
         """Sample a duration for one execution of ``module.action``."""
@@ -120,23 +113,20 @@ class DurationTable:
 
     def copy(self) -> "DurationTable":
         """Return an independent copy (so experiments can scale durations)."""
-        return DurationTable(dict(self._entries), dict(self._module_defaults), self._default)
+        return DurationTable(dict(self._entries), self._default)
 
     def modules(self) -> Tuple[str, ...]:
-        """Every module name with an explicit entry or module default."""
-        names = {module for module, _action in self._entries}
-        names.update(self._module_defaults)
-        return tuple(sorted(names))
+        """Every module name with an explicit entry."""
+        return tuple(sorted({module for module, _action in self._entries}))
 
     def scaled(self, factor: Union[float, Mapping[str, float]]) -> "DurationTable":
         """Return a copy with durations scaled by ``factor``.
 
         ``factor`` is either a single number applied to every model ("what if
         the robots were twice as fast" ablations) or a mapping of *module
-        name* to per-module duration factor, leaving unmapped modules
-        untouched.  A mapped module with no registered module default gets
-        one synthesised from the scaled global default, so its fallback
-        actions slow down (or speed up) with the rest of the module.
+        name* to per-module duration factor, which scales that module's
+        entries and leaves unmapped modules and the global default
+        untouched.
         """
 
         def check(name: str, value: float) -> float:
@@ -157,7 +147,6 @@ class DurationTable:
             by = check("factor", factor)
             return DurationTable(
                 {key: scale(model, by) for key, model in self._entries.items()},
-                {module: scale(model, by) for module, model in self._module_defaults.items()},
                 scale(self._default, by),
             )
 
@@ -166,14 +155,7 @@ class DurationTable:
             (module, action): scale(model, factors.get(module, 1.0))
             for (module, action), model in self._entries.items()
         }
-        module_defaults = {
-            module: scale(model, factors.get(module, 1.0))
-            for module, model in self._module_defaults.items()
-        }
-        for module, by in factors.items():
-            if module not in module_defaults:
-                module_defaults[module] = scale(self._default, by)
-        return DurationTable(entries, module_defaults, self._default)
+        return DurationTable(entries, self._default)
 
 
 @dataclass(frozen=True)
@@ -181,10 +163,11 @@ class ModuleSpeedProfile:
     """Per-module *speed* factors describing one workcell's hardware mix.
 
     A speed of ``2.5`` for ``"ot2"`` means that workcell's OT-2 runs 2.5x
-    faster than the calibrated baseline, i.e. its action durations are
-    divided by 2.5 (:meth:`apply` scales the duration table by the
-    reciprocal).  Modules not named run at baseline speed.  An empty profile
-    (:meth:`is_identity`) leaves the table untouched.
+    faster than the calibrated baseline, i.e. the durations of its actions
+    that have a table entry are divided by 2.5 (:meth:`apply` scales the
+    duration table by the reciprocal); an action with no entry takes the
+    unscaled global default.  Modules not named run at baseline speed.  An
+    empty profile (:meth:`is_identity`) leaves the table untouched.
     """
 
     speeds: Mapping[str, float]
@@ -269,9 +252,19 @@ class ModuleSpeedProfile:
         return (cls.coerce(spec),) * n
 
     def apply(self, table: DurationTable) -> DurationTable:
-        """Return ``table`` rescaled so each named module runs at its speed."""
+        """Return ``table`` rescaled so each named module runs at its speed.
+
+        Raises :class:`ValueError` when the profile names a module with no
+        entry in ``table``: the profile could not change its timing.
+        """
         if self.is_identity:
             return table
+        unknown = sorted(set(self.speeds) - set(table.modules()))
+        if unknown:
+            raise ValueError(
+                f"module speeds name module(s) with no duration entries: {', '.join(unknown)}; "
+                f"expected names from {list(table.modules())}"
+            )
         return table.scaled({module: 1.0 / speed for module, speed in self.speeds.items()})
 
     def to_dict(self) -> Dict[str, float]:

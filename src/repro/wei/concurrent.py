@@ -490,8 +490,11 @@ class ConcurrentWorkflowEngine:
 
         Raises :class:`ConcurrencyError` when the event queue drains while
         work is still blocked (e.g. a deck location that is never freed).
-        With ``raise_errors`` (the default), the first stored program error
-        is re-raised; pass ``False`` to inspect handles instead.
+        Otherwise the engine then forgets the finished programs' handles
+        (callers keep their own), so each call answers only for the
+        programs submitted since the previous one: with ``raise_errors``
+        (the default), the first error among those is re-raised; pass
+        ``False`` to inspect handles instead.
         """
         self.engine_thread_id = threading.get_ident()
         while self.scheduler.step() is not None:
@@ -505,8 +508,9 @@ class ConcurrentWorkflowEngine:
         unfinished = [handle.name for handle in self._programs if not handle.done]
         if unfinished:
             raise ConcurrencyError(f"tasks never completed: {unfinished}")
+        finished, self._programs = self._programs, []
         if raise_errors:
-            for program in self._programs:
+            for program in finished:
                 if program.error is not None:
                     raise program.error
         return self

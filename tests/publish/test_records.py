@@ -135,6 +135,26 @@ class TestRunRecord:
         assert rebuilt.metadata == {"batch_size": 4}
 
 
+class TestFromCheckedDict:
+    def record(self):
+        return RunRecord(
+            experiment_id="exp",
+            run_id="run-3",
+            run_index=3,
+            target_rgb=np.array([120.0, 121.0, 122.0]),
+            samples=[plain_sample(), make_sample(1, 12.5)],
+            timings={"elapsed_s": 100.0},
+            metadata={"batch": {"size": 4, "wells": ["A1", "B2"]}, "title": "épreuve"},
+        )
+
+    def test_equals_the_record_and_from_dict_on_to_dict_json(self):
+        record = self.record()
+        text = json.dumps(record.to_dict())
+        rebuilt = RunRecord.from_checked_dict(json.loads(text))
+        assert rebuilt == record == RunRecord.from_dict(json.loads(text))
+        assert rebuilt.to_dict() == record.to_dict()
+
+
 class TestExperimentRecord:
     def test_aggregates_runs(self):
         runs = [

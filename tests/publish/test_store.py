@@ -8,13 +8,23 @@ reopen semantics, maintenance operations, fsync accounting.
 
 import hashlib
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.publish.portal import DuplicateRunError
 from repro.publish.records import RunRecord, SampleRecord
-from repro.publish.store import FSYNC_POLICIES, DurableDataPortal
+from repro.publish.store import (
+    _CANONICAL_ENCODER,
+    FSYNC_POLICIES,
+    DurableDataPortal,
+    _envelope_line,
+)
 from tests.publish.test_portal import make_record
 
 
@@ -340,3 +350,116 @@ class TestGoldenBytes:
             sample.score for sample in overwritten.samples
         )
         reopened.close()
+
+
+def _open_fds_under(directory):
+    """Targets of this process's open file descriptors inside ``directory``
+    (deleted files included, which the kernel marks "(deleted)")."""
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the descriptor listdir itself used, now closed
+            continue
+        if target.startswith(str(directory)):
+            targets.append(target)
+    return targets
+
+
+class TestReadPath:
+    def test_mutating_a_read_record_leaves_the_next_read_untouched(self, portal_store_dir):
+        store = DurableDataPortal(portal_store_dir)
+        original = make_record()
+        store.ingest(original)
+        first = store.get_run(original.run_id)
+        assert first == original
+        first.samples[0].volumes_ul["cyan"] = -1.0
+        first.samples[0].measured_rgb.append(7.0)
+        first.samples.pop()
+        first.target_rgb[0] = -1.0
+        first.metadata["batch_size"] = 99
+        [found] = store.search()
+        assert found == original
+        found.timings["mix_s"] = 1.0
+        assert store.get_experiment("exp").runs == [original]
+        assert store.get_run(original.run_id) == original
+        store.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_outlives_close_or_compact(self, portal_store_dir):
+        store = DurableDataPortal(portal_store_dir, segment_max_bytes=1024)
+        for index in range(8):
+            store.ingest(make_record("exp", index))
+        n_segments = len(list(portal_store_dir.glob("segment-*.jsonl")))
+        assert n_segments > 1
+        assert len(store.search()) == 8
+        # One read handle per segment, plus the write handle.
+        assert len(_open_fds_under(portal_store_dir)) == n_segments + 1
+        store.compact()
+        assert _open_fds_under(portal_store_dir) == []
+        assert [record.run_id for record in store.search()] == [f"exp-run{i}" for i in range(8)]
+        assert _open_fds_under(portal_store_dir)
+        store.close()
+        assert _open_fds_under(portal_store_dir) == []
+        # A closed store still answers a query, and keeps no handle for it.
+        assert store.get_run("exp-run3").run_index == 3
+        assert _open_fds_under(portal_store_dir) == []
+
+
+_FLOATS = st.floats(allow_nan=False, width=64)
+_TEXT = st.text(max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**53), 2**53) | _FLOATS | _TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TEXT, children, max_size=3),
+    max_leaves=8,
+)
+_SAMPLE = st.builds(
+    SampleRecord,
+    sample_index=st.integers(0, 95),
+    well=_TEXT,
+    plate_barcode=_TEXT,
+    volumes_ul=st.dictionaries(_TEXT, _FLOATS, max_size=4),
+    measured_rgb=st.lists(_FLOATS, min_size=3, max_size=3),
+    score=_FLOATS,
+    proposed_by=_TEXT,
+    timestamp=_FLOATS,
+)
+_RECORD = st.builds(
+    RunRecord,
+    experiment_id=st.sampled_from(["exp-a", "exp-é", "実験"]),
+    run_id=st.sampled_from(["run-0", "run-1", "run-ü"]),
+    run_index=st.integers(0, 10**6),
+    target_rgb=st.lists(_FLOATS, min_size=3, max_size=3),
+    samples=st.lists(_SAMPLE, max_size=3),
+    timings=st.dictionaries(_TEXT, _FLOATS, max_size=3),
+    solver=_TEXT,
+    image_reference=st.none() | _TEXT,
+    metadata=st.dictionaries(_TEXT, _JSON, max_size=4),
+)
+
+
+class TestIngestBytesProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(_RECORD, min_size=1, max_size=6))
+    def test_ingest_writes_the_canonical_to_dict_bytes(self, records):
+        """Whatever the record -- nested metadata, no samples, non-ASCII
+        text, overwrites -- each appended line is the envelope around
+        ``_CANONICAL_ENCODER.encode(record.to_dict())``, and the trusted
+        read path gives the record back."""
+        with tempfile.TemporaryDirectory() as directory:
+            store = DurableDataPortal(Path(directory))
+            versions, expected_lines, latest = {}, [], {}
+            for record in records:
+                store.ingest(record, overwrite=True)
+                versions[record.run_id] = versions.get(record.run_id, 0) + 1
+                record_json = _CANONICAL_ENCODER.encode(record.to_dict()).encode("utf-8")
+                expected_lines.append(_envelope_line(record_json, versions[record.run_id]))
+                latest[record.run_id] = record
+            assert [store.get_run(run_id) for run_id in latest] == list(latest.values())
+            store.close()
+            [segment] = Path(directory).glob("segment-*.jsonl")
+            assert segment.read_bytes().splitlines(keepends=True) == expected_lines
+            reopened = DurableDataPortal(Path(directory))
+            assert reopened.recovery.clean
+            assert [reopened.get_run(run_id) for run_id in latest] == list(latest.values())
+            reopened.close()

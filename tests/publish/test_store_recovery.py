@@ -15,7 +15,9 @@ segment bytes are captured as artifacts in CI (see ``conftest.py``).
 import json
 import zlib
 
-from repro.publish.store import DurableDataPortal, _canonical_record_json
+import pytest
+
+from repro.publish.store import DurableDataPortal, _canonical_record_json, _envelope_line
 from tests.publish.test_portal import make_record
 
 
@@ -268,6 +270,83 @@ class TestEnvelopeValidation:
         assert fault.reason.startswith("record schema invalid")
         assert {record.run_id for record in store.search()} == {run_ids[1]}
         store.close()
+
+
+class TestRawByteChecksum:
+    def test_line_with_non_canonical_bytes_but_matching_canonical_crc_replays(
+        self, portal_store_dir
+    ):
+        """The CRC is checked over a line's raw record bytes first; a line
+        re-serialised with spaces fails that check and is still accepted
+        through the canonical re-encode.  Compaction writes it back
+        canonically."""
+        build_store(portal_store_dir, n_records=3, segment_max_bytes=1 << 20)
+        path = segments(portal_store_dir)[0]
+        canonical = path.read_bytes()
+        path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in canonical.splitlines()))
+        assert path.read_bytes() != canonical
+        store = DurableDataPortal(portal_store_dir)
+        assert store.recovery.clean
+        assert store.recovery.records_replayed == 3
+        assert [record.to_dict() for record in store.search()] == [
+            make_record("exp", index).to_dict() for index in range(3)
+        ]
+        store.compact()
+        store.close()
+        assert segments(portal_store_dir)[0].read_bytes() == canonical
+
+    @staticmethod
+    def rewrite_first_record(directory, change):
+        """Apply ``change`` to the first line's record and write the line
+        back canonically, with a CRC over the changed bytes."""
+        path = segments(directory)[0]
+        lines = path.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[0])["record"]
+        change(record)
+        lines[0] = _envelope_line(_canonical_record_json(record), 1)
+        path.write_bytes(b"".join(lines))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda record: record.update(samples=[1]),
+            lambda record: record.update(run_index=None),
+            lambda record: record.update(run_index="x"),
+            lambda record: record["samples"][0].update(score="x"),
+            lambda record: record["samples"][0].update(volumes_ul=[1.0]),
+        ],
+        ids=["non-object-sample", "null-run-index", "string-run-index", "string-score", "list-volumes"],
+    )
+    def test_canonical_line_with_invalid_values_is_a_fault(self, portal_store_dir, change):
+        """A line that passes the raw-byte CRC is still refused when its
+        values do not make a record, and the store opens and answers."""
+        run_ids = build_store(portal_store_dir, n_records=2, segment_max_bytes=1 << 20)
+        self.rewrite_first_record(portal_store_dir, change)
+        store = DurableDataPortal(portal_store_dir)
+        [fault] = store.recovery.faults
+        assert fault.reason.startswith("record schema invalid")
+        assert {record.run_id for record in store.search(max_best_score=1e9)} == {run_ids[1]}
+        assert [page.run_id for page in store.search_page(limit=5)] == [run_ids[1]]
+        store.close()
+
+    def test_values_the_constructors_convert_are_read_converted(self, portal_store_dir):
+        """A CRC-valid line whose values need the constructors' conversions
+        (a score written as a string) replays, is read through them, and
+        is written back converted by compaction."""
+        run_ids = build_store(portal_store_dir, n_records=2, segment_max_bytes=1 << 20)
+        expected = make_record("exp", 0).to_dict()
+        score = expected["samples"][0]["score"]
+        self.rewrite_first_record(
+            portal_store_dir, lambda record: record["samples"][0].update(score=str(score))
+        )
+        store = DurableDataPortal(portal_store_dir)
+        assert store.recovery.clean
+        assert store.get_run(run_ids[0]).to_dict() == expected
+        assert {record.run_id for record in store.search(max_best_score=1e9)} == set(run_ids)
+        store.compact()
+        store.close()
+        line = segments(portal_store_dir)[0].read_bytes().splitlines()[0]
+        assert json.loads(line)["record"] == expected
 
 
 class TestCompactHeals:

@@ -43,10 +43,14 @@ class TestDurationModel:
 
 class TestDurationTable:
     def test_specific_entry_wins(self):
-        table = DurationTable(module_defaults={"ot2": DurationModel(base_s=5.0, jitter_cv=0.0)})
+        table = DurationTable(
+            {("ot2", "replace_tips"): DurationModel(base_s=5.0, jitter_cv=0.0)},
+            default=DurationModel(base_s=7.0, jitter_cv=0.0),
+        )
         table.set("ot2", "run_protocol", DurationModel(base_s=100.0, jitter_cv=0.0))
         assert table.mean("ot2", "run_protocol") == 100.0
-        assert table.mean("ot2", "anything_else") == 5.0
+        assert table.mean("ot2", "replace_tips") == 5.0
+        assert table.mean("ot2", "anything_else") == 7.0
 
     def test_global_default_fallback(self):
         table = DurationTable(default=DurationModel(base_s=7.0, jitter_cv=0.0))
@@ -84,12 +88,16 @@ class TestPerModuleScaling:
         assert slow_ot2.mean("pf400", "transfer") == table.mean("pf400", "transfer")
         assert slow_ot2.mean("camera", "take_picture") == table.mean("camera", "take_picture")
 
-    def test_mapped_module_without_default_gets_scaled_global_default(self):
-        table = DurationTable(default=DurationModel(base_s=8.0, jitter_cv=0.0))
+    def test_mapped_module_scales_its_entries_not_the_global_default(self):
+        table = DurationTable(
+            {("mystery", "known"): DurationModel(base_s=2.0, jitter_cv=0.0)},
+            default=DurationModel(base_s=8.0, jitter_cv=0.0),
+        )
         scaled = table.scaled({"mystery": 3.0})
-        # The mapped module now has its own (scaled) default...
-        assert scaled.mean("mystery", "anything") == pytest.approx(24.0)
-        # ...while unmapped modules still fall through to the unscaled global.
+        assert scaled.mean("mystery", "known") == pytest.approx(6.0)
+        # An action with no entry falls through to the unscaled global
+        # default, whether its module is mapped or not.
+        assert scaled.mean("mystery", "anything") == pytest.approx(8.0)
         assert scaled.mean("other", "anything") == pytest.approx(8.0)
 
     def test_invalid_factors_rejected(self):
@@ -113,6 +121,13 @@ class TestModuleSpeedProfile:
             table.mean("ot2", "run_protocol", units=1) / 2.0
         )
         assert fast.mean("pf400", "transfer") == table.mean("pf400", "transfer")
+
+    def test_apply_rejects_a_module_without_entries(self):
+        table = paper_calibrated_durations(jitter_cv=0.0)
+        with pytest.raises(ValueError, match="warp_drive"):
+            ModuleSpeedProfile({"ot2": 2.0, "warp_drive": 2.0}).apply(table)
+        # An identity profile changes nothing, so it names no module in vain.
+        assert ModuleSpeedProfile({"warp_drive": 1.0}).apply(table) is table
 
     def test_parse_round_trips(self):
         profile = ModuleSpeedProfile.parse("ot2=2.5, pf400=0.5")

@@ -211,6 +211,42 @@ class TestCompare:
             out = capsys.readouterr().out
             assert ("SCIENCE DIFFERS" in out) == (code == 1)
 
+    def test_compare_json_carries_deltas_and_science_checks(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        def fabricated(digest):
+            return AreaResult(
+                area="portal",
+                config={"n_records": 4},
+                metrics={"rows_per_s_ingest": {"value": 100.0, "unit": "rows/s", "direction": "higher"}},
+                science={"portal_rows_sha256": digest},
+            )
+
+        write_results([fabricated("aaaa")], repeats=1, directory=tmp_path)
+        monkeypatch.setattr(bench_package, "run_bench", lambda *a, **k: [fabricated("bbbb")])
+        assert main(["bench", "--areas", "portal", "--compare", str(tmp_path), "--json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert [result["science"] for result in document["results"]] == [
+            {"portal_rows_sha256": "bbbb"}
+        ]
+        compare = document["compare"]
+        assert compare["science"] == [
+            {
+                "area": "portal",
+                "key": "portal_rows_sha256",
+                "baseline": "aaaa",
+                "current": "bbbb",
+                "differs": True,
+            }
+        ]
+        [delta] = compare["deltas"]
+        assert (delta["metric"], delta["change"], delta["regression"]) == (
+            "rows_per_s_ingest",
+            0.0,
+            False,
+        )
+        assert (compare["regressions"], compare["science_diffs"], compare["skipped"]) == (0, 1, {})
+
     def test_delta_direction_semantics(self):
         slower_rate = MetricDelta(
             area="portal", metric="rows_per_s_ingest",

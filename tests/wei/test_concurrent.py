@@ -223,6 +223,22 @@ class TestPrograms:
         engine.run_until_complete(raise_errors=False)
         assert handle.result == "recovered"
 
+    def test_an_earlier_failure_is_not_raised_again(self, make_workcell, monkeypatch):
+        """Each call raises only the errors of the programs it ran: a failed
+        workflow does not fail the next, successful one on the same engine."""
+        monkeypatch.setattr(concurrent_module, "MAX_STEP_RETRIES", 0)
+        workcell = make_workcell(
+            seed=3,
+            fault_policy=FaultPolicy(command_failure={"sciclops": 1.0}, unrecoverable_fraction=0.0),
+        )
+        engine = ConcurrentWorkflowEngine(workcell)
+        with pytest.raises(WorkflowError, match="doomed"):
+            engine.run_workflow(WorkflowSpec(name="doomed").add_step("sciclops", "status"))
+        result = engine.run_workflow(WorkflowSpec(name="home").add_step("pf400", "move_home"))
+        assert result.success
+        assert [run.success for run in engine.run_logger.runs] == [False, True]
+        assert engine._programs == []
+
     def test_action_request_resumes_with_its_step_result(self, make_workcell):
         workcell = make_workcell(seed=4)
         engine = ConcurrentWorkflowEngine(workcell)
