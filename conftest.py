@@ -153,3 +153,32 @@ def make_fleet():
         )
 
     return _make
+
+
+@pytest.fixture
+def iid_frame():
+    """Renderer of reference frames with i.i.d. pixel noise.
+
+    ``iid_frame(plate, chemistry, rng, config=None)`` returns ``(image,
+    truth, clean)``: ``clean`` is a ``pixel_noise_sigma=0`` render drawing
+    the pose from ``rng``, and ``image`` is ``clean`` plus ``rng``'s next
+    ``standard_normal`` frame times the config's sigma, clipped to [0, 255].
+    That is the renderer's pixel pipeline before frames took their noise
+    from the per-process bank, kept here as the reference the bank is judged
+    against, so ``src`` has one noise path.
+    """
+    import dataclasses
+
+    import numpy as np
+
+    from repro.vision.render import PlateImageConfig, render_plate_image
+
+    def _render(plate, chemistry, rng, config=None):
+        config = config if config is not None else PlateImageConfig()
+        noise_free = dataclasses.replace(config, pixel_noise_sigma=0.0)
+        clean, truth = render_plate_image(plate, chemistry, config=noise_free, rng=rng, return_truth=True)
+        image = clean + rng.standard_normal(clean.shape) * config.pixel_noise_sigma
+        np.clip(image, 0.0, 255.0, out=image)
+        return image, truth, clean
+
+    return _render

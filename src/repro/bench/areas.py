@@ -591,6 +591,16 @@ def _bench_vision(repeats: int, scale: float) -> AreaResult:
         for dye, volume in zip(("cyan", "magenta", "yellow", "black"), rng.uniform(5.0, 60.0, 4)):
             well.add(dye, float(volume))
     image = render_plate_image(plate, chemistry, rng=ensure_rng(config["seed"] + 1))
+
+    # The camera: one frame per pass, each keyed by its own stream.
+    def render_frames() -> None:
+        for key in range(n_passes):
+            render_plate_image(plate, chemistry, rng=np.random.default_rng(key))
+
+    render_s = _best_of(render_frames, repeats)
+    name, metric = _rate("render_frames_per_s", n_passes, render_s, "frames/s")
+    result.metrics[name] = metric
+
     extractor = WellColorExtractor(rows=config["rows"], cols=config["cols"])
     centers = well_pixel_centers(plate)
 

@@ -32,8 +32,9 @@ class CameraImage:
     At capture the camera draws one 64-bit frame ``key`` from its device rng
     and snapshots the contents of the plate's filled wells.  Every read of
     :attr:`pixels` or :attr:`truth` rebuilds the capture-time plate from
-    that snapshot and renders it with pose and pixel noise drawn from
-    ``np.random.default_rng(key)``; nothing is cached.  So the device rng
+    that snapshot and renders it with its pose, and the offset of its pixel
+    noise in the renderer's per-process noise bank, drawn from
+    ``np.random.default_rng(key)``; no pixels are cached.  So the device rng
     (which also samples action durations) advances the same way whether or
     not a frame is ever read, a frame reads the same bytes whenever it is
     read, a frame nobody reads costs no render, and a frame kept in a run

@@ -18,9 +18,10 @@ Two backends implement one contract (:class:`PortalBackend`):
 
 Both expose the same queries, the same Figure-3 views, the same
 ``DuplicateRunError``/``overwrite=True``/``version()`` write contract, and
-the same cursor-based :meth:`PortalBackend.search_page` pagination -- the
-parity property suite (``tests/properties/test_portal_parity.py``) holds the
-two to byte-identical observable behaviour.
+the same cursor-based :meth:`PortalBackend.search_page` pagination, and
+both hand out a record of its own on every read -- the parity property
+suite (``tests/properties/test_portal_parity.py``) holds the two to
+byte-identical observable behaviour.
 
 Consistency, duplicates and thread safety
 -----------------------------------------
@@ -135,11 +136,13 @@ class PortalBackend:
     """The contract both portal backends implement, plus the shared logic.
 
     Subclasses provide the storage primitives (``ingest``, ``version``,
-    ``get_run``, ``get_experiment``, ``search``, the counters); this base
-    supplies everything defined *in terms of* those -- the Figure-3 views,
-    cursor pagination, the context-manager lifecycle -- and the single
-    filter implementation (:meth:`_matches`) so the two backends cannot
-    drift on search semantics.
+    ``get_run``, ``get_experiment``, ``search``, ``search_page``, the
+    counters); this base supplies everything defined *in terms of* those --
+    the Figure-3 views, the context-manager lifecycle -- and the single
+    filter implementation (:meth:`_matches`) and cursor encoding so the two
+    backends cannot drift on search semantics.  Every read hands out records
+    of its own: mutating a returned record changes neither the portal nor a
+    later read.
     """
 
     #: Human-readable backend name (CLI / stats / test ids).
@@ -179,6 +182,24 @@ class PortalBackend:
     ) -> List[RunRecord]:
         raise NotImplementedError
 
+    def search_page(
+        self,
+        *,
+        experiment_id: Optional[str] = None,
+        solver: Optional[str] = None,
+        max_best_score: Optional[float] = None,
+        metadata: Optional[Dict[str, Any]] = None,
+        limit: int = 100,
+        cursor: Optional[str] = None,
+    ) -> SearchPage:
+        """One page of matching records in stable ``(experiment_id,
+        run_index, run_id)`` order.
+
+        ``limit`` caps the page size; ``cursor`` (from a previous page's
+        ``next_cursor``) resumes strictly *after* the last returned record.
+        """
+        raise NotImplementedError
+
     # -- shared write-contract helpers ------------------------------------
     @staticmethod
     def _validate_record(record: RunRecord) -> None:
@@ -216,41 +237,6 @@ class PortalBackend:
             if any(record.metadata.get(key) != value for key, value in metadata.items()):
                 return False
         return True
-
-    # -- pagination --------------------------------------------------------
-    def search_page(
-        self,
-        *,
-        experiment_id: Optional[str] = None,
-        solver: Optional[str] = None,
-        max_best_score: Optional[float] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        limit: int = 100,
-        cursor: Optional[str] = None,
-    ) -> SearchPage:
-        """One page of matching records in stable ``(experiment_id,
-        run_index, run_id)`` order.
-
-        ``limit`` caps the page size; ``cursor`` (from a previous page's
-        ``next_cursor``) resumes strictly *after* the last returned record.
-        Both backends paginate identically; the durable backend overrides
-        this with an index walk that never materialises the full result set.
-        """
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        matches = self.search(
-            experiment_id=experiment_id,
-            solver=solver,
-            max_best_score=max_best_score,
-            metadata=metadata,
-        )
-        matches.sort(key=_page_key)
-        if cursor is not None:
-            after = _decode_cursor(cursor)
-            matches = [record for record in matches if _page_key(record) > after]
-        page = matches[:limit]
-        next_cursor = _encode_cursor(_page_key(page[-1])) if len(matches) > limit else None
-        return SearchPage(records=page, next_cursor=next_cursor)
 
     # -- Figure-3-style views ----------------------------------------------
     def summary_view(self, experiment_id: str) -> Dict[str, Any]:
@@ -370,7 +356,7 @@ class DataPortal(PortalBackend):
     def get_run(self, run_id: str) -> RunRecord:
         """Fetch a run record by id (the latest version, if overwritten)."""
         try:
-            return self._runs[run_id]
+            return _fresh(self._runs[run_id])
         except KeyError:
             raise PortalQueryError(f"unknown run id {run_id!r}") from None
 
@@ -382,7 +368,7 @@ class DataPortal(PortalBackend):
         """
         if experiment_id not in self._experiments:
             raise PortalQueryError(f"unknown experiment id {experiment_id!r}")
-        runs = [self._runs[run_id] for run_id in self._experiments[experiment_id]]
+        runs = [_fresh(self._runs[run_id]) for run_id in self._experiments[experiment_id]]
         runs.sort(key=lambda run: run.run_index)
         return ExperimentRecord(experiment_id=experiment_id, runs=runs)
 
@@ -399,6 +385,40 @@ class DataPortal(PortalBackend):
         Results are sorted by ``(experiment_id, run_index)`` and reflect
         every ingest that returned before this call.
         """
+        matches = self._stored_matches(experiment_id, solver, max_best_score, metadata)
+        return [_fresh(record) for record in matches]
+
+    def search_page(
+        self,
+        *,
+        experiment_id: Optional[str] = None,
+        solver: Optional[str] = None,
+        max_best_score: Optional[float] = None,
+        metadata: Optional[Dict[str, Any]] = None,
+        limit: int = 100,
+        cursor: Optional[str] = None,
+    ) -> SearchPage:
+        """One page of :meth:`search`'s matches in ``(experiment_id,
+        run_index, run_id)`` order, resuming strictly after ``cursor``."""
+        if limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
+        matches = self._stored_matches(experiment_id, solver, max_best_score, metadata)
+        matches.sort(key=_page_key)
+        if cursor is not None:
+            after = _decode_cursor(cursor)
+            matches = [record for record in matches if _page_key(record) > after]
+        page = matches[:limit]
+        next_cursor = _encode_cursor(_page_key(page[-1])) if len(matches) > limit else None
+        return SearchPage(records=[_fresh(record) for record in page], next_cursor=next_cursor)
+
+    def _stored_matches(
+        self,
+        experiment_id: Optional[str],
+        solver: Optional[str],
+        max_best_score: Optional[float],
+        metadata: Optional[Dict[str, Any]],
+    ) -> List[RunRecord]:
+        """The stored records (not copies) that match, by ``(experiment_id, run_index)``."""
         results = [
             record
             for record in self._runs.values()
@@ -406,3 +426,22 @@ class DataPortal(PortalBackend):
         ]
         results.sort(key=lambda record: (record.experiment_id, record.run_index))
         return results
+
+
+def _fresh(record: RunRecord) -> RunRecord:
+    """A copy of a stored record that shares no container with it, as each
+    durable read (decoded from its own line) is."""
+    data = record.to_dict()
+    data["metadata"] = _copied(record.metadata)
+    return RunRecord.from_checked_dict(data)
+
+
+def _copied(value: Any) -> Any:
+    """``value`` with every dict and list in it copied: a deep copy of the
+    JSON-shaped metadata the durable backend stores, ~4x cheaper than
+    ``copy.deepcopy`` on a campaign record's metadata."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value

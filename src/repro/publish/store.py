@@ -757,8 +757,8 @@ class DurableDataPortal(PortalBackend):
 
         Walks the maintained pagination order from the cursor position,
         index-pre-filtering before any disk read; behaviour (ordering,
-        cursor semantics, page boundaries) is identical to the shared
-        implementation in :class:`~repro.publish.portal.PortalBackend`.
+        cursor semantics, page boundaries) is identical to the in-memory
+        :meth:`~repro.publish.portal.DataPortal.search_page`.
         """
         import bisect
 

@@ -31,56 +31,59 @@ from repro.vision.fiducial import draw_fiducial
 
 __all__ = ["PlateImageConfig", "render_plate_image", "well_pixel_centers"]
 
-# Per-config render caches.  The illumination gradient and the pixel
-# coordinate axes depend only on the frame geometry, so they are computed once
-# per (height, width, gradient) and reused across frames -- rendering is the
-# dominant cost of a simulated campaign (one frame per run) and these were
-# ~20% of every frame.  Cached arrays are marked read-only so a stray in-place
+# Per-config render caches.  The illumination gradient, the pixel coordinate
+# axes and the pixel-noise bank depend only on the frame geometry and noise
+# level, so they are built once per process, on the first render that needs
+# them, and reused across frames -- rendering is the dominant cost of a
+# simulated campaign.  Cached arrays are marked read-only so a stray in-place
 # op cannot corrupt later frames.
 _RENDER_CACHE: Dict[tuple, tuple] = {}
 _RENDER_CACHE_LOCK = threading.Lock()  # lock:render-cache
-_SCRATCH = threading.local()
+#: Seed of every noise bank: a constant, so each process builds the same bank.
+_NOISE_BANK_SEED = 20230816
+#: Bank values beyond one frame: a frame's noise starts at one of this many + 1 offsets.
+_NOISE_BANK_SPARE = 2**16
 
 
-def _axes_and_gradient(height: int, width: int, gradient_strength: float):
-    """Cached ``(ys, xs, gradient)`` for a frame geometry.
+def _noise_bank(size: int, sigma: float) -> np.ndarray:
+    """``size + _NOISE_BANK_SPARE`` read-only N(0, sigma^2) float32 values (half
+    of float64's memory; a frame adds them to its float64 pixels in place)."""
+    bank = np.random.default_rng(_NOISE_BANK_SEED).standard_normal(size + _NOISE_BANK_SPARE, dtype=np.float32)
+    bank *= np.float32(sigma)
+    bank.setflags(write=False)
+    return bank
 
-    ``ys``/``xs`` are the integer pixel axes (replacing the old full-frame
-    ``np.mgrid``); ``gradient`` is the ``(H, W, 1)`` illumination field, or
-    None when ``gradient_strength`` is zero.  Values are bit-identical to the
-    2-D originals: broadcasting 1-D axes applies the same elementwise
-    arithmetic to the same integers.
+
+def _frame_constants(config: PlateImageConfig):
+    """Cached ``(ys, xs, gradient, noise)`` for a camera config.
+
+    ``ys``/``xs`` are the integer pixel axes (bit-identical, broadcast, to the
+    old full-frame ``np.mgrid``); ``gradient`` is the ``(H, W, 1)``
+    illumination field and ``noise`` the pixel-noise bank, each None when its
+    strength is zero.
     """
-    key = (height, width, gradient_strength)
+    height, width = config.image_height, config.image_width
+    strength, sigma = config.illumination_gradient, config.pixel_noise_sigma
+    key = (height, width, strength, sigma)
     cached = _RENDER_CACHE.get(key)
     if cached is not None:
         return cached
     with _RENDER_CACHE_LOCK:
-        cached = _RENDER_CACHE.get(key)
-        if cached is not None:
-            return cached
-        ys = np.arange(height)
-        xs = np.arange(width)
-        if gradient_strength > 0:
+        if key in _RENDER_CACHE:
+            return _RENDER_CACHE[key]
+        ys, xs = np.arange(height), np.arange(width)
+        if strength > 0:
             gx = np.abs(xs - width / 2) / (width / 2) * 0.5
             gy = np.abs(ys - height / 2) / (height / 2) * 0.5
-            gradient = (1.0 - gradient_strength * (gx[None, :] + gy[:, None]))[..., None]
+            gradient = (1.0 - strength * (gx[None, :] + gy[:, None]))[..., None]
             gradient.setflags(write=False)
         else:
             gradient = None
         ys.setflags(write=False)
         xs.setflags(write=False)
-        _RENDER_CACHE[key] = (ys, xs, gradient)
+        noise = _noise_bank(height * width * 3, sigma) if sigma > 0 else None
+        _RENDER_CACHE[key] = (ys, xs, gradient, noise)
         return _RENDER_CACHE[key]
-
-
-def _noise_scratch(shape: tuple) -> np.ndarray:
-    """Thread-local reusable buffer for the per-frame pixel-noise draw."""
-    buf = getattr(_SCRATCH, "noise", None)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape, dtype=np.float64)
-        _SCRATCH.noise = buf
-    return buf
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ def render_plate_image(
 
     # Wells.  Patch coordinates come from cached 1-D axes broadcast together
     # -- same integers, same arithmetic as the old full-frame np.mgrid.
-    ys, xs, gradient = _axes_and_gradient(height, width, config.illumination_gradient)
+    ys, xs, gradient, noise = _frame_constants(config)
     dye_names = chemistry.dyes.names
     colors: Dict[str, np.ndarray] = {}
     r = config.well_radius
@@ -228,14 +231,11 @@ def render_plate_image(
     if gradient is not None:
         image *= gradient
 
-    # Pixel noise.  Drawn into a reusable scratch buffer and applied in place:
-    # standard_normal(out=...) * sigma consumes the identical rng stream and
-    # produces the identical values as normal(0, sigma, size=...).
-    if config.pixel_noise_sigma > 0:
-        noise = _noise_scratch(image.shape)
-        rng.standard_normal(size=image.shape, dtype=np.float64, out=noise)
-        noise *= config.pixel_noise_sigma
-        image += noise
+    # Pixel noise: the bank slice at an offset drawn after the pose (a frame
+    # stays a function of its rng; only frames drawing one offset share noise).
+    if noise is not None:
+        start = int(rng.integers(_NOISE_BANK_SPARE + 1))
+        image += noise[start : start + image.size].reshape(image.shape)
 
     np.clip(image, 0.0, 255.0, out=image)
 

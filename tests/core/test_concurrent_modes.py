@@ -297,6 +297,9 @@ def _parity_science(case):
 #: pose and pixel noise moved onto a stream keyed by one device-rng draw, so
 #: direct-mode digests moved only through the camera's duration jitter
 #: (timing fields) and vision-mode digests also through the pixel noise.
+#: The vision-mode pins moved once more, alone, when a frame's pixel noise
+#: became a slice of the per-process noise bank (``repro.vision.render``)
+#: at an offset drawn from the frame's stream; direct mode was unchanged.
 PARITY_PINS = [
     (("app", "direct", 3, 1), "a7cc2905d42e4d76"),
     (("app", "direct", 3, 3), "cb2c6a47f8c1f2e9"),
@@ -304,24 +307,24 @@ PARITY_PINS = [
     (("app", "direct", 42, 3), "cc3264ed39378d51"),
     (("app", "direct", 816, 1), "d115afd341292fa1"),
     (("app", "direct", 816, 3), "23fafdec9314371a"),
-    (("app", "vision", 3, 1), "360fda9301254d21"),
-    (("app", "vision", 3, 3), "5ccc6ef77e445ded"),
-    (("app", "vision", 42, 1), "7b149421134e7861"),
-    (("app", "vision", 42, 3), "8240d127f7446dc5"),
-    (("app", "vision", 816, 1), "e6acc4d08aef9fef"),
-    (("app", "vision", 816, 3), "189d8a06cbe8e823"),
+    (("app", "vision", 3, 1), "a8fd993dafbb00b9"),
+    (("app", "vision", 3, 3), "8edf1c734110028f"),
+    (("app", "vision", 42, 1), "8f861b6004d52346"),
+    (("app", "vision", 42, 3), "2e1f18c86d265531"),
+    (("app", "vision", 816, 1), "cfb0bd0c59eeea52"),
+    (("app", "vision", 816, 3), "5b01c03e6fe836ba"),
     (("sweep", "direct", 2, "static"), "98e51192c96439ab"),
     (("sweep", "direct", 2, "work-stealing"), "974a7415090fb681"),
     (("sweep", "direct", 2, "stealing-lpt"), "0f2dda7b8262b793"),
     (("sweep", "direct", 3, "static"), "a69e7ee6ad8a61b8"),
     (("sweep", "direct", 3, "work-stealing"), "0293739c7c3c395b"),
     (("sweep", "direct", 3, "stealing-lpt"), "be6986ebdd8bec96"),
-    (("sweep", "vision", 2, "static"), "e7ccf9181a8c00c4"),
-    (("sweep", "vision", 2, "work-stealing"), "999fa2067d5c20f5"),
-    (("sweep", "vision", 2, "stealing-lpt"), "aad6e29596530fe6"),
-    (("sweep", "vision", 3, "static"), "5d37473109e119fb"),
-    (("sweep", "vision", 3, "work-stealing"), "d54ba0e052eeea3f"),
-    (("sweep", "vision", 3, "stealing-lpt"), "08f50a9fd7aa27d0"),
+    (("sweep", "vision", 2, "static"), "202ec0195da33f79"),
+    (("sweep", "vision", 2, "work-stealing"), "20eb542b7c6bebe0"),
+    (("sweep", "vision", 2, "stealing-lpt"), "4d1e39b6a5750234"),
+    (("sweep", "vision", 3, "static"), "4cef7bf967773d3e"),
+    (("sweep", "vision", 3, "work-stealing"), "88b141d247df8ff4"),
+    (("sweep", "vision", 3, "stealing-lpt"), "a686882761f2a208"),
 ]
 
 

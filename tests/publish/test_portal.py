@@ -205,6 +205,38 @@ class TestViews:
         assert [run.run_index for run in experiment.runs] == [0, 1, 2]
 
 
+class TestReadsAreFresh:
+    """Every read hands out a record of its own on both backends: mutating
+    what one read returned changes neither the portal nor the next read."""
+
+    def test_mutating_a_read_record_leaves_the_portal_untouched(self, portal):
+        original = make_record()
+        original.metadata["tags"] = {"lane": [1]}
+        portal.ingest(make_record())
+        portal.ingest(original, overwrite=True)
+        expected = original.to_dict()
+
+        first = portal.get_run("exp-run0")
+        first.samples[0].score = -5.0
+        first.samples[1].volumes_ul["cyan"] = -1.0
+        first.target_rgb[0] = -1.0
+        first.metadata["tags"]["lane"].append(2)
+        assert portal.get_run("exp-run0").to_dict() == expected
+        assert portal.get_run("exp-run0").best_score == 20.0
+        assert portal.search(max_best_score=0.0) == []
+
+        [found] = portal.search()
+        found.samples.pop()
+        found.timings["mix_s"] = 1.0
+        [paged] = portal.search_page().records
+        paged.metadata["batch_size"] = 99
+        [run] = portal.get_experiment("exp").runs
+        run.samples.clear()
+        assert portal.get_run("exp-run0").to_dict() == expected
+        assert [record.to_dict() for record in portal.search()] == [expected]
+        assert portal.detail_view("exp-run0")["n_samples"] == 3
+
+
 class TestPersistence:
     def test_round_trip_through_reopen(self, portal_store_dir):
         with DurableDataPortal(portal_store_dir) as portal:
